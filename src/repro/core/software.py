@@ -61,8 +61,8 @@ class SoftwareLookupEngine:
         """Functionally run a key stream, capturing one trace per lookup.
 
         Pure capture — nothing is priced and no stats are recorded; pair
-        with :meth:`record_lookup` once the traces have been executed
-        (serially or through :meth:`CoreModel.execute_batch`).  Table
+        with :meth:`record_lookups` once the traces have been replayed
+        (:class:`~repro.sim.replay.TraceReplay`).  Table
         lookups are functional reads, so running them all before pricing
         leaves the simulated cache state untouched.
         """
@@ -102,21 +102,12 @@ class SoftwareLookupEngine:
             tracer.restore(token)
         return values, traces
 
-    def record_lookup(self, value: Any, result: ExecutionResult) -> None:
-        """Fold one priced lookup into the run stats (same order as
-        :meth:`lookup`, so serial and batched runs agree exactly)."""
-        self.stats.lookups += 1
-        if value is not None:
-            self.stats.hits += 1
-        self.stats.cycles.record(result.cycles)
-        self.stats.breakdown = self.stats.breakdown.merged(result.breakdown)
-
     def record_lookups(self, values: list, results: list) -> None:
         """Fold a priced batch into the run stats in one pass.
 
-        Float math is the same left-fold :meth:`record_lookup` performs
-        per lookup (the Welford stream sees each cycle count in order, the
-        breakdown parts accumulate left to right), so a batched run's
+        Float math is the same left-fold :meth:`lookup` performs per
+        lookup (the Welford stream sees each cycle count in order, the
+        breakdown parts accumulate left to right), so a replayed stream's
         stats equal the serial run's exactly.
         """
         stats = self.stats

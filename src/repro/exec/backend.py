@@ -34,8 +34,7 @@ from enum import Enum
 from typing import Any, ClassVar, Generator, Iterable, List, Optional, Sequence, Tuple
 
 from ..hashtable.locking import READ_SIDE_CYCLES
-from ..sim.replay import (REPLAY_BATCH, REPLAY_WINDOWED, TraceReplay,
-                          batched_replay_default)
+from ..sim.replay import REPLAY_SERIAL, TraceReplay
 from ..sim.trace import capture
 
 
@@ -223,16 +222,14 @@ class SoftwareBackend(LookupBackend):
     but the cost is then spent as engine time, so software cores occupy the
     shared timeline and contend with whatever else is running.
 
-    ``batched=True`` (or ``REPRO_BATCHED_REPLAY=1`` in the environment)
-    opts streams into the :class:`~repro.sim.replay.TraceReplay` fast
-    paths: when nothing needs per-event interleaving the whole stream is
-    priced in one pass and spent as a single timeout, and with concurrent
-    processes the stream batches between interaction points (windowed
-    replay; disable with ``windowed=False`` or
-    ``REPRO_WINDOWED_REPLAY=0``).  Cycle outcomes, run stats, and metrics
-    agree with the serial path (the parity suite pins rel=1e-12); with
-    faults or guards the replay transparently falls back to one event per
-    lookup, counting every fallback under ``replay.fallback.*``.
+    Streams replay through :class:`~repro.sim.replay.TraceReplay`: every
+    trace is captured up front and priced in windows between interaction
+    points, one timeout per window — the whole stream in one when nothing
+    else is pending.  Cycle outcomes, run stats, and metrics agree with
+    per-key lookups (the parity suite pins them).  With faults or a guard
+    — or ``serial_replay=True``, the parity suite's reference side — a
+    stream keeps one event per lookup; the fault and guard fallbacks are
+    counted under ``replay.fallback.*``.
     """
 
     kind = BackendKind.SOFTWARE
@@ -240,16 +237,13 @@ class SoftwareBackend(LookupBackend):
 
     def __init__(self, system, core_id: int = 0,
                  with_locking: bool = True,
-                 batched: Optional[bool] = None,
-                 windowed: Optional[bool] = None) -> None:
+                 serial_replay: bool = False) -> None:
         super().__init__(system, core_id)
         self.software = system.software_engine(core_id,
                                                with_locking=with_locking)
-        if batched is None:
-            batched = batched_replay_default()
         obs = getattr(system, "obs", None)
         self.replay = TraceReplay(self.software.core, system.engine,
-                                  batched=batched, windowed=windowed,
+                                  serial=serial_replay,
                                   metrics=getattr(obs, "metrics", None))
 
     @property
@@ -264,16 +258,15 @@ class SoftwareBackend(LookupBackend):
                              cycles=result.cycles)
 
     def lookup_stream(self, table, keys: Iterable[bytes]) -> Generator:
-        """Program for a key stream, batched when the replay allows it.
+        """Program for a key stream, replayed in windows when it may be.
 
-        The replay mode is decided once per stream: ``batch`` and
-        ``windowed`` streams capture every trace up front and replay them
-        through :class:`~repro.sim.replay.TraceReplay`; serial fallbacks
-        (faults, guard, windowed replay disabled) and non-batched backends
-        keep the per-key lookup loop.
+        The replay mode is decided once per stream: windowed streams
+        capture every trace up front and replay them through
+        :class:`~repro.sim.replay.TraceReplay`; serial ones (faults, a
+        guard, ``serial_replay=True``) keep the per-key lookup loop.
         """
         mode = self.replay.decide()
-        if mode not in (REPLAY_BATCH, REPLAY_WINDOWED):
+        if mode == REPLAY_SERIAL:
             outcomes = yield from LookupBackend.lookup_stream(self, table,
                                                               keys)
             return outcomes

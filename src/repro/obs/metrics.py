@@ -128,8 +128,8 @@ class Histogram:
     def observe_many(self, value: float, n: int) -> None:
         """Record ``value`` ``n`` times in one update.
 
-        The batched-replay fast path defers its per-access observations
-        and flushes them grouped by distinct latency; the resulting
+        Core pricing defers its per-access observations and flushes
+        them grouped by distinct latency; the resulting
         histogram state (counts, buckets, min/max, sum for the integer
         latencies the hierarchy produces) is identical to ``n`` single
         :meth:`observe` calls.

@@ -1,6 +1,6 @@
 """``repro bench --perf`` — the pinned engine-performance microbench suite.
 
-Public contract: eight microbenches track the simulator's own speed (not
+Public contract: seven microbenches track the simulator's own speed (not
 the paper's modelled results) so every PR leaves a ``BENCH_<n>.json``
 footprint in the perf trajectory:
 
@@ -9,19 +9,17 @@ footprint in the perf trajectory:
   timeouts sit parked in the calendar.  Exercises schedule/pop/wake and
   nothing else.
 * ``cache_replay`` — the software-lookup hot loop: thousands of lookups
-  over a small hot key set on a warm table, run through the batched
-  trace-replay fast path (:class:`repro.sim.replay.TraceReplay`).
-* ``fig09_single_lookup`` — the model-of-record serial lookup path (one
-  trace captured, priced, and yielded per key), sized like a Figure 9
-  grid point.
+  over a small hot key set on a warm table, one stream through windowed
+  trace replay (:class:`repro.sim.replay.TraceReplay`).
+* ``fig09_single_lookup`` — the serial lookup path (one trace captured,
+  priced, and yielded per key — what faults, the guard and per-key
+  programs run), sized like a Figure 9 grid point.
 * ``multicore_step`` — several software cores interleaving on one shared
   engine via :func:`repro.exec.cores.run_cores`, one lookup per DES hop.
 * ``multicore_batched`` — the same collocated shape but *streamed*:
-  batched capture plus windowed replay between interaction points,
-  against the per-key composition as its reference side.
-* ``vector_pricing`` — raw :meth:`repro.sim.core.CoreModel.execute_batch`
-  pricing throughput, numpy kernels against the pure-Python fallback
-  (``events`` counts priced traces — no engine runs here).
+  capture plus windowed replay between interaction points, against the
+  same streams replayed serially (``serial_replay=True``) as its
+  reference side.
 * ``shard_scaling`` — the sharded-cluster path
   (:func:`repro.cluster.run_cluster`, inline dispatch): a 4-shard
   cluster over a fixed stream, against the same stream through one
@@ -36,8 +34,8 @@ footprint in the perf trajectory:
 
 ``engine_churn`` and ``cache_replay`` also run on the *frozen
 pre-campaign engine* vendored in :mod:`repro.runner._legacy_engine`;
-``multicore_batched`` and ``vector_pricing`` time their slow-mode
-counterparts in the same process.  All four record the ratio as
+``multicore_batched`` and ``shard_scaling`` time their reference shapes
+in the same process.  All four record the ratio as
 ``speedup_vs_legacy``.  Because both sides execute in the same process
 on the same host, that ratio is robust to machine speed in a way
 absolute events/sec is not — it is the number the CI regression gate
@@ -60,15 +58,15 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-PERF_SCHEMA_VERSION = 4
+PERF_SCHEMA_VERSION = 5
 
 #: Default location for committed snapshots (``BENCH_<n>.json``).
 DEFAULT_PERF_DIR = "benchmarks/perf"
 
 #: Names every snapshot must contain, in suite order.
 BENCH_NAMES = ("engine_churn", "cache_replay", "fig09_single_lookup",
-               "multicore_step", "multicore_batched", "vector_pricing",
-               "shard_scaling", "emc_churn")
+               "multicore_step", "multicore_batched", "shard_scaling",
+               "emc_churn")
 
 #: Required bench names per schema version.  Snapshots validate against
 #: the schema they were written with, so the committed trajectory stays
@@ -81,7 +79,10 @@ NAMES_BY_SCHEMA = {
     3: ("engine_churn", "cache_replay", "fig09_single_lookup",
         "multicore_step", "multicore_batched", "vector_pricing",
         "shard_scaling"),
-    4: BENCH_NAMES,
+    4: ("engine_churn", "cache_replay", "fig09_single_lookup",
+        "multicore_step", "multicore_batched", "vector_pricing",
+        "shard_scaling", "emc_churn"),
+    5: BENCH_NAMES,
 }
 
 
@@ -210,8 +211,6 @@ class _Shape:
     #: from ``multicore_lookups``: batching needs longer streams before
     #: its fixed costs amortise).
     batched_lookups: int = 400
-    #: Captured-trace volume for ``vector_pricing``.
-    pricing_lookups: int = 8000
     #: Cluster geometry + stream volume for ``shard_scaling``.
     shard_count: int = 4
     shard_flows: int = 128
@@ -224,8 +223,7 @@ class _Shape:
 FULL_SHAPE = _Shape(churn_workers=16, churn_hops=2000, churn_parked=10_000,
                     replay_lookups=8000, fig09_lookups=2000,
                     multicore_cores=4, multicore_lookups=400, repeats=5,
-                    batched_lookups=800, pricing_lookups=8000,
-                    shard_count=4, shard_flows=128, shard_lookups=2000,
+                    batched_lookups=800, shard_count=4, shard_flows=128, shard_lookups=2000,
                     emc_churn_packets=20_000, emc_churn_entries=512)
 # Quick walls must stay >= ~50ms per bench: the CI gate compares rates
 # from this flavour, and few-millisecond timings swing tens of percent.
@@ -233,8 +231,7 @@ FULL_SHAPE = _Shape(churn_workers=16, churn_hops=2000, churn_parked=10_000,
 QUICK_SHAPE = _Shape(churn_workers=16, churn_hops=2000, churn_parked=10_000,
                      replay_lookups=4000, fig09_lookups=800,
                      multicore_cores=2, multicore_lookups=200, repeats=3,
-                     batched_lookups=800, pricing_lookups=8000,
-                     shard_count=4, shard_flows=128, shard_lookups=1000,
+                     batched_lookups=800, shard_count=4, shard_flows=128, shard_lookups=1000,
                      emc_churn_packets=10_000, emc_churn_entries=256)
 
 #: Latency mix the churn workers cycle through: L1 / L2 / LLC / DRAM-ish.
@@ -321,7 +318,7 @@ def _replay_setup(lookups: int, entries: int = 64, hot: int = 32):
 
 
 def bench_cache_replay(shape: _Shape) -> BenchResult:
-    """Batched replay vs the same lookups composed on the frozen engine."""
+    """Windowed replay vs the same lookups composed on the frozen engine."""
     from . import _legacy_engine
     from ..exec.backend import LookupOutcome
 
@@ -329,7 +326,7 @@ def bench_cache_replay(shape: _Shape) -> BenchResult:
 
     def run_current() -> float:
         system, table, keys = _replay_setup(shape.replay_lookups)
-        backend = system.backend("software", batched=True)
+        backend = system.backend("software")
         t0 = time.process_time()
         system.engine.run_process(backend.lookup_stream(table, keys))
         elapsed = time.process_time() - t0
@@ -386,7 +383,8 @@ def bench_fig09_single_lookup(shape: _Shape) -> BenchResult:
         system.warm_table(table)
         stream = [keys[i % len(keys)] for i in range(shape.fig09_lookups)]
         t0 = time.process_time()
-        system.run_software_lookups(table, stream)
+        system.run_backend_lookups("software", table, stream,
+                                   serial_replay=True)
         elapsed = time.process_time() - t0
         current["now"] = system.engine.now
         current["events"] = system.engine.events_processed
@@ -446,18 +444,18 @@ def bench_multicore_step(shape: _Shape) -> BenchResult:
 
 
 def bench_multicore_batched(shape: _Shape) -> BenchResult:
-    """Streamed collocated cores: windowed batched replay vs per-key hops.
+    """Streamed collocated cores: windowed replay vs per-key hops.
 
     Both sides run on the *live* engine over the identical streamed
     workload — the reference side simply builds its backends with
-    ``batched=False`` — so ``speedup_vs_legacy`` isolates exactly what
-    the windowed replay buys concurrent software cores.
+    ``serial_replay=True`` — so ``speedup_vs_legacy`` isolates exactly
+    what the windowed replay buys concurrent software cores.
     """
     from ..traffic.generator import random_keys
 
     current: Dict[str, float] = {}
 
-    def _run(batched: bool) -> Tuple[float, float, int]:
+    def _run(windowed: bool) -> Tuple[float, float, int]:
         from ..core import HaloSystem
         from ..exec.cores import CoreWorkload
 
@@ -473,7 +471,7 @@ def bench_multicore_batched(shape: _Shape) -> BenchResult:
                          keys=[keys[(core * 97 + i) % len(keys)]
                                for i in range(per_core)],
                          stream=True,
-                         backend_kwargs={"batched": batched},
+                         backend_kwargs={"serial_replay": not windowed},
                          name=f"perfb{core}")
             for core in range(shape.multicore_cores)
         ]
@@ -497,61 +495,6 @@ def bench_multicore_batched(shape: _Shape) -> BenchResult:
                        lookups=shape.multicore_cores
                        * shape.batched_lookups,
                        cycles=current["now"], wall_s=wall,
-                       legacy_wall_s=legacy_wall, repeats=shape.repeats)
-
-
-def bench_vector_pricing(shape: _Shape) -> BenchResult:
-    """Raw ``execute_batch`` pricing throughput, numpy vs pure Python.
-
-    Captures one trace per lookup (untimed) and then times only the
-    batch pricing pass; the reference side forces the pure-Python
-    fallback via ``REPRO_NO_NUMPY``.  No engine runs here, so ``events``
-    counts priced traces.  On hosts without numpy both sides take the
-    fallback and the speedup hovers at 1.0 by construction.
-    """
-    import os
-
-    from ..hashtable.locking import READ_SIDE_CYCLES
-    from ..sim import kernels
-
-    current: Dict[str, float] = {}
-
-    def _run(disable_numpy: bool) -> Tuple[float, float]:
-        system, table, keys = _replay_setup(shape.pricing_lookups)
-        software = system.software_engine(0)
-        _values, traces = software.capture_lookups(table, keys)
-        previous = os.environ.get(kernels.NUMPY_DISABLE_ENV)
-        if disable_numpy:
-            os.environ[kernels.NUMPY_DISABLE_ENV] = "1"
-        try:
-            t0 = time.process_time()
-            results = software.core.execute_batch(
-                traces, lock_cycles_each=READ_SIDE_CYCLES)
-            elapsed = time.process_time() - t0
-        finally:
-            if disable_numpy:
-                if previous is None:
-                    del os.environ[kernels.NUMPY_DISABLE_ENV]
-                else:
-                    os.environ[kernels.NUMPY_DISABLE_ENV] = previous
-        total = 0.0
-        for result in results:
-            total += result.cycles
-        return elapsed, total
-
-    def run_current() -> float:
-        elapsed, cycles = _run(False)
-        current["cycles"] = cycles
-        return elapsed
-
-    def run_legacy() -> float:
-        elapsed, _cycles = _run(True)
-        return elapsed
-
-    wall, legacy_wall = _min_of([run_current, run_legacy], shape.repeats)
-    return BenchResult(name="vector_pricing", events=shape.pricing_lookups,
-                       lookups=shape.pricing_lookups,
-                       cycles=current["cycles"], wall_s=wall,
                        legacy_wall_s=legacy_wall, repeats=shape.repeats)
 
 
@@ -638,7 +581,6 @@ _BENCHES: Dict[str, Callable[[_Shape], BenchResult]] = {
     "fig09_single_lookup": bench_fig09_single_lookup,
     "multicore_step": bench_multicore_step,
     "multicore_batched": bench_multicore_batched,
-    "vector_pricing": bench_vector_pricing,
     "shard_scaling": bench_shard_scaling,
     "emc_churn": bench_emc_churn,
 }

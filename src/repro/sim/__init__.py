@@ -12,19 +12,13 @@ Public surface:
 """
 
 from .cache import Cache, CacheStats
-from .calendar import (
-    BucketCalendar,
-    CALENDARS,
-    DEFAULT_CALENDAR,
-    HeapCalendar,
-    make_calendar,
-)
+from .calendar import BucketCalendar
 from .core import CoreModel, ExecutionResult
 from .engine import Engine, Event, Process, Resource, SimulationError, Store
 from .hierarchy import AccessResult, MemoryHierarchy
 from .interconnect import Interconnect, MeshInterconnect, build_interconnect
 from .memory import AddressAllocator, Dram, OutOfSimulatedMemory, Region
-from .replay import TraceReplay, batched_replay_default
+from .replay import TraceReplay
 from .params import (
     CACHE_LINE_BYTES,
     CacheParams,
@@ -57,9 +51,6 @@ __all__ = [
     "Breakdown",
     "BucketCalendar",
     "CACHE_LINE_BYTES",
-    "CALENDARS",
-    "DEFAULT_CALENDAR",
-    "HeapCalendar",
     "Cache",
     "CacheParams",
     "CacheStats",
@@ -98,11 +89,9 @@ __all__ = [
     "TlbStats",
     "TraceReplay",
     "Tracer",
-    "batched_replay_default",
     "build_interconnect",
     "capture",
     "geometric_mean",
-    "make_calendar",
     "mpkl",
     "throughput_mops",
 ]

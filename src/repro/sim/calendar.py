@@ -1,34 +1,29 @@
-"""Calendar queues for the DES engine: the event-ordering data structure.
+"""The DES engine's calendar queue: the event-ordering data structure.
 
 The engine's hot loop is *pop the earliest ``(time, seq, task, value)``
 entry, dispatch, repeat* — every simulated cycle of every experiment goes
 through it, so the calendar's constant factors dominate end-to-end speed.
-Two implementations share one contract:
+:class:`BucketCalendar` is a slot/bucketed calendar: entries live in
+per-cycle buckets keyed on ``floor(time)``, and a much smaller overflow
+heap orders only the *occupied cycles*.  Scheduling into the current or a
+nearby cycle — the overwhelmingly common case: same-cycle wakes,
+zero-delay yields, cache-hit latencies a few hundred cycles out — is a
+dict probe plus a push into a tiny per-cycle heap (usually a single
+comparison, since sequence numbers arrive in increasing order).  Far-
+future timeouts pay one extra ``O(log C)`` push where ``C`` is the number
+of distinct occupied cycles, typically orders of magnitude smaller than
+the entry count.
 
-* :class:`HeapCalendar` — the original design: one global binary heap
-  over all pending entries.  Every push/pop costs ``O(log N)`` tuple
-  comparisons against the *whole* calendar.  Kept as the reference
-  implementation (``Engine(calendar="heap")``) that the equivalence
-  property suite replays against.
-* :class:`BucketCalendar` — a slot/bucketed calendar: entries live in
-  per-cycle buckets keyed on ``floor(time)``, and a much smaller overflow
-  heap orders only the *occupied cycles*.  Scheduling into the current or
-  a nearby cycle — the overwhelmingly common case: same-cycle wakes,
-  zero-delay yields, cache-hit latencies a few hundred cycles out — is a
-  dict probe plus a push into a tiny per-cycle heap (usually a single
-  comparison, since sequence numbers arrive in increasing order).  Far-
-  future timeouts pay one extra ``O(log C)`` push where ``C`` is the
-  number of distinct occupied cycles, typically orders of magnitude
-  smaller than the entry count.
-
-Ordering contract (both implementations, bit-identical): entries pop in
-strictly increasing ``(time, seq)`` order, where ``seq`` is the engine's
-global insertion counter — events scheduled for the same time fire in
-insertion order.  The bucket invariant that makes the split sound: every
-entry in bucket ``c`` has ``floor(time) == c``, so its time is strictly
-less than any entry of a higher bucket; within a bucket the per-cycle
-heap restores the exact ``(time, seq)`` order, including fractional
-times that share a floor.
+Ordering contract: entries pop in strictly increasing ``(time, seq)``
+order, where ``seq`` is the engine's global insertion counter — events
+scheduled for the same time fire in insertion order, exactly as from one
+flat binary heap over every entry (the original engine, frozen in
+:mod:`repro.runner._legacy_engine`, which the equivalence suite holds this
+calendar and the engine to).  The bucket invariant that makes the split
+sound: every entry in bucket ``c`` has ``floor(time) == c``, so its time
+is strictly less than any entry of a higher bucket; within a bucket the
+per-cycle heap restores the exact ``(time, seq)`` order, including
+fractional times that share a floor.
 
 Entries are plain tuples ``(time, seq, task, value)`` — ``seq`` is
 globally unique, so a comparison never reaches the (uncomparable) task.
@@ -41,40 +36,6 @@ from typing import Any, List, Optional, Tuple
 
 #: One calendar entry: (time, sequence, task, send-value).
 Entry = Tuple[float, int, Any, Any]
-
-
-class HeapCalendar:
-    """The legacy flat binary heap — one heap over every pending entry.
-
-    This is the pre-bucketing engine calendar, preserved verbatim as the
-    model of record for ordering semantics.  The equivalence suite
-    (``tests/sim/test_calendar_equivalence.py``) drives randomized
-    schedules through this and :class:`BucketCalendar` and asserts
-    identical execution orders.
-    """
-
-    __slots__ = ("_heap",)
-
-    kind = "heap"
-
-    def __init__(self) -> None:
-        self._heap: List[Entry] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def push(self, when: float, seq: int, task: Any, value: Any) -> None:
-        heappush(self._heap, (when, seq, task, value))
-
-    def pop(self) -> Entry:
-        return heappop(self._heap)
-
-    def min_time(self) -> Optional[float]:
-        """Earliest pending time, or ``None`` when empty."""
-        return self._heap[0][0] if self._heap else None
 
 
 class BucketCalendar:
@@ -91,8 +52,6 @@ class BucketCalendar:
     """
 
     __slots__ = ("_buckets", "_cycles")
-
-    kind = "bucket"
 
     def __init__(self) -> None:
         self._buckets: dict = {}
@@ -121,25 +80,7 @@ class BucketCalendar:
         return entry
 
     def min_time(self) -> Optional[float]:
+        """Earliest pending time, or ``None`` when empty."""
         if not self._cycles:
             return None
         return self._buckets[self._cycles[0]][0][0]
-
-
-#: Registered calendar implementations, by ``Engine(calendar=...)`` name.
-CALENDARS = {
-    HeapCalendar.kind: HeapCalendar,
-    BucketCalendar.kind: BucketCalendar,
-}
-
-DEFAULT_CALENDAR = BucketCalendar.kind
-
-
-def make_calendar(kind: str = DEFAULT_CALENDAR):
-    """Build a calendar by name (``"bucket"`` default, ``"heap"`` legacy)."""
-    try:
-        return CALENDARS[kind]()
-    except KeyError:
-        raise ValueError(
-            f"unknown calendar kind {kind!r}; expected one of "
-            f"{sorted(CALENDARS)}") from None

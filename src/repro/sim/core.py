@@ -13,18 +13,40 @@ Modelling choices (approximate cycle level, see DESIGN.md §5):
   (pointer chases).
 * L1 hits are considered hidden by the OoO window (they overlap compute);
   only the portion of each access beyond the L1 hit latency counts as stall.
+
+There is one pricing path, :meth:`CoreModel.execute_window`:
+:meth:`~CoreModel.execute` prices a one-trace window and
+:meth:`~CoreModel.execute_batch` an unbounded one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List
 
-from . import kernels
 from .hierarchy import MemoryHierarchy
 from .params import CoreParams
 from .stats import Breakdown
 from .trace import MemOpKind, MemTrace
+
+#: ``MemOp.dep`` by index (``MemOp`` is a NamedTuple: 0=addr, 2=kind, 3=dep).
+_dep_of = itemgetter(3)
+
+
+def _stall_cycles(latencies: List[int], mlp: int, l1_hit: int) -> float:
+    """Stall cycles of one dependency group.
+
+    The group's accesses overlap in waves of ``mlp``; each wave stalls for
+    its longest access beyond what the OoO window hides (an L1 hit).
+    """
+    latencies.sort(reverse=True)
+    cycles = 0.0
+    for start in range(0, len(latencies), mlp):
+        exposed = latencies[start] - l1_hit
+        if exposed > 0:
+            cycles += exposed
+    return cycles
 
 
 @dataclass
@@ -58,6 +80,8 @@ class CoreModel:
         self.retired_instructions = 0
         self.retired_loads = 0
         self.total_cycles = 0.0
+        #: The hierarchy's access closure for this core, built on first use.
+        self._access = None
 
     def execute(self, trace: MemTrace,
                 lock_cycles: float = 0.0) -> ExecutionResult:
@@ -67,390 +91,49 @@ class CoreModel:
         + lock overhead)``: the out-of-order window hides most compute behind
         memory and neighbouring instructions (``compute_overlap``), but the
         core can never retire faster than ``issue_width`` instructions/cycle.
+        A one-trace :meth:`execute_window`.
         """
-        mix = trace.mix
-        front_end_floor = mix.total / self.params.issue_width
-        compute_cycles = (mix.total * self.params.base_cpi
-                          * self.params.compute_overlap)
-
-        memory_cycles = 0.0
-        level_counts: Dict[str, int] = {}
-        loads = stores = 0
-        l1_hit = self.hierarchy.latency.l1_hit
-        mlp = self.params.mlp
-
-        for group in trace.dependency_chains():
-            # Overlap the group's accesses in waves of size ``mlp``.
-            latencies: List[int] = []
-            for op in group:
-                result = self.hierarchy.core_access(
-                    self.core_id, op.addr, write=op.is_store)
-                latencies.append(result.latency)
-                level_counts[result.level] = (
-                    level_counts.get(result.level, 0) + 1)
-                if op.is_store:
-                    stores += 1
-                else:
-                    loads += 1
-            latencies.sort(reverse=True)
-            group_cycles = 0.0
-            for start in range(0, len(latencies), mlp):
-                wave = latencies[start:start + mlp]
-                # Stall = longest access in the wave beyond what the OoO
-                # window hides (an L1 hit's worth of latency).
-                group_cycles += max(0, wave[0] - l1_hit)
-            memory_cycles += group_cycles
-
-        breakdown = Breakdown({
-            "compute": compute_cycles,
-            "memory": memory_cycles,
-        })
-        if lock_cycles:
-            breakdown.add("locking", lock_cycles)
-        total = breakdown.total
-        if total < front_end_floor:
-            # Front-end bound (small/L1-resident working sets): the issue
-            # width limits throughput; attribute the gap to compute.
-            breakdown.add("compute", front_end_floor - total)
-            total = front_end_floor
-        self.retired_instructions += mix.total
-        self.retired_loads += loads
-        self.total_cycles += total
-        return ExecutionResult(
-            cycles=total,
-            breakdown=breakdown,
-            level_counts=level_counts,
-            loads=loads,
-            stores=stores,
-            instructions=mix.total,
-        )
+        return self.execute_window((trace,), 0, None, lock_cycles)[0][0]
 
     def execute_batch(self, traces,
                       lock_cycles_each: float = 0.0) -> List[ExecutionResult]:
-        """Replay many traces with the per-access metric pushes deferred.
-
-        Cycle arithmetic is expression-for-expression :meth:`execute`, and
-        the accesses hit the hierarchy in exactly the order the serial path
-        would issue them (trace by trace, op by op), so cache state — and
-        therefore every latency — evolves identically.  Only the
-        *observation* is batched: latencies and level counts are
-        aggregated and flushed once through
-        :meth:`~repro.sim.hierarchy.MemoryHierarchy.observe_core_accesses`.
-        This is the compute half of the ``TraceReplay(batched=True)`` fast
-        path (see :mod:`repro.sim.replay`).
-
-        With numpy available (and ``REPRO_NO_NUMPY`` unset) the pricing
-        arithmetic runs through the array kernels in
-        :mod:`repro.sim.kernels`; otherwise a pure-Python fallback computes
-        the same numbers one trace at a time.  Both agree with the serial
-        path (see the kernels module's bit-exactness contract).
-        """
-        if not isinstance(traces, list):
+        """Replay many traces back to back: an unbounded
+        :meth:`execute_window`."""
+        if not isinstance(traces, (list, tuple)):
             traces = list(traces)
-        if kernels.numpy_active():
-            return self._execute_batch_vector(traces, lock_cycles_each)
-        return self._execute_batch_python(traces, lock_cycles_each)
+        return self.execute_window(traces, 0, None, lock_cycles_each)[0]
 
-    def _execute_batch_python(self, traces, lock_cycles_each: float
-                              ) -> List[ExecutionResult]:
-        """The pure-Python batch path: per-trace pricing, deferred flush."""
-        hierarchy = self.hierarchy
-        access = hierarchy.core_accessor(self.core_id)
-        latency_counts: Dict[int, int] = {}
-        batch_levels: Dict[str, int] = {}
-        lock_box = [0]
-        price = self._price_trace
-        results = [price(trace, access, lock_cycles_each, latency_counts,
-                         batch_levels, lock_box)
-                   for trace in traces]
-        hierarchy.observe_core_accesses(latency_counts, batch_levels,
-                                        lock_box[0])
-        return results
-
-    def _price_trace(self, trace: MemTrace, access, lock_cycles_each: float,
-                     latency_counts: Dict[int, int],
-                     batch_levels: Dict[str, int],
-                     lock_box: List[int]) -> ExecutionResult:
-        """Price one trace with observation deferred into the caller's
-        aggregation dicts.  Expression-for-expression :meth:`execute`;
-        ``access`` is a :meth:`~repro.sim.hierarchy.MemoryHierarchy.
-        core_accessor` closure."""
-        l1_hit = self.hierarchy.latency.l1_hit
-        params = self.params
-        mlp = params.mlp
-        latency_get = latency_counts.get
-        batch_get = batch_levels.get
-        store_kind = MemOpKind.STORE
-
-        mix_total = trace.mix.total
-        front_end_floor = mix_total / params.issue_width
-        compute_cycles = mix_total * params.base_cpi * params.compute_overlap
-
-        memory_cycles = 0.0
-        level_counts: Dict[str, int] = {}
-        level_get = level_counts.get
-        loads = stores = 0
-        lock_retry_total = 0
-        # Recorded traces have non-decreasing deps, so the dependency
-        # chains are just runs of equal ``dep`` — walk the ops once,
-        # closing a wave computation at each dep change, instead of
-        # materialising group lists.  Hand-built traces that interleave
-        # groups fall back to the generic grouping (which also fixes
-        # the access order to match :meth:`execute`).
-        ops = trace.ops
-        prev_dep = 0
-        for op in ops:
-            if op[3] < prev_dep:
-                groups = trace.dependency_chains()
-                break
-            prev_dep = op[3]
-        else:
-            groups = None
-        if groups is None:
-            latencies: List[int] = []
-            add_latency = latencies.append
-            current_dep = ops[0][3] if ops else 0
-            for op in ops:
-                # MemOp fields by index (NamedTuple): 0=addr, 2=kind, 3=dep.
-                dep = op[3]
-                if dep != current_dep:
-                    latencies.sort(reverse=True)
-                    group_cycles = 0.0
-                    for start in range(0, len(latencies), mlp):
-                        exposed = latencies[start] - l1_hit
-                        if exposed > 0:
-                            group_cycles += exposed
-                    memory_cycles += group_cycles
-                    latencies = []
-                    add_latency = latencies.append
-                    current_dep = dep
-                write = op[2] is store_kind
-                latency, level, retries = access(op[0], write)
-                add_latency(latency)
-                latency_counts[latency] = latency_get(latency, 0) + 1
-                level_counts[level] = level_get(level, 0) + 1
-                batch_levels[level] = batch_get(level, 0) + 1
-                if retries:
-                    lock_retry_total += retries
-                if write:
-                    stores += 1
-                else:
-                    loads += 1
-            if latencies:
-                latencies.sort(reverse=True)
-                group_cycles = 0.0
-                for start in range(0, len(latencies), mlp):
-                    exposed = latencies[start] - l1_hit
-                    if exposed > 0:
-                        group_cycles += exposed
-                memory_cycles += group_cycles
-        else:
-            for group in groups:
-                latencies = []
-                add_latency = latencies.append
-                for op in group:
-                    write = op.kind is store_kind
-                    latency, level, retries = access(op.addr, write)
-                    add_latency(latency)
-                    latency_counts[latency] = latency_get(latency, 0) + 1
-                    level_counts[level] = level_get(level, 0) + 1
-                    batch_levels[level] = batch_get(level, 0) + 1
-                    if retries:
-                        lock_retry_total += retries
-                    if write:
-                        stores += 1
-                    else:
-                        loads += 1
-                latencies.sort(reverse=True)
-                # Only the longest access of each MLP wave counts —
-                # index into the sorted list instead of slicing waves.
-                group_cycles = 0.0
-                for start in range(0, len(latencies), mlp):
-                    exposed = latencies[start] - l1_hit
-                    if exposed > 0:
-                        group_cycles += exposed
-                memory_cycles += group_cycles
-        if lock_retry_total:
-            lock_box[0] += lock_retry_total
-
-        # Inline Breakdown assembly (same float-add order as the
-        # ``Breakdown``/``add``/``total`` calls in :meth:`execute`).
-        parts = {"compute": compute_cycles, "memory": memory_cycles}
-        total = compute_cycles + memory_cycles
-        if lock_cycles_each:
-            parts["locking"] = lock_cycles_each
-            total += lock_cycles_each
-        if total < front_end_floor:
-            parts["compute"] = compute_cycles + (front_end_floor - total)
-            total = front_end_floor
-        breakdown = Breakdown.__new__(Breakdown)
-        breakdown.parts = parts
-        # Same per-trace accumulation order as ``execute`` so the
-        # floating-point core totals match bit for bit.
-        self.retired_instructions += mix_total
-        self.retired_loads += loads
-        self.total_cycles += total
-        return ExecutionResult(
-            cycles=total,
-            breakdown=breakdown,
-            level_counts=level_counts,
-            loads=loads,
-            stores=stores,
-            instructions=mix_total,
-        )
-
-    def _execute_batch_vector(self, traces, lock_cycles_each: float
-                              ) -> List[ExecutionResult]:
-        """The vectorised batch path: serial access sweep, array pricing.
-
-        The sweep drives the (stateful) hierarchy op by op in serial order
-        and records a flat latency stream plus dependency-group geometry;
-        :func:`repro.sim.kernels.price_batch` then does all the wave/floor
-        arithmetic in numpy.  Per-trace level counts stay in the sweep
-        (they are dict-shaped anyway), as does the store/load split.
-        """
-        hierarchy = self.hierarchy
-        access = hierarchy.core_accessor(self.core_id)
-        store_kind = MemOpKind.STORE
-
-        latencies: List[int] = []
-        add_latency = latencies.append
-        group_starts: List[int] = []
-        add_group = group_starts.append
-        group_traces: List[int] = []
-        add_group_trace = group_traces.append
-        batch_levels: Dict[str, int] = {}
-        batch_get = batch_levels.get
-        lock_retry_total = 0
-        #: (mix_total, level_counts, loads, stores) per trace.
-        per_trace: List[tuple] = []
-
-        index = 0
-        trace_index = 0
-        for trace in traces:
-            level_counts: Dict[str, int] = {}
-            level_get = level_counts.get
-            stores = 0
-            ops = trace.ops
-            prev_dep = 0
-            for op in ops:
-                if op[3] < prev_dep:
-                    groups = trace.dependency_chains()
-                    break
-                prev_dep = op[3]
-            else:
-                groups = None
-            if groups is None:
-                current_dep = ops[0][3] if ops else 0
-                if ops:
-                    add_group(index)
-                    add_group_trace(trace_index)
-                for op in ops:
-                    dep = op[3]
-                    if dep != current_dep:
-                        add_group(index)
-                        add_group_trace(trace_index)
-                        current_dep = dep
-                    write = op[2] is store_kind
-                    latency, level, retries = access(op[0], write)
-                    add_latency(latency)
-                    index += 1
-                    level_counts[level] = level_get(level, 0) + 1
-                    if retries:
-                        lock_retry_total += retries
-                    if write:
-                        stores += 1
-            else:
-                for group in groups:
-                    if not group:
-                        continue
-                    add_group(index)
-                    add_group_trace(trace_index)
-                    for op in group:
-                        write = op.kind is store_kind
-                        latency, level, retries = access(op.addr, write)
-                        add_latency(latency)
-                        index += 1
-                        level_counts[level] = level_get(level, 0) + 1
-                        if retries:
-                            lock_retry_total += retries
-                        if write:
-                            stores += 1
-            for level, count in level_counts.items():
-                batch_levels[level] = batch_get(level, 0) + count
-            per_trace.append((trace.mix.total, level_counts,
-                              len(ops) - stores, stores))
-            trace_index += 1
-
-        params = self.params
-        totals, compute_parts, memory_parts, hist_values, hist_counts = (
-            kernels.price_batch(
-                latencies, group_starts, group_traces,
-                [entry[0] for entry in per_trace],
-                params.mlp, self.hierarchy.latency.l1_hit,
-                params.base_cpi, params.compute_overlap,
-                params.issue_width, lock_cycles_each))
-
-        results: List[ExecutionResult] = []
-        append_result = results.append
-        new_breakdown = Breakdown.__new__
-        breakdown_cls = Breakdown
-        result_cls = ExecutionResult
-        new_result = ExecutionResult.__new__
-        for position, (mix_total, level_counts, loads, stores) in enumerate(
-                per_trace):
-            total = totals[position]
-            parts = {"compute": compute_parts[position],
-                     "memory": memory_parts[position]}
-            if lock_cycles_each:
-                parts["locking"] = lock_cycles_each
-            breakdown = new_breakdown(breakdown_cls)
-            breakdown.parts = parts
-            # Same per-trace accumulation order as ``execute`` so the
-            # floating-point core totals match bit for bit.
-            self.retired_instructions += mix_total
-            self.retired_loads += loads
-            self.total_cycles += total
-            # Bypass the dataclass __init__ (one per trace on the hot
-            # path); a plain dict assignment fills the same fields.
-            result = new_result(result_cls)
-            result.__dict__ = {
-                "cycles": total,
-                "breakdown": breakdown,
-                "level_counts": level_counts,
-                "loads": loads,
-                "stores": stores,
-                "instructions": mix_total,
-            }
-            append_result(result)
-
-        # ``zip`` of the ascending unique latencies reproduces the
-        # ``sorted(latency_counts)`` flush order of the Python path.
-        hierarchy.observe_core_accesses(
-            dict(zip(hist_values, hist_counts)), batch_levels,
-            lock_retry_total)
-        return results
-
-    def execute_window(self, traces, start: int, budget,
+    def execute_window(self, traces, start: int = 0, budget=None,
                        lock_cycles_each: float = 0.0):
-        """Price ``traces[start:]`` serially up to a cycle ``budget``.
+        """Price ``traces[start:]`` in order until ``budget`` cycles are spent.
 
-        The windowed replay fast path (:mod:`repro.sim.replay`) prices
-        traces until the *next* trace would begin at or beyond ``budget``
-        cycles from now — the horizon up to which no other process can run
-        — so concurrent streams batch between interaction points.  At
-        least one trace is always priced (its start is "now" in serial and
-        windowed mode alike); ``budget=None`` means unbounded.  Deferred
-        observations flush before returning.
+        The accesses hit the hierarchy trace by trace and op by op, so
+        cache state — and therefore every latency — evolves exactly as it
+        would one :meth:`execute` at a time.  The per-access metric pushes
+        are aggregated and flushed once through
+        :meth:`~repro.sim.hierarchy.MemoryHierarchy.observe_core_accesses`,
+        which leaves the registry as the pushes would.
+
+        Windowed replay (:mod:`repro.sim.replay`) passes the cycles up to
+        the engine's next pending event as ``budget``: pricing stops once
+        the cumulative cost reaches it, the crossing trace included, which
+        is exactly where serial replay would first yield to that event.
+        At least one trace is always priced; ``budget=None`` prices all.
 
         Returns ``(results, total_cycles, next_index)``.
         """
-        hierarchy = self.hierarchy
-        access = hierarchy.core_accessor(self.core_id)
+        access = self._access
+        if access is None:
+            access = self._access = self.hierarchy.core_accessor(self.core_id)
+        params = self.params
+        mlp = params.mlp
+        l1_hit = self.hierarchy.latency.l1_hit
+        store_kind = MemOpKind.STORE
         latency_counts: Dict[int, int] = {}
-        batch_levels: Dict[str, int] = {}
-        lock_box = [0]
-        price = self._price_trace
+        latency_get = latency_counts.get
+        window_levels: Dict[str, int] = {}
+        window_get = window_levels.get
+        lock_retries = 0
         results: List[ExecutionResult] = []
         total = 0.0
         index = start
@@ -458,13 +141,64 @@ class CoreModel:
         while index < count:
             if results and budget is not None and total >= budget:
                 break
-            result = price(traces[index], access, lock_cycles_each,
-                           latency_counts, batch_levels, lock_box)
-            total += result.cycles
-            results.append(result)
+            trace = traces[index]
             index += 1
-        hierarchy.observe_core_accesses(latency_counts, batch_levels,
-                                        lock_box[0])
+            ops = trace.ops
+            prev_dep = 0
+            for op in ops:
+                if op[3] < prev_dep:
+                    # Hand-built traces may interleave their dependency
+                    # groups: issue them group by group, in op order.
+                    ops = sorted(ops, key=_dep_of)
+                    break
+                prev_dep = op[3]
+            memory_cycles = 0.0
+            level_counts: Dict[str, int] = {}
+            level_get = level_counts.get
+            stores = 0
+            latencies: List[int] = []
+            group = ops[0][3] if ops else 0
+            for op in ops:
+                if op[3] != group:
+                    memory_cycles += _stall_cycles(latencies, mlp, l1_hit)
+                    latencies = []
+                    group = op[3]
+                write = op[2] is store_kind
+                latency, level, retries = access(op[0], write)
+                latencies.append(latency)
+                latency_counts[latency] = latency_get(latency, 0) + 1
+                level_counts[level] = level_get(level, 0) + 1
+                window_levels[level] = window_get(level, 0) + 1
+                lock_retries += retries
+                stores += write
+            if latencies:
+                memory_cycles += _stall_cycles(latencies, mlp, l1_hit)
+
+            mix_total = trace.mix.total
+            compute_cycles = (mix_total * params.base_cpi
+                              * params.compute_overlap)
+            cycles = compute_cycles + memory_cycles
+            parts = {"compute": compute_cycles, "memory": memory_cycles}
+            if lock_cycles_each:
+                parts["locking"] = lock_cycles_each
+                cycles += lock_cycles_each
+            front_end_floor = mix_total / params.issue_width
+            if cycles < front_end_floor:
+                # Front-end bound (small/L1-resident working sets): the
+                # issue width limits throughput; the gap is compute.
+                parts["compute"] = compute_cycles + (front_end_floor - cycles)
+                cycles = front_end_floor
+            loads = len(ops) - stores
+            self.retired_instructions += mix_total
+            self.retired_loads += loads
+            self.total_cycles += cycles
+            total += cycles
+            results.append(ExecutionResult(
+                cycles=cycles, breakdown=Breakdown(parts),
+                level_counts=level_counts, loads=loads, stores=stores,
+                instructions=mix_total))
+        self.hierarchy.observe_core_accesses(latency_counts, window_levels,
+                                             lock_retries)
         return results, total, index
 
     def execute_program(self, engine, trace: MemTrace,
@@ -554,8 +288,7 @@ class CoreModel:
         levels: Dict[str, int] = {}
         cycles = 0.0
         loads = stores = instructions = 0
-        for trace in traces:
-            result = self.execute(trace, lock_cycles=lock_cycles_each)
+        for result in self.execute_batch(traces, lock_cycles_each):
             cycles += result.cycles
             total = total.merged(result.breakdown)
             for level, count in result.level_counts.items():

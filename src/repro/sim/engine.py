@@ -4,9 +4,8 @@ A deliberately small, deterministic event-driven kernel in the spirit of
 SimPy, tuned for cycle-level architecture modelling.  Time is measured in
 integer (or float) *cycles*.  The engine provides:
 
-* :class:`Engine` — the event loop over a pluggable calendar queue (see
-  :mod:`repro.sim.calendar`): a slot/bucketed calendar by default, the
-  legacy flat binary heap behind ``Engine(calendar="heap")``.
+* :class:`Engine` — the event loop over the bucketed calendar queue (see
+  :mod:`repro.sim.calendar`).
 * :class:`Process` — a coroutine (generator) driven by the engine.  A process
   ``yield``\\ s *waitables*: a cycle delay (``yield engine.timeout(n)``), an
   :class:`Event`, or a resource request.
@@ -16,9 +15,9 @@ integer (or float) *cycles*.  The engine provides:
 * :class:`Store` — an unbounded FIFO message channel (command/result queues).
 
 The kernel is single-threaded and fully deterministic: events scheduled for
-the same cycle fire in insertion order, whatever the calendar
-implementation — the ordering contract lives in :mod:`repro.sim.calendar`
-and the equivalence property suite holds both implementations to it.
+the same cycle fire in insertion order.  The ordering contract lives in
+:mod:`repro.sim.calendar`; the equivalence property suite holds this engine
+to the frozen heap-based engine in :mod:`repro.runner._legacy_engine`.
 
 The engine also carries the harness safety net's attachment point: an
 optional *guard* (see :mod:`repro.guard`) observes every event, enforces
@@ -30,28 +29,16 @@ loop is byte-for-byte the unguarded fast path.
 from __future__ import annotations
 
 import itertools
-import os
 from heapq import heappop, heappush
 from sys import getrefcount
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
 
-from .calendar import BucketCalendar, DEFAULT_CALENDAR, make_calendar
-
-#: Environment toggle for the Timeout free-list (on by default; set to
-#: ``0`` to force a fresh allocation per timeout, e.g. for the
-#: free-list equivalence property suite).
-TIMEOUT_FREELIST_ENV = "REPRO_TIMEOUT_FREELIST"
+from .calendar import BucketCalendar
 
 #: Upper bound on pooled Timeout records.  Steady state needs roughly one
 #: per concurrently pending recyclable timeout, which is tiny; the cap only
 #: guards against a pathological schedule parking the pool full of husks.
 _TIMEOUT_POOL_MAX = 512
-
-
-def timeout_freelist_default() -> bool:
-    """Whether recycled Timeout records are enabled for this process."""
-    return os.environ.get(TIMEOUT_FREELIST_ENV, "1").lower() not in (
-        "0", "false", "no", "off")
 
 
 class SimulationError(RuntimeError):
@@ -345,23 +332,21 @@ class Store:
 
 
 class Engine:
-    """The simulation kernel: a calendar queue of (time, seq, task).
+    """The simulation kernel: a bucketed calendar queue of (time, seq, task).
 
-    ``calendar`` selects the queue implementation: ``"bucket"`` (default,
-    the slot/bucketed calendar — O(1) schedule/pop for the common
-    short-delay case) or ``"heap"`` (the legacy flat binary heap kept as
-    the ordering model of record).  Both produce bit-identical event
-    orders; ``tests/sim/test_calendar_equivalence.py`` holds them to it.
+    Fired ``Timeout`` records nothing else references are recycled through
+    a free-list (see :meth:`run`).  ``tests/sim/test_calendar_equivalence.py``
+    holds the engine — calendar, drain loop and free-list — to the frozen
+    heap-based engine in :mod:`repro.runner._legacy_engine`.
     """
 
     __slots__ = ("now", "_calendar", "_schedule", "timeout", "_sequence",
                  "events_processed", "_fault_hooks", "_live", "_guard",
-                 "_timeout_pool", "_recycle")
+                 "_timeout_pool")
 
-    def __init__(self, calendar: str = DEFAULT_CALENDAR,
-                 recycle_timeouts: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0
-        self._calendar = make_calendar(calendar)
+        self._calendar = BucketCalendar()
         self._sequence = itertools.count()
         self.events_processed = 0
         self._fault_hooks: dict = {}
@@ -371,41 +356,32 @@ class Engine:
         #: ``timeout()`` closure instead of allocating a fresh one —
         #: killing the last per-hop allocation on the hot path.
         self._timeout_pool: List[Timeout] = []
-        self._recycle = (timeout_freelist_default()
-                         if recycle_timeouts is None else recycle_timeouts)
         #: Live (not-yet-done) processes in creation order; the guard's
         #: deadlock dump and :meth:`blocked_processes` read this.
         self._live: Dict[Process, None] = {}
         self._guard: Optional[Any] = None
         #: ``_schedule(when, task, value)`` is *the* scheduling primitive —
-        #: called for every event hop, so it is a closure specialised to
-        #: the calendar implementation (captured locals, no attribute
-        #: hops, no intermediate method layer).  ``timeout(delay)`` — the
-        #: single most common engine call — is likewise a closure that
-        #: allocates, initialises, and schedules the Timeout in one hop.
+        #: called for every event hop, so it is a closure over the calendar
+        #: internals (captured locals, no attribute hops, no intermediate
+        #: method layer).  ``timeout(delay)`` — the single most common
+        #: engine call — is likewise a closure that allocates, initialises,
+        #: and schedules the Timeout in one hop.
         self._schedule = self._make_scheduler()
         self.timeout = self._make_timeout()
 
     def _make_scheduler(self) -> Callable[[float, Any, Any], None]:
-        """Build the calendar-specialised scheduling closure."""
+        """Build the scheduling closure (the calendar push inlined)."""
         next_seq = self._sequence.__next__
-        calendar = self._calendar
-        if isinstance(calendar, BucketCalendar):
-            buckets = calendar._buckets
-            cycles = calendar._cycles
-            get_bucket = buckets.get
+        buckets = self._calendar._buckets
+        cycles = self._calendar._cycles
+        get_bucket = buckets.get
 
-            def schedule(when: float, task: Any, value: Any) -> None:
-                bucket = get_bucket(cycle := int(when))
-                if bucket is None:
-                    buckets[cycle] = bucket = []
-                    heappush(cycles, cycle)
-                heappush(bucket, (when, next_seq(), task, value))
-        else:
-            push = calendar.push
-
-            def schedule(when: float, task: Any, value: Any) -> None:
-                push(when, next_seq(), task, value)
+        def schedule(when: float, task: Any, value: Any) -> None:
+            bucket = get_bucket(cycle := int(when))
+            if bucket is None:
+                buckets[cycle] = bucket = []
+                heappush(cycles, cycle)
+            heappush(bucket, (when, next_seq(), task, value))
         return schedule
 
     def _make_timeout(self) -> Callable[[float], "Timeout"]:
@@ -413,54 +389,44 @@ class Engine:
 
         Semantically identical to ``Timeout(self, delay)`` — allocate the
         event, write its slots, schedule it at ``now + delay`` — but in a
-        single call frame with the calendar push inlined for the bucket
-        calendar.
+        single call frame with the calendar push inlined, and handing out
+        recycled records from the free-list first.
         """
         next_seq = self._sequence.__next__
         new = Timeout.__new__
-        calendar = self._calendar
-        if isinstance(calendar, BucketCalendar):
-            buckets = calendar._buckets
-            cycles = calendar._cycles
-            get_bucket = buckets.get
-            pool = self._timeout_pool
+        buckets = self._calendar._buckets
+        cycles = self._calendar._cycles
+        get_bucket = buckets.get
+        pool = self._timeout_pool
 
-            def timeout(delay: float) -> Timeout:
-                if delay < 0:
-                    raise SimulationError(f"negative timeout: {delay}")
-                if pool:
-                    # Recycled record (see the drain loop): ``_waiters`` is
-                    # already an empty list, ``callbacks``/``source`` were
-                    # never set on it — only the per-fire state resets.
-                    event = pool.pop()
-                    event.triggered = False
-                    event.value = None
-                    event.abandoned = False
-                else:
-                    event = new(Timeout)
-                    event.engine = self
-                    event.triggered = False
-                    event.value = None
-                    event._waiters = []
-                    event.callbacks = ()
-                    event.source = None
-                    event.abandoned = False
-                event.at = at = self.now + delay
-                bucket = get_bucket(cycle := int(at))
-                if bucket is None:
-                    buckets[cycle] = bucket = []
-                    heappush(cycles, cycle)
-                heappush(bucket, (at, next_seq(), event, None))
-                return event
-        else:
-            def timeout(delay: float) -> Timeout:
-                return Timeout(self, delay)
+        def timeout(delay: float) -> Timeout:
+            if delay < 0:
+                raise SimulationError(f"negative timeout: {delay}")
+            if pool:
+                # Recycled record (see the drain loop): ``_waiters`` is
+                # already an empty list, ``callbacks``/``source`` were
+                # never set on it — only the per-fire state resets.
+                event = pool.pop()
+                event.triggered = False
+                event.value = None
+                event.abandoned = False
+            else:
+                event = new(Timeout)
+                event.engine = self
+                event.triggered = False
+                event.value = None
+                event._waiters = []
+                event.callbacks = ()
+                event.source = None
+                event.abandoned = False
+            event.at = at = self.now + delay
+            bucket = get_bucket(cycle := int(at))
+            if bucket is None:
+                buckets[cycle] = bucket = []
+                heappush(cycles, cycle)
+            heappush(bucket, (at, next_seq(), event, None))
+            return event
         return timeout
-
-    @property
-    def calendar_kind(self) -> str:
-        """Which calendar implementation this engine runs on."""
-        return self._calendar.kind
 
     # -- guard attachment (``repro.guard``) ---------------------------------
     def attach_guard(self, guard: Any) -> None:
@@ -507,8 +473,6 @@ class Engine:
         children (only the head bucket can ever be empty).
         """
         calendar = self._calendar
-        if type(calendar) is not BucketCalendar:
-            return calendar.min_time()
         cycles = calendar._cycles
         if not cycles:
             return None
@@ -567,129 +531,107 @@ class Engine:
         if self._guard is not None:
             return self._run_guarded(until)
         calendar = self._calendar
-        pop = calendar.pop
         if until is None:
             # The dominant mode (run to exhaustion): no peek, no bound
-            # check — pop and dispatch until the calendar drains.
+            # check — pop and dispatch until the calendar drains.  The
+            # calendar pop is inlined against the bucket structures so each
+            # event costs a dict probe + tiny heappop, not a method call.
             events = 0
+            buckets = calendar._buckets
+            cycles = calendar._cycles
+            process_cls = Process
+            timeout_cls = Timeout
+            next_seq = self._sequence.__next__
+            pool = self._timeout_pool
+            refcount = getrefcount
             try:
-                if type(calendar) is BucketCalendar:
-                    # Specialised drain loop: the calendar pop is inlined
-                    # against the bucket structures so each event costs a
-                    # dict probe + tiny heappop instead of a method call.
-                    buckets = calendar._buckets
-                    cycles = calendar._cycles
-                    process_cls = Process
-                    timeout_cls = Timeout
-                    next_seq = self._sequence.__next__
-                    pool = self._timeout_pool
-                    recycle = self._recycle
-                    refcount = getrefcount
-                    while cycles:
-                        # Drain one bucket to exhaustion.  All entries pushed
-                        # while draining land in this bucket or a later one
-                        # (time never rewinds), so the inner loop only has to
-                        # re-test the bucket itself — no dict probe, no
-                        # cycle-heap peek per event.
-                        cycle = cycles[0]
-                        bucket = buckets[cycle]
-                        while bucket:
-                            when, _seq, task, value = heappop(bucket)
-                            self.now = when
-                            events += 1
-                            if task.__class__ is timeout_cls:
-                                task.triggered = True
-                                if task.callbacks:
-                                    for callback in task.callbacks:
-                                        callback(task)
-                                # No fresh empty list: once ``triggered``
-                                # is set nothing reads ``_waiters`` again
-                                # (re-yields short-circuit on ``triggered``,
-                                # ``kill`` only detaches from untriggered
-                                # targets).
-                                waiters = task._waiters
-                                if waiters:
-                                    if bucket:
-                                        # Other entries share this bucket:
-                                        # wakes go through the calendar, but
-                                        # straight into the bucket we are
-                                        # draining — skipping the int()/dict
-                                        # probe of the generic schedule path.
-                                        # ``waiting_on`` goes back to None
-                                        # (its documented scheduled state),
-                                        # which also releases the waiter's
-                                        # reference so the timeout can be
-                                        # recycled below.
-                                        for process in waiters:
-                                            process.waiting_on = None
-                                            heappush(
-                                                bucket,
-                                                (when, next_seq(),
-                                                 process, None))
-                                    elif len(waiters) == 1:
-                                        # Fused wake: the calendar holds
-                                        # nothing else at this timestamp
-                                        # (bucket drained; all other buckets
-                                        # are later cycles), so the scheduled
-                                        # wake would be the very next pop —
-                                        # step the waiter now and skip the
-                                        # push/pop round-trip.  The wake
-                                        # still counts as an event so
-                                        # `events_processed` matches the
-                                        # generic dispatch exactly.
-                                        events += 1
-                                        waiter = waiters[0]
-                                        if not waiter.done:
-                                            waiter._step(None)
-                                    else:
-                                        for process in waiters:
-                                            process.waiting_on = None
-                                            heappush(
-                                                bucket,
-                                                (when, next_seq(),
-                                                 process, None))
-                                # Recycle the fired record when nothing else
-                                # references it any more (refcount 2 = the
-                                # ``task`` local + getrefcount's argument):
-                                # a process that kept the timeout — e.g.
-                                # ``t = engine.timeout(n); yield t`` — or a
-                                # still-set ``waiting_on`` pins it and the
-                                # record is simply left to the GC.
-                                if (recycle and not task.callbacks
-                                        and refcount(task) == 2
-                                        and len(pool) < _TIMEOUT_POOL_MAX):
-                                    waiters.clear()
-                                    pool.append(task)
-                            elif (task.__class__ is process_cls
-                                    or isinstance(task, process_cls)):
-                                if not task.done:  # killed procs: stale entries
-                                    task._step(value)
-                            else:
-                                task.succeed(value)
-                        del buckets[cycle]
-                        heappop(cycles)
-                else:
-                    while calendar:
-                        when, _seq, task, value = pop()
+                while cycles:
+                    # Drain one bucket to exhaustion.  All entries pushed
+                    # while draining land in this bucket or a later one
+                    # (time never rewinds), so the inner loop only has to
+                    # re-test the bucket itself — no dict probe, no
+                    # cycle-heap peek per event.
+                    cycle = cycles[0]
+                    bucket = buckets[cycle]
+                    while bucket:
+                        when, _seq, task, value = heappop(bucket)
                         self.now = when
                         events += 1
-                        if isinstance(task, Process):
-                            if not task.done:
+                        if task.__class__ is timeout_cls:
+                            task.triggered = True
+                            if task.callbacks:
+                                for callback in task.callbacks:
+                                    callback(task)
+                            # No fresh empty list: once ``triggered`` is
+                            # set nothing reads ``_waiters`` again
+                            # (re-yields short-circuit on ``triggered``,
+                            # ``kill`` only detaches from untriggered
+                            # targets).
+                            waiters = task._waiters
+                            if waiters:
+                                if bucket:
+                                    # Other entries share this bucket: wakes
+                                    # go through the calendar, but straight
+                                    # into the bucket we are draining —
+                                    # skipping the int()/dict probe of the
+                                    # generic schedule path.  ``waiting_on``
+                                    # goes back to None (its documented
+                                    # scheduled state), which also releases
+                                    # the waiter's reference so the timeout
+                                    # can be recycled below.
+                                    for process in waiters:
+                                        process.waiting_on = None
+                                        heappush(bucket, (when, next_seq(),
+                                                          process, None))
+                                elif len(waiters) == 1:
+                                    # Fused wake: the calendar holds nothing
+                                    # else at this timestamp (bucket
+                                    # drained; all other buckets are later
+                                    # cycles), so the scheduled wake would
+                                    # be the very next pop — step the
+                                    # waiter now and skip the push/pop
+                                    # round-trip.  The wake still counts as
+                                    # an event so `events_processed`
+                                    # matches the generic dispatch exactly.
+                                    events += 1
+                                    waiter = waiters[0]
+                                    if not waiter.done:
+                                        waiter._step(None)
+                                else:
+                                    for process in waiters:
+                                        process.waiting_on = None
+                                        heappush(bucket, (when, next_seq(),
+                                                          process, None))
+                            # Recycle the fired record when nothing else
+                            # references it any more (refcount 2 = the
+                            # ``task`` local + getrefcount's argument): a
+                            # process that kept the timeout — e.g.
+                            # ``t = engine.timeout(n); yield t`` — or a
+                            # still-set ``waiting_on`` pins it and the
+                            # record is simply left to the GC.
+                            if (not task.callbacks
+                                    and refcount(task) == 2
+                                    and len(pool) < _TIMEOUT_POOL_MAX):
+                                waiters.clear()
+                                pool.append(task)
+                        elif (task.__class__ is process_cls
+                                or isinstance(task, process_cls)):
+                            if not task.done:  # killed procs: stale entries
                                 task._step(value)
-                        else:  # a plain Event scheduled by Timeout
+                        else:
                             task.succeed(value)
+                    del buckets[cycle]
+                    heappop(cycles)
             finally:
                 self.events_processed += events
-                if type(calendar) is BucketCalendar:
-                    # If an exception unwound the drain loop between
-                    # emptying the head bucket and deregistering it, drop
-                    # the empty husk so the calendar stays consistent.
-                    cycles = calendar._cycles
-                    buckets = calendar._buckets
-                    while cycles and not buckets.get(cycles[0]):
-                        buckets.pop(cycles[0], None)
-                        heappop(cycles)
+                # If an exception unwound the drain loop between emptying
+                # the head bucket and deregistering it, drop the empty husk
+                # so the calendar stays consistent.
+                while cycles and not buckets.get(cycles[0]):
+                    buckets.pop(cycles[0], None)
+                    heappop(cycles)
             return self.now
+        pop = calendar.pop
         min_time = calendar.min_time
         while calendar:
             when = min_time()

@@ -208,11 +208,11 @@ class MemoryHierarchy:
                               lock_retries: int = 0) -> None:
         """Flush a batch of deferred :meth:`core_access` observations.
 
-        The batched trace-replay fast path calls :meth:`_core_access`
-        directly (skipping the per-access metric pushes) and hands the
-        aggregated latencies/levels here, so the registry ends up in the
-        same state as if every access had gone through the instrumented
-        wrapper.
+        Core pricing (:meth:`~repro.sim.core.CoreModel.execute_window`)
+        accesses through :meth:`core_accessor` (skipping the per-access
+        metric pushes) and hands the aggregated latencies/levels here, so
+        the registry ends up in the same state as if every access had gone
+        through the instrumented wrapper.
         """
         observe_many = self._m_core_cycles.observe_many
         for latency in sorted(latency_counts):
@@ -224,7 +224,7 @@ class MemoryHierarchy:
 
     def core_accessor(self, core_id: int
                       ) -> Callable[[int, bool], Tuple[int, str, int]]:
-        """A pre-bound access closure for the batched pricing sweep.
+        """A pre-bound access closure for core pricing.
 
         State transitions are exactly :meth:`_core_access` — the L1 read
         probe is inlined against the cache internals (the overwhelmingly

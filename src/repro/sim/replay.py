@@ -1,4 +1,4 @@
-"""Batched trace replay: the straight-line fast path through the cache model.
+"""Windowed trace replay: one replay loop for streams of traced operations.
 
 Public contract
 ===============
@@ -8,132 +8,83 @@ per operation — price the trace on the :class:`~repro.sim.core.CoreModel`,
 ``yield engine.timeout(cycles)``, repeat.  Each hop costs a generator resume
 plus a calendar round-trip, which dominates wall time for replay-heavy
 workloads.  :class:`TraceReplay` keeps the per-operation contract — cycle
-outcomes agree with the serial path to rel=1e-12 (the parity suite pins
-this, and the batch kernels are bit-exact on integer-latency traces) — but
-collapses the event traffic when nothing observable is lost.  Three
-execution modes exist, chosen per stream by :meth:`TraceReplay.decide`:
+outcomes are the serial path's, bit for bit (the parity suite pins this) —
+but spends the cost in *windows*:
 
-``batch`` (:data:`REPLAY_BATCH`)
-    Nothing else shares the engine: the whole sequence is priced in one
-    pass (:meth:`~repro.sim.core.CoreModel.execute_batch` — vectorised
-    when numpy is active, see :mod:`repro.sim.kernels`) and the summed
-    cost is spent as a single timeout.
+1. ask the engine for the next pending event time
+   (:meth:`~repro.sim.engine.Engine.next_event_time`);
+2. price traces up to that horizon
+   (:meth:`~repro.sim.core.CoreModel.execute_window` — the trace that
+   crosses it included, exactly where serial replay would first yield to
+   the foreign event);
+3. spend the window as one timeout, and repeat.
 
-``windowed`` (:data:`REPLAY_WINDOWED`)
-    Other processes are live, so intermediate ``engine.now`` states are
-    observable — but only *at their events*.  The replay asks the engine
-    for the next pending event time (:meth:`~repro.sim.engine.Engine.
-    next_event_time`), prices traces serially up to that horizon
-    (:meth:`~repro.sim.core.CoreModel.execute_window`), and spends each
-    window as one timeout.  No foreign process can run strictly inside a
-    window, and at the horizon the engine's FIFO tie-break picks the same
-    winner it would under per-trace hops, so the interleaving — which
-    process touches the shared hierarchy when — is identical to serial
-    replay.  Concurrent workers therefore batch *between interaction
-    points* instead of falling back to one event per lookup.
+No foreign process can run strictly inside a window, and at the horizon
+the engine's FIFO tie-break picks the same winner it would under per-trace
+hops, so the interleaving — which process touches the shared hierarchy
+when — is identical to serial replay.  When nothing else is pending the
+horizon is ``None`` and the rest of the stream is one window: a *batch*.
 
-``serial`` (:data:`REPLAY_SERIAL`)
-    The classic one-timeout-per-trace loop.  Mandatory whenever per-access
-    observation matters:
+Serial replay (:data:`REPLAY_SERIAL`, one trace per window) is used
+whenever per-access observation matters, and never silently:
 
-    * fault hooks installed (:mod:`repro.faults` rewires latencies per
-      access), or
-    * a guard attached (:mod:`repro.guard` samples the event stream), or
-    * concurrency with windowed mode switched off.
+* fault hooks installed (:mod:`repro.faults` keys latencies off the
+  clock) — counted as ``replay.fallback.faults``;
+* a guard attached (:mod:`repro.guard` audits every event) — counted as
+  ``replay.fallback.guard``.
 
-Self-disabling is silent for callers but never invisible: every fallback
-increments ``replay.fallback.<reason>`` (``faults`` / ``guard`` /
-``concurrency``) on the system's metrics registry when one is wired in,
-and batched/windowed executions count ``replay.batches`` /
-``replay.windows``.  Counters are created lazily on first use, so runs
-that never batch leave the metric namespace untouched.
+``TraceReplay(serial=True)`` asks for serial replay outright: the reference
+side the parity suite compares against.  That is a choice, not a fallback,
+and is not counted.  ``replay.batches`` counts unbounded windows and
+``replay.windows`` horizon-bounded ones.  Counters are created lazily on
+first use, so runs that never replay leave the metric namespace untouched.
 
-Caveat (windowed capture): stream executors capture every trace up front
+Caveat (capture): stream executors capture every trace up front
 (:meth:`repro.core.software.SoftwareLookupEngine.capture_lookups`) before
 replaying.  A concurrent process that *mutates* the table mid-stream would
 not be reflected in already-captured traces; the shipped multicore
-workloads are lookup-only, and mutating streams should stay on the serial
-path.
-
-Environment toggles: ``REPRO_BATCHED_REPLAY`` opts streams into batching
-(default off, see :func:`batched_replay_default`);
-``REPRO_WINDOWED_REPLAY`` controls whether concurrency degrades to
-windowed replay or all the way to serial (default on, see
-:func:`windowed_replay_default`; only consulted when batching is on).
+workloads are lookup-only, and mutating streams should replay serially.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Generator, Iterable, List, Optional
 
 from .core import CoreModel, ExecutionResult
 from .engine import Engine
 from .trace import MemTrace
 
-#: Environment toggle consulted by stream executors that wire a
-#: :class:`TraceReplay` in by default (see
-#: :meth:`repro.exec.backend.SoftwareBackend.lookup_stream`).
-BATCHED_REPLAY_ENV = "REPRO_BATCHED_REPLAY"
-
-#: Environment toggle for the windowed concurrent mode (effective only
-#: when batching is on; default enabled).
-WINDOWED_REPLAY_ENV = "REPRO_WINDOWED_REPLAY"
-
 #: Replay modes returned by :meth:`TraceReplay.decide`.
-REPLAY_BATCH = "batch"
 REPLAY_WINDOWED = "windowed"
 REPLAY_SERIAL = "serial"
-#: Batching was never requested (``batched=False``) — callers should use
-#: their own per-operation idiom (stream executors keep per-key lookups).
-REPLAY_OFF = "off"
 
 #: Metric names recorded on the registry handed to :class:`TraceReplay`.
 METRIC_BATCHES = "replay.batches"
 METRIC_WINDOWS = "replay.windows"
 METRIC_FALLBACK_FAULTS = "replay.fallback.faults"
 METRIC_FALLBACK_GUARD = "replay.fallback.guard"
-METRIC_FALLBACK_CONCURRENCY = "replay.fallback.concurrency"
-
-
-def batched_replay_default() -> bool:
-    """Whether batched replay is switched on for this process (opt-in)."""
-    return os.environ.get(BATCHED_REPLAY_ENV, "0").lower() in (
-        "1", "true", "yes", "on")
-
-
-def windowed_replay_default() -> bool:
-    """Whether concurrent batched streams use windowed replay (opt-out)."""
-    return os.environ.get(WINDOWED_REPLAY_ENV, "1").lower() not in (
-        "0", "false", "no", "off")
 
 
 class TraceReplay:
     """Replays :class:`~repro.sim.trace.MemTrace` sequences as DES programs.
 
-    ``batched=False`` (default) reproduces the classic one-timeout-per-trace
-    idiom exactly.  ``batched=True`` opts into the fast paths described in
-    the module docstring; ``windowed`` controls whether concurrency falls
-    back to windowed replay (default, per :func:`windowed_replay_default`)
-    or all the way to serial.  ``metrics`` is an optional
+    ``serial=True`` prices one trace per window whatever the engine state
+    (the classic one-timeout-per-trace idiom).  ``metrics`` is an optional
     :class:`~repro.obs.metrics.MetricsRegistry` that receives the
     batch/window/fallback counters.
     """
 
-    __slots__ = ("core", "engine", "batched", "windowed", "batches",
-                 "windows", "fallbacks", "_metrics")
+    __slots__ = ("core", "engine", "serial", "batches", "windows",
+                 "fallbacks", "_metrics")
 
     def __init__(self, core: CoreModel, engine: Engine,
-                 batched: bool = False,
-                 windowed: Optional[bool] = None,
-                 metrics=None) -> None:
+                 serial: bool = False, metrics=None) -> None:
         self.core = core
         self.engine = engine
-        self.batched = batched
-        self.windowed = (windowed_replay_default() if windowed is None
-                         else windowed)
-        #: Fast-path batches / windows executed, and batched calls that
-        #: fell back to serial (the registry counters mirror these).
+        self.serial = serial
+        #: Unbounded windows, horizon-bounded windows, and streams the
+        #: engine state forced to serial (the registry counters mirror
+        #: these).
         self.batches = 0
         self.windows = 0
         self.fallbacks = 0
@@ -144,48 +95,26 @@ class TraceReplay:
         if metrics is not None:
             metrics.counter(name).inc()
 
-    def eligible(self) -> bool:
-        """May the *next* replay call collapse into a single event?
-
-        Counter-free compatibility probe; stream executors should prefer
-        :meth:`decide`, which also resolves the windowed mode and records
-        fallback reasons.
-        """
-        if not self.batched:
-            return False
-        engine = self.engine
-        return (not engine._fault_hooks
-                and engine._guard is None
-                and len(engine._live) <= 1)
-
     def decide(self) -> str:
         """Resolve the replay mode for the next stream, recording counters.
 
-        Called once per stream: returns one of :data:`REPLAY_BATCH`,
-        :data:`REPLAY_WINDOWED`, :data:`REPLAY_SERIAL`, or
-        :data:`REPLAY_OFF`, and increments the matching
-        ``replay.fallback.*`` counter whenever a batched request degrades
-        to serial.  A windowed decision is not a fallback — it is the
-        batching strategy for concurrent engines.
+        Called once per stream: returns :data:`REPLAY_SERIAL` when serial
+        replay was asked for or per-access observation needs it — fault
+        hooks or a guard, each counted under its ``replay.fallback.*``
+        counter — and :data:`REPLAY_WINDOWED` otherwise.
         """
-        if not self.batched:
-            return REPLAY_OFF
+        if self.serial:
+            return REPLAY_SERIAL
         engine = self.engine
         if engine._fault_hooks:
-            self.fallbacks += 1
-            self._count(METRIC_FALLBACK_FAULTS)
-            return REPLAY_SERIAL
-        if engine._guard is not None:
-            self.fallbacks += 1
-            self._count(METRIC_FALLBACK_GUARD)
-            return REPLAY_SERIAL
-        if len(engine._live) > 1:
-            if self.windowed:
-                return REPLAY_WINDOWED
-            self.fallbacks += 1
-            self._count(METRIC_FALLBACK_CONCURRENCY)
-            return REPLAY_SERIAL
-        return REPLAY_BATCH
+            reason = METRIC_FALLBACK_FAULTS
+        elif engine._guard is not None:
+            reason = METRIC_FALLBACK_GUARD
+        else:
+            return REPLAY_WINDOWED
+        self.fallbacks += 1
+        self._count(reason)
+        return REPLAY_SERIAL
 
     def replay(self, traces: Iterable[MemTrace],
                lock_cycles_each: float = 0.0,
@@ -200,63 +129,25 @@ class TraceReplay:
         traces = list(traces)
         if mode is None:
             mode = self.decide()
-        if mode == REPLAY_BATCH:
-            self.batches += 1
-            self._count(METRIC_BATCHES)
-            results = self.core.execute_batch(
-                traces, lock_cycles_each=lock_cycles_each)
-            total = 0.0
-            for result in results:
-                total += result.cycles
-            if total:
-                yield self.engine.timeout(total)
-            return results
-        if mode == REPLAY_WINDOWED:
-            results = yield from self._replay_windowed(traces,
-                                                       lock_cycles_each)
-            return results
-        results: List[ExecutionResult] = []
-        for trace in traces:
-            result = self.core.execute(trace, lock_cycles=lock_cycles_each)
-            if result.cycles:
-                yield self.engine.timeout(result.cycles)
-            results.append(result)
-        return results
-
-    def _replay_windowed(self, traces: List[MemTrace],
-                         lock_cycles_each: float) -> Generator:
-        """Price between interaction points; one timeout per window.
-
-        Each window prices serially up to the engine's next pending event
-        (no other process can run before it); a window whose cumulative
-        cost crosses the horizon ends there, exactly where serial replay
-        would first yield to the foreign event.  When the calendar holds
-        nothing else — every peer finished or is blocked waiting on us —
-        the remainder collapses into one vectorised batch.
-        """
         core = self.core
         engine = self.engine
-        count = len(traces)
-        index = 0
         results: List[ExecutionResult] = []
-        while index < count:
-            horizon = engine.next_event_time()
-            if horizon is None:
-                self.windows += 1
-                self._count(METRIC_WINDOWS)
-                rest = core.execute_batch(
-                    traces[index:], lock_cycles_each=lock_cycles_each)
-                total = 0.0
-                for result in rest:
-                    total += result.cycles
-                results.extend(rest)
-                if total:
-                    yield engine.timeout(total)
-                return results
+        index = 0
+        while index < len(traces):
+            if mode == REPLAY_SERIAL:
+                budget = 0.0
+            else:
+                horizon = engine.next_event_time()
+                if horizon is None:
+                    budget = None
+                    self.batches += 1
+                    self._count(METRIC_BATCHES)
+                else:
+                    budget = horizon - engine.now
+                    self.windows += 1
+                    self._count(METRIC_WINDOWS)
             window, total, index = core.execute_window(
-                traces, index, horizon - engine.now, lock_cycles_each)
-            self.windows += 1
-            self._count(METRIC_WINDOWS)
+                traces, index, budget, lock_cycles_each)
             results.extend(window)
             if total:
                 yield engine.timeout(total)

@@ -4,25 +4,16 @@ Generates flow populations and packet streams with controllable skew.
 Virtual-switch performance depends only on header/flow distributions (the
 paper: "their performances are not related to the payload size of packets"),
 so a deterministic, seedable header stream reproduces the workloads.
-
-numpy is the optional ``fast`` extra: when it is installed the streams
-are drawn from ``numpy.random`` (the canonical sequences the recorded
-experiment expectations were produced with); without it a stdlib
-``random`` fallback produces different but equally deterministic
-sequences, which is all the no-numpy leg's property tests need.
+Streams are drawn from ``numpy.random`` — the sequences the recorded
+experiment expectations were produced with.
 """
 
 from __future__ import annotations
 
-import bisect
-import random
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None
+import numpy as np
 
 from ..classifier.flow import FiveTuple, PROTO_UDP, make_flow
 
@@ -51,11 +42,8 @@ class FlowSet:
         # Random distinct indices into a much larger flow space keep the
         # hash distribution realistic (sequential indices would correlate).
         space = max(count * 4, 1024)
-        if np is not None:
-            rng = np.random.default_rng(seed)
-            indices = rng.choice(space, size=count, replace=False)
-        else:
-            indices = random.Random(seed).sample(range(space), count)
+        rng = np.random.default_rng(seed)
+        indices = rng.choice(space, size=count, replace=False)
         flows = [
             make_flow(int(index), proto=proto,
                       group=(position % groups) if groups else None)
@@ -77,39 +65,20 @@ class PacketStream:
             raise ValueError("empty flow set")
         self.flow_set = flow_set
         self.zipf_s = zipf_s
-        self._rng = (np.random.default_rng(seed) if np is not None
-                     else random.Random(seed))
+        self._rng = np.random.default_rng(seed)
         if zipf_s > 0.0:
-            if np is not None:
-                ranks = np.arange(1, len(flow_set) + 1, dtype=np.float64)
-                weights = ranks ** (-zipf_s)
-                self._cdf = np.cumsum(weights / weights.sum())
-            else:
-                weights = [rank ** (-zipf_s)
-                           for rank in range(1, len(flow_set) + 1)]
-                total = sum(weights)
-                cdf: List[float] = []
-                running = 0.0
-                for weight in weights:
-                    running += weight / total
-                    cdf.append(running)
-                self._cdf = cdf
+            ranks = np.arange(1, len(flow_set) + 1, dtype=np.float64)
+            weights = ranks ** (-zipf_s)
+            self._cdf = np.cumsum(weights / weights.sum())
         else:
             self._cdf = None
 
     def next_flow(self) -> FiveTuple:
-        if np is not None:
-            if self._cdf is None:
-                index = int(self._rng.integers(0, len(self.flow_set)))
-            else:
-                index = int(np.searchsorted(self._cdf, self._rng.random()))
-                index = min(index, len(self.flow_set) - 1)
+        if self._cdf is None:
+            index = int(self._rng.integers(0, len(self.flow_set)))
         else:
-            if self._cdf is None:
-                index = self._rng.randrange(len(self.flow_set))
-            else:
-                index = bisect.bisect_left(self._cdf, self._rng.random())
-                index = min(index, len(self.flow_set) - 1)
+            index = int(np.searchsorted(self._cdf, self._rng.random()))
+            index = min(index, len(self.flow_set) - 1)
         return self.flow_set[index]
 
     def take(self, count: int) -> List[FiveTuple]:
@@ -129,16 +98,6 @@ def key_stream(flow_set: FlowSet, count: int, zipf_s: float = 0.0,
 
 def random_keys(count: int, key_bytes: int = 16, seed: int = 2) -> List[bytes]:
     """Distinct random byte keys (for raw hash-table experiments)."""
-    if np is None:
-        rng = random.Random(seed)
-        seen = set()
-        keys: List[bytes] = []
-        while len(keys) < count:
-            key = rng.randbytes(key_bytes)
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
-        return keys
     rng = np.random.default_rng(seed)
     data = rng.integers(0, 256, size=(count, key_bytes), dtype=np.uint8)
     keys = [bytes(row) for row in data]

@@ -16,7 +16,7 @@ lifecycle samplers (:class:`PoissonArrivals`, :class:`MmppArrivals`,
 :class:`ParetoSizes`, :class:`ZipfSelector`).  Layering: ``workloads``
 sits above the dataplane and may only be imported by ``analysis`` and
 ``runner`` (enforced by ``scripts/check_layering.py``); everything here
-is stdlib-only and works on the no-numpy leg.
+is stdlib-only.
 """
 
 from .churn import ChurnEngine, ChurnSpec, ChurnStats

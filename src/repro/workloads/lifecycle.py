@@ -2,8 +2,8 @@
 and popularity skew.
 
 Everything here is a small deterministic sampler over a private
-``random.Random`` stream (stdlib only — the churn engine must work on the
-no-numpy leg), forked per component from one master seed so adding a
+``random.Random`` stream (stdlib only, so streams do not depend on the
+numpy version), forked per component from one master seed so adding a
 component never perturbs another's stream:
 
 * :class:`PoissonArrivals` / :class:`MmppArrivals` — how many flows start

@@ -1,19 +1,7 @@
-"""Shared fixtures for the test suite.
+"""Shared fixtures for the test suite."""
 
-numpy is the optional ``fast`` extra: the no-numpy CI leg runs the
-engine/replay/kernel subsets without it, so this module must import —
-and ``make_keys`` must still produce deterministic distinct keys — when
-numpy is absent.  Fixtures that genuinely need numpy (``rng``) skip.
-"""
-
-import random
-
+import numpy as np
 import pytest
-
-try:
-    import numpy as np
-except ImportError:
-    np = None
 
 from repro.core import HaloSystem
 from repro.sim import Engine, MemoryHierarchy, SKYLAKE_SP_16C, TINY_MACHINE, Tracer
@@ -48,32 +36,18 @@ def system():
 
 @pytest.fixture
 def rng():
-    if np is None:
-        pytest.skip("numpy unavailable")
     return np.random.default_rng(1234)
 
 
 def make_keys(count, seed=0, key_bytes=16):
-    """Distinct deterministic byte keys.
-
-    The numpy stream is the canonical one (key values are baked into
-    some recorded expectations); the stdlib fallback only runs on the
-    no-numpy CI leg, whose tests assert properties, not key values.
-    """
+    """Distinct deterministic byte keys (key values are baked into some
+    recorded expectations)."""
     keys = set()
     out = []
-    if np is not None:
-        generator = np.random.default_rng(seed)
-        while len(out) < count:
-            key = bytes(generator.integers(0, 256, size=key_bytes,
-                                           dtype=np.uint8))
-            if key not in keys:
-                keys.add(key)
-                out.append(key)
-        return out
-    generator = random.Random(seed)
+    generator = np.random.default_rng(seed)
     while len(out) < count:
-        key = generator.randbytes(key_bytes)
+        key = bytes(generator.integers(0, 256, size=key_bytes,
+                                       dtype=np.uint8))
         if key not in keys:
             keys.add(key)
             out.append(key)

@@ -34,7 +34,10 @@ def run_workload(guarded, backend_kind="halo-b", seed=29):
             inserted.append(key)
     system.warm_table(table)
     system.hierarchy.flush_private(0)
-    backend = system.backend(backend_kind)
+    # A guard forces software streams to serial replay; the bare run
+    # replays serially too, so the two event timelines are comparable.
+    kwargs = {"serial_replay": True} if backend_kind == "software" else {}
+    backend = system.backend(backend_kind, **kwargs)
     outcomes = system.engine.run_process(
         backend.lookup_stream(table, inserted[:N_KEYS]))
     return system, outcomes

@@ -23,8 +23,7 @@ from repro.runner.perf import (
 MICRO_SHAPE = perf._Shape(churn_workers=2, churn_hops=20, churn_parked=50,
                           replay_lookups=40, fig09_lookups=20,
                           multicore_cores=2, multicore_lookups=5, repeats=1,
-                          batched_lookups=5, pricing_lookups=40,
-                          shard_count=2, shard_flows=16, shard_lookups=40,
+                          batched_lookups=5, shard_count=2, shard_flows=16, shard_lookups=40,
                           emc_churn_packets=200, emc_churn_entries=32)
 
 
@@ -50,7 +49,7 @@ def test_quick_suite_is_schema_valid(micro_suite):
     # Benches with a reference side must carry the comparison: two run
     # the frozen engine, the rest time their own slow/monolithic mode.
     for name in ("engine_churn", "cache_replay", "multicore_batched",
-                 "vector_pricing", "shard_scaling"):
+                 "shard_scaling"):
         assert snapshot["benches"][name]["speedup_vs_legacy"] is not None
     # Lookup benches report a lookup rate; pure-DES churn does not.
     assert snapshot["benches"]["engine_churn"]["lookups_per_sec"] is None
@@ -194,10 +193,19 @@ def test_committed_snapshots_are_valid_and_fast():
             is not None)
     assert cluster_round["benches"]["shard_scaling"]["events"] > 0
 
-    latest = json.loads((perf_dir / "BENCH_3.json").read_text())
+    workloads_round = json.loads((perf_dir / "BENCH_3.json").read_text())
+    assert validate_snapshot(workloads_round) == []
+    assert workloads_round["quick"] is False
+    assert workloads_round["schema_version"] == 4
+    # The workloads round adds the cache-policy churn bench to the suite.
+    assert workloads_round["benches"]["emc_churn"]["events"] > 0
+    assert workloads_round["benches"]["emc_churn"]["lookups_per_sec"] > 0
+
+    latest = json.loads((perf_dir / "BENCH_4.json").read_text())
     assert validate_snapshot(latest) == []
     assert latest["quick"] is False
     assert latest["schema_version"] == PERF_SCHEMA_VERSION
-    # The workloads round adds the cache-policy churn bench to the suite.
-    assert latest["benches"]["emc_churn"]["events"] > 0
-    assert latest["benches"]["emc_churn"]["lookups_per_sec"] > 0
+    # One replay loop: windowed replay still beats per-key hops on
+    # collocated streams, and cache replay beats the frozen engine.
+    assert latest["benches"]["multicore_batched"]["speedup_vs_legacy"] > 1.0
+    assert latest["benches"]["cache_replay"]["speedup_vs_legacy"] >= 2.0

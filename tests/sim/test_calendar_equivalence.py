@@ -1,29 +1,34 @@
-"""Property suite: the bucketed calendar is order-equivalent to the heap.
+"""Property suite: the engine matches the frozen heap-based engine.
 
-The bucket calendar (:class:`repro.sim.calendar.BucketCalendar`) replaced
-the flat binary heap in the engine hot loop; these properties are what
-make that swap safe.  Two layers:
+The bucketed calendar (:class:`repro.sim.calendar.BucketCalendar`), the
+engine's specialised drain loop (fused wakes) and its ``Timeout``
+free-list replaced parts of the original binary-heap engine, which
+survives frozen in :mod:`repro.runner._legacy_engine`.  These properties
+are what make the swap safe.  Two layers:
 
-* **Calendar-level** — push randomized ``(time, seq)`` schedules into
-  both implementations (interleaving pushes and pops, same-cycle ties,
-  fractional times sharing a floor, far-future outliers) and assert the
-  pop sequences are identical.
+* **Calendar-level** — push randomized ``(time, seq)`` schedules into the
+  bucket calendar and into a plain ``heapq`` list (interleaving pushes and
+  pops, same-cycle ties, fractional times sharing a floor, far-future
+  outliers) and assert the pop sequences are identical.
 * **Engine-level** — run randomized process programs (zero-delay
   self-wakes, same-cycle ties, far-future timeouts, ``Process.kill()``
-  mid-wait, timeouts left orphaned in the calendar by a killed waiter)
-  on ``Engine(calendar="heap")`` and ``Engine(calendar="bucket")`` and
-  assert identical execution traces, final clocks, and event counts.
+  mid-wait, timeouts left orphaned in the calendar by a killed waiter,
+  fired timeouts kept and yielded again) on the live engine and on the
+  frozen one, and assert identical execution traces, final clocks, and
+  event counts.
 """
 
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.calendar import BucketCalendar, HeapCalendar
-from repro.sim.engine import Engine
+from repro.runner import _legacy_engine
+from repro.sim import engine as live_engine
+from repro.sim.calendar import BucketCalendar
 
 # ---------------------------------------------------------------------------
 # calendar-level equivalence
@@ -41,51 +46,47 @@ _TIMES = st.sampled_from(
 @given(st.lists(_TIMES, min_size=0, max_size=60),
        st.data())
 def test_calendars_pop_identically(times, data):
-    """Same pushes (with interleaved pops) -> same pop sequence."""
-    heap, bucket = HeapCalendar(), BucketCalendar()
-    popped_heap, popped_bucket = [], []
+    """Same pushes (with interleaved pops) -> the pop sequence of a heap."""
+    heap, bucket = [], BucketCalendar()
+    popped = []
     floor = 0.0  # engine invariant: never schedule into the past
     for seq, when in enumerate(times):
-        when = max(when, floor)
-        heap.push(when, seq, f"task{seq}", seq)
-        bucket.push(when, seq, f"task{seq}", seq)
-        if len(heap) and data.draw(st.booleans(), label="pop now"):
-            entry_h, entry_b = heap.pop(), bucket.pop()
-            assert entry_h == entry_b
-            floor = entry_h[0]
-            popped_heap.append(entry_h)
-            popped_bucket.append(entry_b)
-    assert len(heap) == len(bucket)
-    assert (heap.min_time() is None) == (bucket.min_time() is None)
+        entry = (max(when, floor), seq, f"task{seq}", seq)
+        heappush(heap, entry)
+        bucket.push(*entry)
+        if data.draw(st.booleans(), label="pop now"):
+            expected = heappop(heap)
+            assert bucket.pop() == expected
+            floor = expected[0]
+            popped.append(expected)
+    assert len(bucket) == len(heap)
     while heap:
-        assert heap.min_time() == bucket.min_time()
-        entry_h, entry_b = heap.pop(), bucket.pop()
-        assert entry_h == entry_b
-        popped_heap.append(entry_h)
-        popped_bucket.append(entry_b)
-    assert popped_heap == popped_bucket
-    # The merged sequence must itself be (time, seq)-sorted within each
-    # drain segment; over the full run times are non-decreasing.
-    drained = [(entry[0], entry[1]) for entry in popped_heap]
-    assert drained == sorted(drained, key=lambda e: e)
+        assert bucket.min_time() == heap[0][0]
+        expected = heappop(heap)
+        assert bucket.pop() == expected
+        popped.append(expected)
+    assert not bucket and bucket.min_time() is None
+    # Over the full run times are non-decreasing and ties pop in seq order.
+    drained = [(entry[0], entry[1]) for entry in popped]
+    assert drained == sorted(drained)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(_TIMES, st.integers(0, 3)),
                 min_size=1, max_size=40))
 def test_same_cycle_fifo_order(entries):
-    """Entries pushed for one cycle pop in push (seq) order — both kinds."""
-    for calendar in (HeapCalendar(), BucketCalendar()):
-        for seq, (when, _jitter) in enumerate(entries):
-            calendar.push(float(math.floor(when)), seq, None, seq)
-        popped = []
-        while calendar:
-            popped.append(calendar.pop())
-        by_time = {}
-        for when, seq, _task, _value in popped:
-            by_time.setdefault(when, []).append(seq)
-        for seqs in by_time.values():
-            assert seqs == sorted(seqs)
+    """Entries pushed for one cycle pop in push (seq) order."""
+    calendar = BucketCalendar()
+    for seq, (when, _jitter) in enumerate(entries):
+        calendar.push(float(math.floor(when)), seq, None, seq)
+    popped = []
+    while calendar:
+        popped.append(calendar.pop())
+    by_time = {}
+    for when, seq, _task, _value in popped:
+        by_time.setdefault(when, []).append(seq)
+    for seqs in by_time.values():
+        assert seqs == sorted(seqs)
 
 
 # ---------------------------------------------------------------------------
@@ -103,16 +104,27 @@ _ACTIONS = st.one_of(
     st.tuples(st.just("kill"), st.integers(0, 9)),
 )
 
-_PROGRAMS = st.lists(st.lists(_ACTIONS, min_size=1, max_size=8),
-                     min_size=1, max_size=5)
+#: ``_ACTIONS`` plus keeping a timeout and yielding a kept one again — the
+#: records the free-list must never hand out while someone holds them.
+_HOLDING_ACTIONS = st.one_of(
+    _ACTIONS,
+    st.tuples(st.just("hold"), st.sampled_from(_DELAYS)),
+    st.tuples(st.just("reyield"), st.integers(0, 9)),
+)
 
 
-def _run_schedule(calendar: str, programs, **engine_kwargs):
+def _programs(actions):
+    return st.lists(st.lists(actions, min_size=1, max_size=8),
+                    min_size=1, max_size=5)
+
+
+def _run_schedule(engine_module, programs):
     """Interpret the randomized programs; return (trace, now, events)."""
-    engine = Engine(calendar=calendar, **engine_kwargs)
+    engine = engine_module.Engine()
     trace = []
     registry = []  # every process ever spawned, kill targets by index
     own = {}       # wid -> the worker's own Process (self-kill excluded)
+    held = []      # timeouts kept by ``hold``, yielded again by ``reyield``
 
     def child(cid, delays):
         for step, delay in enumerate(delays):
@@ -128,12 +140,18 @@ def _run_schedule(calendar: str, programs, **engine_kwargs):
                 cid = (wid, step)
                 registry.append(engine.process(child(cid, action[1]),
                                                name=f"child{cid}"))
-            else:  # kill: may hit a live, finished, or parked process
+            elif kind == "kill":  # may hit a live, finished, or parked one
                 if registry:
                     target = registry[action[1] % len(registry)]
                     if target is not own.get(wid):  # no self-kill
                         target.kill()
                 yield engine.timeout(0)
+            elif kind == "hold":
+                held.append(engine.timeout(action[1]))
+                yield held[-1]
+            else:  # reyield: fired -> same-cycle resume, pending -> join it
+                yield held[action[1] % len(held)] if held \
+                    else engine.timeout(0)
             trace.append(("worker", wid, step, engine.now))
 
     for wid, actions in enumerate(programs):
@@ -145,39 +163,44 @@ def _run_schedule(calendar: str, programs, **engine_kwargs):
 
 
 @settings(max_examples=120, deadline=None)
-@given(_PROGRAMS)
+@given(_programs(_ACTIONS))
 def test_engines_execute_identically(programs):
-    """Heap and bucket engines: same trace, same clock, same event count.
+    """Live and frozen engines: same trace, same clock, same event count.
 
     Killed processes exercise the orphaned-timeout path: their pending
     timeout entries stay in the calendar and must drain in the same
-    order on both implementations without waking anyone.
+    order on both engines without waking anyone.
     """
-    heap_run = _run_schedule("heap", programs)
-    bucket_run = _run_schedule("bucket", programs)
-    assert heap_run[0] == bucket_run[0]          # execution trace
-    assert heap_run[1] == bucket_run[1]          # final clock
-    assert heap_run[2] == bucket_run[2]          # events processed
+    assert (_run_schedule(live_engine, programs)
+            == _run_schedule(_legacy_engine, programs))
 
 
 @settings(max_examples=120, deadline=None)
-@given(_PROGRAMS)
+@given(_programs(_HOLDING_ACTIONS))
 def test_timeout_freelist_is_invisible(programs):
     """Recycling fired Timeout records must be pure allocation reuse.
 
-    The same randomized programs (kills included — a killed waiter's
-    orphaned timeout must never be recycled early) run with the free-list
-    on and off and must produce identical execution traces, final clocks,
-    and event counts.
+    The live engine recycles every fired timeout nothing references; the
+    frozen engine allocates afresh each time.  Programs that keep timeouts
+    and yield them again — plus kills that orphan or detach waiters — must
+    still run identically on both.
     """
-    recycled = _run_schedule("bucket", programs, recycle_timeouts=True)
-    fresh = _run_schedule("bucket", programs, recycle_timeouts=False)
-    assert recycled[0] == fresh[0]               # execution trace
-    assert recycled[1] == fresh[1]               # final clock
-    assert recycled[2] == fresh[2]               # events processed
+    assert (_run_schedule(live_engine, programs)
+            == _run_schedule(_legacy_engine, programs))
+
+
+def test_fired_timeouts_are_recycled():
+    """The free-list actually engages on the common yield-a-fresh-timeout
+    loop, so the invisibility property above is not vacuous."""
+    engine = live_engine.Engine()
+
+    def ticker():
+        for _ in range(10):
+            yield engine.timeout(1)
+
+    engine.run_process(ticker())
+    assert engine._timeout_pool
 
 
 def test_default_engine_is_bucketed():
-    engine = Engine()
-    assert engine._calendar.kind == "bucket"
-    assert Engine(calendar="heap")._calendar.kind == "heap"
+    assert isinstance(live_engine.Engine()._calendar, BucketCalendar)
