@@ -1,15 +1,13 @@
 #!/usr/bin/env python3
-"""Enforce public-contract module docstrings on the perf-critical modules.
+"""Enforce public-contract module docstrings on the pinned contract modules.
 
-The engine-speed campaign's surface area — the perf suite, the
-supervised pool, the campaign journal, the trace-replay fast path, the
-cluster layer, the churn workload engine, the cache-policy seam, and
-the trace persistence formats — is API other sessions and external
-harnesses build against.  Each of
-those modules must open with a module docstring that (a) exists, (b) is
-substantial (not a one-line stub), and (c) explicitly states its public
-contract: a line containing the phrase ``Public contract`` separating
-the stable API from internals.
+The supervised pool, the campaign journal, the trace-replay fast path,
+the cluster layer, the churn workload engine, the cache-policy seam,
+and the trace persistence formats are API that external harnesses
+build against.  Each of those modules must open with a module docstring
+that (a) exists, (b) is substantial (not a one-line stub), and (c)
+explicitly states its public contract: a line containing the phrase
+``Public contract`` separating the stable API from internals.
 
 This is deliberately a *lint*, not a style checker: it pins only the
 modules named in ``CONTRACT_MODULES`` and nothing else, so adding a
@@ -30,7 +28,6 @@ from typing import List
 #: Modules (relative to the source root) that must declare their public
 #: contract in the module docstring.
 CONTRACT_MODULES = (
-    "repro/runner/perf.py",
     "repro/runner/pool.py",
     "repro/runner/journal.py",
     "repro/sim/replay.py",

@@ -11,7 +11,6 @@ Usage::
                           [--json out.json] [--reports DIR]
                           [--timeout SECONDS] [--retries N]
                           [--resume] [--journal PATH]
-    python -m repro bench --perf [--quick] [--perf-out DIR]
     python -m repro report [--quick] [--json metrics.json]
 
 ``run`` executes experiments serially and prints the same
@@ -31,12 +30,6 @@ them a bounded number of times first); ``--resume`` replays the
 campaign journal so a crashed or Ctrl-C'd invocation picks up where it
 stopped.  Ctrl-C drains in-flight runs gracefully and exits 130.
 
-``bench --perf`` runs the pinned engine-performance microbench suite
-(:mod:`repro.runner.perf`) instead of the experiment registry and writes
-a ``BENCH_<n>.json`` snapshot — events/sec, lookups/sec, simulated
-cycles, and speedup over the frozen pre-campaign engine — so the
-simulator's own speed is a tracked, regression-gated quantity.
-
 ``report`` drives a demo workload (table lookups in all three modes plus
 a virtual-switch packet stream) and renders the per-component metrics
 breakdown from the observability registry; ``--json`` additionally
@@ -47,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Callable, Dict, Tuple
 
@@ -169,35 +163,33 @@ def _report(quick: bool, json_path=None) -> str:
     return "\n\n".join(sections)
 
 
-def _perf(args) -> int:
-    from .runner.perf import (DEFAULT_PERF_DIR, run_perf_suite,
-                              validate_snapshot, write_snapshot)
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse ``type``: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {low}, got {text!r}")
+        return value
+    return parse
 
-    def _progress(line: str) -> None:
-        print(f"  {line}", file=sys.stderr, flush=True)
 
-    snapshot = run_perf_suite(quick=args.quick, progress=_progress)
-    problems = validate_snapshot(snapshot)
-    if problems:
-        for problem in problems:
-            print(f"error: perf snapshot invalid: {problem}",
-                  file=sys.stderr)
-        return 1
-    out_dir = args.perf_out or DEFAULT_PERF_DIR
-    path = write_snapshot(snapshot, out_dir)
-    print(f"perf snapshot written to {path}")
-    for name, record in snapshot["benches"].items():
-        rate = record["events_per_sec"]
-        speedup = record["speedup_vs_legacy"]
-        suffix = (f"  ({speedup:.2f}x vs pre-campaign engine)"
-                  if speedup else "")
-        print(f"  {name:20s} {rate:14,.0f} events/s{suffix}")
-    return 0
+def _positive_seconds(text: str) -> float:
+    """An argparse ``type``: a finite number of seconds above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds > 0, got {text!r}")
+    return value
 
 
 def _bench(args) -> int:
-    if args.perf:
-        return _perf(args)
     only = [name for chunk in (args.only or [])
             for name in chunk.split(",") if name]
 
@@ -260,15 +252,8 @@ def main(argv=None) -> int:
     bench_parser = subparsers.add_parser(
         "bench",
         help="run the experiment registry in parallel, with caching")
-    bench_parser.add_argument("--perf", action="store_true",
-                              help="run the pinned engine-perf microbench "
-                                   "suite and write a BENCH_<n>.json "
-                                   "snapshot instead of the experiment "
-                                   "registry")
-    bench_parser.add_argument("--perf-out", metavar="DIR", default=None,
-                              help="snapshot directory for --perf "
-                                   "(default: benchmarks/perf)")
-    bench_parser.add_argument("--jobs", type=int, default=default_jobs(),
+    bench_parser.add_argument("--jobs", type=_int_at_least(1),
+                              default=default_jobs(),
                               metavar="N",
                               help="worker processes (default: CPU count)")
     bench_parser.add_argument("--only", action="append", metavar="NAMES",
@@ -289,13 +274,15 @@ def main(argv=None) -> int:
                               help="archive each experiment report as "
                                    "DIR/<slug>.txt (use benchmarks/reports "
                                    "to regenerate the checked-in set)")
-    bench_parser.add_argument("--timeout", type=float, default=None,
+    bench_parser.add_argument("--timeout", type=_positive_seconds,
+                              default=None,
                               metavar="SECONDS",
                               help="per-run wall-clock budget; hung runs "
                                    "are killed (and retried, see "
                                    "--retries) instead of wedging the "
                                    "campaign")
-    bench_parser.add_argument("--retries", type=int, default=0,
+    bench_parser.add_argument("--retries", type=_int_at_least(0),
+                              default=0,
                               metavar="N",
                               help="re-run a timed-out or crashed worker "
                                    "up to N times with backoff before "

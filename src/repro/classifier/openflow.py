@@ -9,7 +9,7 @@ the controller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from ..sim.memory import AddressAllocator
 from ..sim.trace import Tracer, NULL_TRACER
@@ -51,13 +51,21 @@ class OpenFlowLayer:
         return self.tss.remove(rule)
 
     def classify(self, flow: FiveTuple) -> Optional[Rule]:
-        """Search all tuples; return the highest-priority match.
+        """Search all tuples; return the highest-priority match."""
+        return self.resolve(self.tss.classify_all(flow), self.tss.num_tuples)
+
+    def resolve(self, matches: List[Rule], searched: int) -> Optional[Rule]:
+        """Book one classification that probed ``searched`` tuples and
+        return the highest-priority of its ``matches`` (``None``: a
+        controller punt).
 
         Ties break on the lower rule_id (first-installed wins), matching
-        OVS's deterministic resolution.
+        OVS's deterministic resolution.  :meth:`classify` and the virtual
+        switch's traced and HALO searches all resolve here, so their
+        stats agree.
         """
+        self.tss.record(searched, bool(matches))
         self.stats.classifications += 1
-        matches = self.tss.classify_all(flow)
         if not matches:
             self.stats.controller_punts += 1
             return None

@@ -157,35 +157,50 @@ class TupleSpaceSearch:
         return sum(len(entry) for entry in self._tuples.values())
 
     # -- classification -----------------------------------------------------------
+    def record(self, searched: int, hit: bool,
+               key: Optional[bytes] = None) -> None:
+        """Book one classification that probed ``searched`` tuples.
+
+        The one place search stats are counted: :meth:`classify`, the
+        OpenFlow layer and the virtual switch's traced and HALO searches
+        all book here, so they agree.  A first-match ``hit`` passes the
+        masked ``key`` it matched, which refreshes the cache policy.
+        """
+        stats = self.stats
+        stats.classifications += 1
+        stats.tuple_lookups += searched
+        if hit:
+            stats.hits += 1
+            if key is not None and self.policy is not None:
+                self.policy.on_hit(key)
+
     def classify(self, flow: FiveTuple) -> Tuple[Optional[Rule], int]:
         """MegaFlow semantics: first match wins.
 
         Returns ``(rule_or_None, tuples_searched)``.
         """
-        self.stats.classifications += 1
         searched = 0
         for entry in self.tuples():
             searched += 1
-            self.stats.tuple_lookups += 1
-            rule = entry.lookup(flow)
+            key = entry.mask.key_of(flow)
+            rule = entry.table.lookup(key)
             if rule is not None:
-                self.stats.hits += 1
-                if self.policy is not None:
-                    self.policy.on_hit(entry.mask.key_of(flow))
+                self.record(searched, True, key)
                 return rule, searched
+        self.record(searched, False)
         return None, searched
 
     def classify_all(self, flow: FiveTuple) -> List[Rule]:
-        """All matching rules across every tuple (OpenFlow-layer helper)."""
-        self.stats.classifications += 1
+        """All matching rules across every tuple, in search order.
+
+        Books nothing: the OpenFlow layer, which searches this way, books
+        the search when it resolves the matches.
+        """
         matches: List[Rule] = []
         for entry in self.tuples():
-            self.stats.tuple_lookups += 1
             rule = entry.lookup(flow)
             if rule is not None:
                 matches.append(rule)
-        if matches:
-            self.stats.hits += 1
         return matches
 
     # -- HALO integration ---------------------------------------------------------

@@ -44,7 +44,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import TraceRecorder
-from ..sim.interconnect import _mix64
+from ..sim.interconnect import mix64
 
 
 @dataclass
@@ -96,7 +96,7 @@ class RssBalancer:
         self.table_size = table_size
         self.seed = seed
         self.table: List[int] = [i % shards for i in range(table_size)]
-        self._salt = _mix64(seed ^ 0x9E3779B97F4A7C15)
+        self._salt = mix64(seed ^ 0x9E3779B97F4A7C15)
         # Failover bookkeeping.  ``home`` is each entry's deliberate
         # assignment (updated by install/rebalance, *not* by failover);
         # ``health`` marks which shards currently serve; ``epoch`` counts
@@ -114,7 +114,7 @@ class RssBalancer:
         value = self._salt
         for offset in range(0, len(key), 8):
             word = int.from_bytes(key[offset:offset + 8], "little")
-            value = _mix64(value ^ word)
+            value = mix64(value ^ word)
         return value % self.table_size
 
     def shard_of(self, key: bytes) -> int:

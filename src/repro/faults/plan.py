@@ -19,6 +19,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Tuple
 
+from ..sim.interconnect import mix64
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -27,8 +29,9 @@ class SplitMix64:
 
     The fault subsystem cannot use ``random``/``numpy`` global state — fault
     decisions must replay bit-identically and must not perturb any other
-    consumer's stream.  SplitMix64 is the same mixer the interconnect uses
-    for slice hashing; here it runs as a sequential generator.
+    consumer's stream.  Each draw steps the state by the golden gamma and
+    finalises it with :func:`repro.sim.interconnect.mix64`, the mixer the
+    interconnect uses for slice hashing.
     """
 
     __slots__ = ("state",)
@@ -38,10 +41,7 @@ class SplitMix64:
 
     def next_u64(self) -> int:
         self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        value = self.state
-        value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return value ^ (value >> 31)
+        return mix64(self.state)
 
     def uniform(self) -> float:
         """A float in [0, 1) with 53 random bits."""

@@ -10,16 +10,10 @@ from __future__ import annotations
 
 import struct
 
+from ..sim.interconnect import mix64
+
 MASK64 = 0xFFFFFFFFFFFFFFFF
 MASK32 = 0xFFFFFFFF
-
-
-def mix64(value: int) -> int:
-    """SplitMix64 finaliser: xor-shift / multiply rounds (hash-unit ops)."""
-    value &= MASK64
-    value = (value ^ (value >> 30)) * 0xBF58476D1CE4E5B9 & MASK64
-    value = (value ^ (value >> 27)) * 0x94D049BB133111EB & MASK64
-    return value ^ (value >> 31)
 
 
 def hash_bytes(data: bytes, seed: int = 0) -> int:
@@ -59,8 +53,3 @@ def secondary_index(primary_index: int, signature: int, mask: int) -> int:
     required for cuckoo displacement.
     """
     return (primary_index ^ mix64(signature | 0x5BD1)) & mask
-
-
-def crc_like(value: int, seed: int = 0) -> int:
-    """A cheap 32-bit mixer for integer keys (flow-register indexing)."""
-    return mix64(value ^ (seed * 0x9E3779B97F4A7C15)) & MASK32

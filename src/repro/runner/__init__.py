@@ -24,30 +24,24 @@ that structure into an orchestration subsystem:
   completed runs so ``--resume`` skips finished work after a crash or a
   Ctrl-C (which drains in-flight runs gracefully and exits 130);
 * :mod:`repro.runner.schema` defines the grid/run/result dataclasses
-  shared by all of the above.
+  shared by all of the above;
+* :mod:`repro.runner._legacy_engine` is the frozen heap-based engine the
+  calendar-equivalence tests hold the live engine to.
 
 Entry points: ``python -m repro bench`` (the CLI) and
 :func:`run_benchmarks` / :func:`run_for_bench` (the library API the
 ``benchmarks/bench_*.py`` thin wrappers use).  Runner-level metrics
 (cache hits/misses, per-run wall time) are published through a
-:class:`repro.obs.MetricsRegistry`.  See ``docs/EXPERIMENTS.md`` for the
-experiment catalog and ``docs/ARCHITECTURE.md`` for where this package
-sits in the system.
+:class:`repro.obs.MetricsRegistry`.  The simulator's own host speed is
+measured outside the package, by ``benchmarks/e2e``.  See
+``docs/EXPERIMENTS.md`` for the experiment catalog and
+``docs/ARCHITECTURE.md`` for where this package sits in the system.
 """
 
 from __future__ import annotations
 
 from .cache import CACHE_FORMAT_VERSION, ResultCache, code_fingerprint
 from .journal import RunJournal, campaign_id, default_journal_path
-from .perf import (
-    BENCH_NAMES,
-    PERF_SCHEMA_VERSION,
-    BenchResult,
-    compare_snapshots,
-    run_perf_suite,
-    validate_snapshot,
-    write_snapshot,
-)
 from .pool import AttemptFailure, PoolOutcome, RunTimeoutError, \
     WorkerCrashedError, classify_failure, current_attempt, run_supervised
 from .registry import (
@@ -75,12 +69,9 @@ from .schema import ExperimentSpec, GridPoint, RunResult, RunSpec
 
 __all__ = [
     "AttemptFailure",
-    "BENCH_NAMES",
     "BenchFailedError",
-    "BenchResult",
     "BenchSummary",
     "CACHE_FORMAT_VERSION",
-    "PERF_SCHEMA_VERSION",
     "ExperimentLoadError",
     "ExperimentSpec",
     "GridPoint",
@@ -97,7 +88,6 @@ __all__ = [
     "campaign_id",
     "classify_failure",
     "code_fingerprint",
-    "compare_snapshots",
     "current_attempt",
     "default_jobs",
     "default_journal_path",
@@ -110,9 +100,6 @@ __all__ = [
     "resolve_names",
     "run_benchmarks",
     "run_for_bench",
-    "run_perf_suite",
     "run_supervised",
-    "validate_snapshot",
     "write_reports",
-    "write_snapshot",
 ]

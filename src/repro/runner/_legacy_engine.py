@@ -1,11 +1,11 @@
-"""Frozen pre-campaign DES engine — the ``repro bench --perf`` baseline.
+"""Frozen pre-campaign DES engine — the ordering reference of record.
 
 This is a verbatim snapshot of ``repro.sim.engine`` as it stood before the
 hot-loop speed campaign (binary-heap calendar, per-hop tuple re-pack, no
-slots).  The perf suite runs the same workload on this engine and on the
-live one so every ``BENCH_*.json`` snapshot records ``speedup_vs_legacy``
-measured on the *same host in the same process* — immune to machine noise
-in a way absolute events/sec numbers are not.
+slots).  ``tests/sim/test_calendar_equivalence.py`` runs randomized
+programs on this engine and on the live one and requires identical event
+order, clocks and event counts, so the bucketed calendar and the timeout
+free-list are held to a plain heap engine.
 
 Do not modernise this module; its whole value is that it does not change.
 The original module docstring follows.

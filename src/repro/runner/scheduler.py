@@ -541,8 +541,8 @@ def archive_report(slug: str, text: str,
 
     The single report-path code path: ``write_reports`` (the ``--reports``
     CLI flag) and ``benchmarks/_common.record_report`` (the pytest
-    wrappers) both land here, so archived perf numbers and experiment
-    reports can never disagree about naming or layout.
+    wrappers) both land here, so the two can never disagree about
+    naming or layout.
     """
     out_dir = pathlib.Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -201,22 +201,6 @@ class CoreModel:
                                              lock_retries)
         return results, total, index
 
-    def execute_program(self, engine, trace: MemTrace,
-                        lock_cycles: float = 0.0):
-        """Replay ``trace`` as a DES program on ``engine``.
-
-        The cycle arithmetic is exactly :meth:`execute` — the cost is
-        computed up front from the current cache state — but the cost is
-        then *spent* as simulated time (``yield engine.timeout(...)``), so
-        core-side execution occupies the shared engine timeline and can
-        interleave with accelerator traffic and other cores.  Returns the
-        :class:`ExecutionResult`.
-        """
-        result = self.execute(trace, lock_cycles=lock_cycles)
-        if result.cycles:
-            yield engine.timeout(result.cycles)
-        return result
-
     def execute_prefetch_batch(self, traces,
                                lock_cycles_each: float = 0.0
                                ) -> ExecutionResult:
@@ -260,10 +244,7 @@ class CoreModel:
 
         memory_cycles = 0.0
         for stage in sorted(stage_latencies):
-            latencies = sorted(stage_latencies[stage], reverse=True)
-            for start in range(0, len(latencies), mlp):
-                wave = latencies[start:start + mlp]
-                memory_cycles += max(0, wave[0] - l1_hit)
+            memory_cycles += _stall_cycles(stage_latencies[stage], mlp, l1_hit)
 
         breakdown = Breakdown({"compute": compute_cycles,
                                "memory": memory_cycles})
@@ -281,21 +262,3 @@ class CoreModel:
                                level_counts=level_counts, loads=loads,
                                stores=stores,
                                instructions=total_mix_instructions)
-
-    def execute_many(self, traces, lock_cycles_each: float = 0.0) -> ExecutionResult:
-        """Replay a sequence of traces back-to-back; returns the aggregate."""
-        total = Breakdown()
-        levels: Dict[str, int] = {}
-        cycles = 0.0
-        loads = stores = instructions = 0
-        for result in self.execute_batch(traces, lock_cycles_each):
-            cycles += result.cycles
-            total = total.merged(result.breakdown)
-            for level, count in result.level_counts.items():
-                levels[level] = levels.get(level, 0) + count
-            loads += result.loads
-            stores += result.stores
-            instructions += result.instructions
-        return ExecutionResult(cycles=cycles, breakdown=total,
-                               level_counts=levels, loads=loads,
-                               stores=stores, instructions=instructions)

@@ -26,8 +26,14 @@ from typing import Optional
 from .params import LatencyParams, Topology
 
 
-def _mix64(value: int) -> int:
-    """SplitMix64 finaliser — a high-quality stateless mixer."""
+def mix64(value: int) -> int:
+    """SplitMix64 finaliser: xor-shift / multiply rounds.
+
+    The repo's one stateless 64-bit mixer: LLC slice hashing here, the
+    hash unit (:mod:`repro.hashtable.hashing`), the fault RNG
+    (:class:`repro.faults.plan.SplitMix64`) and RSS flow hashing
+    (:mod:`repro.cluster.balancer`) all call this function.
+    """
     value &= 0xFFFFFFFFFFFFFFFF
     value = (value ^ (value >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
     value = (value ^ (value >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
@@ -91,7 +97,7 @@ class Interconnect:
         memo = self._slice_memo
         slice_id = memo.get(line)
         if slice_id is None:
-            slice_id = memo[line] = _mix64(line) % self.stops
+            slice_id = memo[line] = mix64(line) % self.stops
         return slice_id
 
     def slice_of_table(self, table_base_addr: int) -> int:
@@ -101,7 +107,7 @@ class Interconnect:
         table's base address so that queries against one table consistently
         land on one accelerator's metadata cache.
         """
-        return _mix64(table_base_addr >> 6) % self.stops
+        return mix64(table_base_addr >> 6) % self.stops
 
     def socket_of_stop(self, stop: int) -> int:
         """Which socket a stop (slice/core tile) belongs to."""

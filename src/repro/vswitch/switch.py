@@ -200,17 +200,15 @@ class VirtualSwitch:
         searched = 0
         for entry in self.megaflow.tuples():
             searched += 1
-            self.megaflow.stats.tuple_lookups += 1
+            key = entry.mask.key_of(flow)
             rule = yield from self._traced_op(breakdown, "megaflow_lookup",
-                                              entry.lookup, flow)
+                                              entry.table.lookup, key)
             if rule is not None:
-                self.megaflow.stats.hits += 1
-                if self.megaflow.policy is not None:
-                    self.megaflow.policy.on_hit(entry.mask.key_of(flow))
+                self.megaflow.record(searched, True, key)
                 yield from self._fill_caches(flow, rule, breakdown)
                 return Classification(flow, rule, HitLayer.MEGAFLOW,
                                       tuples_searched=searched)
-        self.megaflow.stats.classifications += 1
+        self.megaflow.record(searched, False)
 
         return (yield from self._classify_openflow(flow, breakdown, searched))
 
@@ -223,10 +221,10 @@ class VirtualSwitch:
                                               entry.lookup, flow)
             if rule is not None:
                 matches.append(rule)
-        if not matches:
+        best = self.openflow.resolve(matches, self.openflow.num_tuples)
+        if best is None:
             return Classification(flow, None, HitLayer.MISS,
                                   tuples_searched=searched)
-        best = max(matches, key=lambda r: (r.priority, -r.rule_id))
         yield from self._traced_op(breakdown, "others", self.megaflow.install,
                                    megaflow_entry(best, flow))
         yield from self._fill_caches(flow, best, breakdown)
@@ -249,6 +247,7 @@ class VirtualSwitch:
         # software EMC would win.
         engine = self.system.engine
         queries = self.megaflow.halo_queries(flow)
+        outcomes = []
         if queries:
             start = engine.now
             outcomes = yield from self.backend.search(
@@ -256,24 +255,27 @@ class VirtualSwitch:
             # Each layer's search is booked to its own stage, even when the
             # packet falls through to the next layer.
             breakdown.add("megaflow_lookup", engine.now - start)
-            for index, outcome in enumerate(outcomes):
-                if outcome.found:
-                    self.megaflow.stats.hits += 1
-                    return Classification(
-                        flow, outcome.value, HitLayer.MEGAFLOW,
-                        tuples_searched=index + 1)
+        # ``outcomes`` holds the tuples actually probed: up to the first
+        # hit when blocking, every tuple when batched.
+        for index, outcome in enumerate(outcomes):
+            if outcome.found:
+                self.megaflow.record(len(outcomes), True, queries[index][1])
+                return Classification(
+                    flow, outcome.value, HitLayer.MEGAFLOW,
+                    tuples_searched=index + 1)
+        self.megaflow.record(len(outcomes), False)
 
         # OpenFlow layer: search all tuples, keep the best match.
         of_queries = self.openflow.tss.halo_queries(flow)
-        matches: List[Rule] = []
+        outcomes = []
         if of_queries:
             start = engine.now
             outcomes = yield from self._nb.search(of_queries)
             breakdown.add("openflow_lookup", engine.now - start)
-            matches = [o.value for o in outcomes if o.found]
-        if not matches:
+        best = self.openflow.resolve([o.value for o in outcomes if o.found],
+                                     len(outcomes))
+        if best is None:
             return Classification(flow, None, HitLayer.MISS)
-        best = max(matches, key=lambda r: (r.priority, -r.rule_id))
         self.megaflow.install(megaflow_entry(best, flow))
         return Classification(flow, best, HitLayer.OPENFLOW)
 

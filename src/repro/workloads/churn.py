@@ -17,7 +17,8 @@ yield bit-identical packet sequences, on any host, with or without
 numpy.  ``ChurnStats`` (arrivals/departures/peak_live/syn_packets) is
 updated as the stream is consumed.  The classmethod presets
 (``steady``/``high_churn``/``syn_flood``) are the scenarios the
-``cache_churn`` experiment and the ``emc_churn`` perf bench sweep.
+``cache_churn`` experiment and the ``emc_churn`` end-to-end workload
+sweep.
 """
 
 from __future__ import annotations

@@ -85,3 +85,26 @@ def test_bench_writes_report_files(tmp_path, capsys):
     assert main(["bench", "--only", "tab04", "--quick", "--jobs", "1",
                  "--no-cache", "--reports", str(reports)]) == 0
     assert (reports / "tab04_power_area.txt").exists()
+
+
+@pytest.mark.parametrize("flag, value, allowed", [
+    ("--jobs", "0", ">= 1"),
+    ("--jobs", "-2", ">= 1"),
+    ("--retries", "-1", ">= 0"),
+    ("--timeout", "0", "> 0"),
+    ("--timeout", "-3", "> 0"),
+])
+def test_bench_rejects_out_of_range_numbers(tmp_path, capsys, flag, value,
+                                            allowed):
+    # Each would otherwise be misread: jobs <= 0 runs inline but records
+    # the bad count, retries -1 acts as 0, timeout 0 means no deadline
+    # and a negative one kills every run.
+    cache = tmp_path / "cache"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--only", "tab04", "--quick",
+              "--cache-dir", str(cache), flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be" in err
+    assert allowed in err
+    assert not cache.exists()

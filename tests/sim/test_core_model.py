@@ -76,15 +76,6 @@ def test_store_op_counted(hierarchy):
     assert result.loads == 0
 
 
-def test_execute_many_aggregates(hierarchy):
-    core = CoreModel(0, hierarchy)
-    mix = InstructionMix(arithmetic=40)
-    traces = [trace_with(mix) for _ in range(5)]
-    result = core.execute_many(traces)
-    assert result.instructions == 200
-    assert result.cycles == pytest.approx(5 * 40 / 4)
-
-
 def test_retired_counters_accumulate(hierarchy):
     core = CoreModel(0, hierarchy)
     core.execute(trace_with(InstructionMix(loads=2, arithmetic=10),

@@ -76,3 +76,17 @@ def test_single_stop_ring():
 def test_invalid_stop_count():
     with pytest.raises(ValueError):
         Interconnect(0, LatencyParams())
+
+
+def test_splitmix64_matches_published_reference():
+    # One mixer serves slice hashing, the hash unit, RSS and the fault
+    # RNG; seeded with 0, the generator must emit the reference
+    # splitmix64.c stream (Vigna), so no copy can drift.
+    from repro.faults import SplitMix64
+    from repro.hashtable import mix64
+    from repro.sim.interconnect import mix64 as sim_mix64
+
+    assert mix64 is sim_mix64
+    rng = SplitMix64(0)
+    assert [rng.next_u64() for _ in range(3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]

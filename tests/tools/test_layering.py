@@ -172,7 +172,7 @@ def test_workloads_layer_restricted_to_harness_importers(tree):
 def test_workloads_layer_allows_sanctioned_importers(tree):
     write(tree, "repro/analysis/experiments.py",
           "from ..workloads import ChurnEngine, ChurnSpec\n")
-    write(tree, "repro/runner/perf.py",
+    write(tree, "repro/runner/scheduler.py",
           "from ..workloads.churn import ChurnEngine\n")
     write(tree, "repro/workloads/churn.py",
           "from .lifecycle import PoissonArrivals\n"      # same layer
@@ -198,7 +198,7 @@ def test_cluster_is_top_layer_and_analysis_may_reach_it(tree):
     write(tree, "repro/cluster/__init__.py",
           "from .balancer import RssBalancer\n")
     write(tree, "repro/cluster/balancer.py",
-          "from ..sim.interconnect import _mix64\n"   # downward
+          "from ..sim.interconnect import mix64\n"    # downward
           "from ..obs.metrics import Histogram\n")    # downward
     write(tree, "repro/analysis/experiments.py",
           "from ..cluster import run_cluster\n")      # allowed upward

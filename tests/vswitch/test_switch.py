@@ -1,8 +1,10 @@
 """The instrumented virtual switch."""
 
+import dataclasses
+
 import pytest
 
-from repro.classifier import HitLayer
+from repro.classifier import HitLayer, OvsDatapath, make_flow
 from repro.core import HaloSystem
 from repro.traffic import FlowSet, PacketStream, TrafficProfile
 from repro.vswitch import SwitchMode, VirtualSwitch
@@ -122,3 +124,38 @@ def test_miss_layer_for_unmatched_flow():
     switch.install_rules(rules[:-1])   # drop the catch-all
     record = switch.process_flow(make_flow(0, group=77))
     assert record.classification.layer is HitLayer.MISS
+
+
+@pytest.mark.parametrize("mode", list(SwitchMode))
+def test_classifier_stats_match_the_datapath(workload, mode):
+    # With the EMC off every packet searches the megaflow layer, and a
+    # megaflow miss the OpenFlow layer, exactly as in OvsDatapath: the
+    # layers' stats must agree with it in every mode.
+    _profile, flow_set, rules = workload
+    rules = rules[:-1]                  # drop the catch-all: punts happen
+    flows = [*flow_set.flows[:40], make_flow(0, group=77)]
+    switch = VirtualSwitch(HaloSystem(), mode, emc_enabled=False,
+                           megaflow_tuple_capacity=1 << 14)
+    switch.install_rules(rules)
+    datapath = OvsDatapath(emc_enabled=False,
+                           megaflow_tuple_capacity=1 << 14)
+    for rule in rules:
+        datapath.install_rule(rule)
+    every_tuple = 0
+    for flow in flows * 2:
+        every_tuple += switch.megaflow.num_tuples
+        got = switch.process_flow(flow).classification
+        want = datapath.classify(flow)
+        # Megaflow entries carry fresh rule ids; compare what they match.
+        assert got.layer is want.layer
+        assert (got.rule and (got.rule.mask, got.rule.match)) == \
+            (want.rule and (want.rule.mask, want.rule.match))
+
+    expected = dataclasses.replace(datapath.megaflow.stats)
+    if mode is SwitchMode.HALO_NONBLOCKING:
+        expected.tuple_lookups = every_tuple   # LOOKUP_NB probes them all
+    assert switch.megaflow.stats == expected
+    assert switch.openflow.stats == datapath.openflow.stats
+    assert switch.openflow.tss.stats == datapath.openflow.tss.stats
+    assert expected.classifications == 2 * len(flows)
+    assert datapath.openflow.stats.controller_punts == 2
