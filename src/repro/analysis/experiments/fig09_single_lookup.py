@@ -21,10 +21,6 @@ from ...tcam.tcam import TCAM_SEARCH_CYCLES
 from ...traffic.generator import random_keys
 from ..reporting import PaperCheck, format_table, render_checks
 
-#: Default table-size sweep (entries).  The paper sweeps 2^3..2^24; we stop
-#: at 2^18 by default for runtime (2 MB buckets + 8 MB values: well past L2,
-#: LLC-resident) — pass larger sizes to push into DRAM.
-DEFAULT_SIZES = (2 ** 3, 2 ** 6, 2 ** 9, 2 ** 12, 2 ** 15, 2 ** 18)
 DEFAULT_OCCUPANCIES = (0.25, 0.50, 0.75, 0.90)
 
 SOLUTIONS = ("software", "halo-b", "halo-nb", "tcam", "sram-tcam")
@@ -99,12 +95,6 @@ def run_point(table_entries: int, occupancy: float = 0.5,
     return point
 
 
-def run_size_sweep(sizes: Sequence[int] = DEFAULT_SIZES,
-                   occupancy: float = 0.5,
-                   lookups: int = 300, seed: int = 8) -> List[Fig9Point]:
-    return [run_point(size, occupancy, lookups, seed) for size in sizes]
-
-
 def run_occupancy_sweep(table_entries: int = 2 ** 15,
                         occupancies: Sequence[float] = DEFAULT_OCCUPANCIES,
                         lookups: int = 300, seed: int = 8) -> List[Fig9Point]:
@@ -176,6 +166,9 @@ def _traceable_footer(point: Fig9Point) -> str:
 
 # -- repro.runner registration (see docs/EXPERIMENTS.md) ----------------------
 
+#: Table-size sweep (log2 entries).  The paper sweeps 2^3..2^24; the grid
+#: stops at 2^18 for runtime (2 MB buckets + 8 MB values: well past L2,
+#: LLC-resident) — call :func:`run_point` with larger sizes to go further.
 _SIZE_EXPONENTS = (3, 6, 9, 12, 15, 18)
 _QUICK_SIZE_EXPONENTS = (3, 9, 15)
 

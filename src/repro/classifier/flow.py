@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Tuple
 
 KEY_BYTES = 16
 PROTO_TCP = 6
@@ -152,8 +151,3 @@ def make_flow(index: int, proto: int = PROTO_UDP,
     return FiveTuple(src_ip=src_ip, dst_ip=dst_ip, src_port=src_port,
                      dst_port=dst_port, proto=proto)
 
-
-def flow_distance_tuple(flow: FiveTuple) -> Tuple[int, ...]:
-    """Stable sort key for deterministic iteration in tests."""
-    return (flow.src_ip, flow.dst_ip, flow.src_port, flow.dst_port,
-            flow.proto)

@@ -89,7 +89,8 @@ class HaloSystem:
         self.isa = HaloIsa(self.engine, self.hierarchy, self.distributor)
         # One router shared by every table: recording lands in the tracer of
         # whichever core is active, so concurrent cores never clobber each
-        # other's in-flight traces (single-core callers see core 0's tracer).
+        # other's in-flight traces.  Outside a capture it records nothing,
+        # so filling tables keeps no trace ops.
         self.tracer = CoreTracerRouter()
         self.hybrid = HybridController(
             [acc.flow_register for acc in self.accelerators])

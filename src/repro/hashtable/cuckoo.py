@@ -4,12 +4,15 @@ This is the paper's software baseline *and* the data structure HALO
 accelerates.  Properties reproduced faithfully:
 
 * 8-way set-associative buckets, one 64-byte cache line each, holding
-  {16-bit signature, key-value slot pointer} pairs (Figure 2b);
+  {16-bit signature, key-value slot pointer} pairs (Figure 2b), each kept
+  as one packed int ``slot << 16 | signature``;
 * two candidate buckets per key; the alternative bucket index is derived
   from the signature so displacement needs no key re-hash;
 * BFS cuckoo displacement on insert ("cuckoo move"), giving ~95% achievable
   occupancy without rehashing (§3.3);
-* a contiguous key-value array referenced by slot index;
+* a contiguous key-value array referenced by slot index, handing out
+  slots from a next-unused counter after reusing freed ones
+  last-freed-first;
 * optional memory tracing: every probe emits the loads/stores the
   equivalent C code performs, with dependency groups (key → buckets → kv).
 
@@ -47,17 +50,13 @@ DEFAULT_ASSOC = 8
 DEFAULT_KEY_BYTES = 16
 MAX_BFS_NODES = 1024
 
+#: A bucket entry is one int: the key-value slot above the 16-bit signature.
+_SLOT_SHIFT = 16
+_SIGNATURE_MASK = (1 << _SLOT_SHIFT) - 1
+
 
 class TableFull(RuntimeError):
     """Raised when an insert cannot find a displacement path."""
-
-
-@dataclass
-class Entry:
-    """One occupied bucket slot."""
-
-    signature: int
-    slot: int
 
 
 @dataclass(slots=True)
@@ -132,9 +131,13 @@ class CuckooHashTable:
         self.layout: TableLayout = allocate_table(
             allocator, name, num_buckets, assoc, key_bytes)
         self._mask = num_buckets - 1
-        self._buckets: List[List[Entry]] = [[] for _ in range(num_buckets)]
+        # Per bucket: packed ``slot << 16 | signature`` entries.
+        self._buckets: List[List[int]] = [[] for _ in range(num_buckets)]
         self._kv: List[Optional[Tuple[bytes, Any]]] = [None] * self.layout.num_slots
-        self._free_slots = list(range(self.layout.num_slots - 1, -1, -1))
+        # Key-value slots are claimed from ``_freed_slots`` (LIFO) first,
+        # then from ``_next_slot`` upwards.
+        self._next_slot = 0
+        self._freed_slots: List[int] = []
         self._size = 0
         self.stats = CuckooStats()
         self.lock = OptimisticLock()
@@ -172,10 +175,6 @@ class CuckooHashTable:
     def table_addr(self) -> int:
         return self.layout.table_addr
 
-    def bucket_utilisation(self) -> float:
-        """Fraction of bucket slots occupied — ~95% achievable (paper §3.3)."""
-        return self.load_factor
-
     def bucket_occupancy_histogram(self) -> Dict[int, int]:
         """#buckets by occupied-entry count (paper compares vs SFH)."""
         histogram: Dict[int, int] = {}
@@ -187,7 +186,7 @@ class CuckooHashTable:
         """The keys stored in one bucket (cache-style eviction support)."""
         keys = []
         for entry in self._buckets[bucket_index]:
-            stored = self._kv[entry.slot]
+            stored = self._kv[entry >> _SLOT_SHIFT]
             if stored is not None:
                 keys.append(stored[0])
         return keys
@@ -195,7 +194,7 @@ class CuckooHashTable:
     def items(self) -> Iterator[Tuple[bytes, Any]]:
         for bucket in self._buckets:
             for entry in bucket:
-                stored = self._kv[entry.slot]
+                stored = self._kv[entry >> _SLOT_SHIFT]
                 if stored is not None:
                     yield stored
 
@@ -255,15 +254,17 @@ class CuckooHashTable:
         kv = self._kv
         kv_base = self._kv_base
         kv_slot_bytes = self._kv_slot_bytes
+        signature_mask = _SIGNATURE_MASK
+        slot_shift = _SLOT_SHIFT
         for which, index in enumerate((index1, index2)):
             plan.buckets_scanned += 1
             kv_probes = (plan.kv_probes_secondary if which
                          else plan.kv_probes_primary)
             for entry in buckets[index]:
                 plan.sig_compares += 1
-                if entry.signature != signature:
+                if entry & signature_mask != signature:
                     continue
-                slot = entry.slot
+                slot = entry >> slot_shift
                 stored = kv[slot]
                 kv_probes.append(kv_base + slot * kv_slot_bytes)
                 if stored is not None and stored[0] == key:
@@ -386,11 +387,15 @@ class CuckooHashTable:
 
     def _store_entry(self, bucket_index: int, signature: int, key: bytes,
                      value: Any) -> None:
-        if not self._free_slots:
+        if self._freed_slots:
+            slot = self._freed_slots.pop()
+        elif self._next_slot < len(self._kv):
+            slot = self._next_slot
+            self._next_slot += 1
+        else:
             raise TableFull(f"{self.name}: key-value array exhausted")
-        slot = self._free_slots.pop()
         self._kv[slot] = (key, value)
-        self._buckets[bucket_index].append(Entry(signature, slot))
+        self._buckets[bucket_index].append(slot << _SLOT_SHIFT | signature)
         self._size += 1
         if self.tracer.enabled:
             self.tracer.barrier()
@@ -423,7 +428,7 @@ class CuckooHashTable:
             if len(bucket) < self.assoc:
                 return path
             for position, entry in enumerate(bucket):
-                alt = self._alt_index(bucket_index, entry.signature)
+                alt = self._alt_index(bucket_index, entry & _SIGNATURE_MASK)
                 if alt in visited:
                     continue
                 visited.add(alt)
@@ -439,7 +444,8 @@ class CuckooHashTable:
                  if position >= 0]
         for bucket_index, position in reversed(moves):
             entry = self._buckets[bucket_index][position]
-            destination = self._alt_index(bucket_index, entry.signature)
+            destination = self._alt_index(bucket_index,
+                                          entry & _SIGNATURE_MASK)
             if len(self._buckets[destination]) >= self.assoc:
                 raise RuntimeError("BFS kick path invalidated mid-move")
             del self._buckets[bucket_index][position]
@@ -464,23 +470,25 @@ class CuckooHashTable:
         bucket_index = (plan.secondary_index if plan.found_in_secondary
                         else plan.primary_index)
         bucket = self._buckets[bucket_index]
-        for position, entry in enumerate(bucket):
-            if entry.slot == plan.slot:
-                self.lock.write_begin()
-                del bucket[position]
-                self._kv[plan.slot] = None
-                self._free_slots.append(plan.slot)
-                self._size -= 1
-                self.lock.write_end()
-                if self.tracer.enabled:
-                    self.tracer.load(self.layout.bucket_addr(bucket_index), 64)
-                    self.tracer.barrier()
-                    self.tracer.store(self.layout.bucket_addr(bucket_index), 64)
-                    self.tracer.store(self.layout.kv_addr(plan.slot),
-                                      self.layout.kv_slot_bytes)
-                    self.tracer.count(
-                        loads=DELETE_MIX.loads, stores=DELETE_MIX.stores,
-                        arithmetic=DELETE_MIX.arithmetic,
-                        others=DELETE_MIX.others)
-                return True
-        raise RuntimeError("probe found a slot the bucket scan cannot see")
+        try:
+            position = bucket.index(plan.slot << _SLOT_SHIFT | plan.signature)
+        except ValueError:
+            raise RuntimeError(
+                "probe found a slot the bucket scan cannot see") from None
+        self.lock.write_begin()
+        del bucket[position]
+        self._kv[plan.slot] = None
+        self._freed_slots.append(plan.slot)
+        self._size -= 1
+        self.lock.write_end()
+        if self.tracer.enabled:
+            self.tracer.load(self.layout.bucket_addr(bucket_index), 64)
+            self.tracer.barrier()
+            self.tracer.store(self.layout.bucket_addr(bucket_index), 64)
+            self.tracer.store(self.layout.kv_addr(plan.slot),
+                              self.layout.kv_slot_bytes)
+            self.tracer.count(
+                loads=DELETE_MIX.loads, stores=DELETE_MIX.stores,
+                arithmetic=DELETE_MIX.arithmetic,
+                others=DELETE_MIX.others)
+        return True

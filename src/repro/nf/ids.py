@@ -82,10 +82,6 @@ class PatternAutomaton:
                 matches.append((offset, pattern))
         return matches
 
-    @property
-    def num_states(self) -> int:
-        return len(self._goto)
-
 
 DEFAULT_PATTERNS = [
     b"GET /etc/passwd", b"cmd.exe", b"/bin/sh", b"SELECT * FROM",

@@ -14,6 +14,14 @@ from typing import Dict, Optional
 
 from .params import CacheParams
 
+#: Per-line state bits.  A resident line's state is a plain int, so a
+#: clean, unlocked line is the falsy ``0``: test presence with ``is None``
+#: or ``in``, never by truthiness.
+DIRTY = 1
+#: HALO's reserved lock bit (§4.4): pins the line against eviction and
+#: refuses invalidation.
+LOCKED = 2
+
 
 @dataclass
 class CacheStats:
@@ -62,19 +70,14 @@ class CacheStats:
         )
 
 
-@dataclass(slots=True)
-class LineState:
-    """Per-line metadata: dirty bit plus HALO's reserved lock bit (§4.4)."""
-
-    dirty: bool = False
-    locked: bool = False
-
-
 class Cache:
     """A single set-associative cache level.
 
     The per-set structure is an ``OrderedDict`` mapping line address to
-    :class:`LineState`, maintained in LRU order (least recent first).
+    its state bits (:data:`DIRTY`, :data:`LOCKED`), maintained in LRU
+    order (least recent first).  States are ints rather than per-line
+    objects, so a resident line costs one dict entry and nothing the
+    garbage collector tracks.
     """
 
     def __init__(self, name: str, params: CacheParams) -> None:
@@ -119,7 +122,7 @@ class Cache:
             return False
         cache_set.move_to_end(line)
         if write:
-            state.dirty = True
+            cache_set[line] = state | DIRTY
         self.stats.hits += 1
         return True
 
@@ -133,22 +136,22 @@ class Cache:
         if line in cache_set:
             cache_set.move_to_end(line)
             if dirty:
-                cache_set[line].dirty = True
+                cache_set[line] |= DIRTY
             return None
         victim = None
         if len(cache_set) >= self.assoc:
-            for candidate, state in cache_set.items():
-                if not state.locked:
-                    victim = candidate
-                    break
-            if victim is None:
-                # Pathological: whole set locked.  Evict true LRU anyway.
-                victim = next(iter(cache_set))
-            victim_state = cache_set.pop(victim)
-            self.stats.evictions += 1
-            if victim_state.dirty:
+            victim = next(iter(cache_set))
+            if cache_set[victim] & LOCKED:
+                for candidate, candidate_state in cache_set.items():
+                    if not candidate_state & LOCKED:
+                        victim = candidate
+                        break
+                # No unlocked line (pathological: whole set locked): the
+                # true LRU line goes anyway.
+            if cache_set.pop(victim) & DIRTY:
                 self.stats.writebacks += 1
-        cache_set[line] = LineState(dirty=dirty)
+            self.stats.evictions += 1
+        cache_set[line] = DIRTY if dirty else 0
         return victim
 
     def contains(self, line: int) -> bool:
@@ -157,11 +160,13 @@ class Cache:
     def invalidate(self, line: int) -> bool:
         """Drop ``line`` if present; refuses if the HALO lock bit is set."""
         cache_set = self._sets.get(self.set_index(line))
-        if cache_set is None or line not in cache_set:
+        if cache_set is None:
             return False
-        if cache_set[line].locked:
-            return False  # "snoop miss" response: retry later (paper §4.4)
-        cache_set.pop(line)
+        state = cache_set.get(line)
+        if state is None or state & LOCKED:
+            # Absent, or locked: "snoop miss" response, retry later (§4.4).
+            return False
+        del cache_set[line]
         self.stats.invalidations += 1
         return True
 
@@ -170,14 +175,14 @@ class Cache:
         cache_set = self._sets.get(self.set_index(line))
         if cache_set is None or line not in cache_set:
             return False
-        cache_set[line].locked = True
+        cache_set[line] |= LOCKED
         return True
 
     def unlock(self, line: int) -> bool:
         cache_set = self._sets.get(self.set_index(line))
         if cache_set is None or line not in cache_set:
             return False
-        cache_set[line].locked = False
+        cache_set[line] &= ~LOCKED
         return True
 
     def is_locked(self, line: int) -> bool:
@@ -185,17 +190,9 @@ class Cache:
         if cache_set is None:
             return False
         state = cache_set.get(line)
-        return bool(state and state.locked)
+        return state is not None and bool(state & LOCKED)
 
     # -- introspection --------------------------------------------------------
-    def metrics_source(self):
-        """A pull-source callable exposing this cache's stats + occupancy."""
-        def read() -> Dict[str, float]:
-            out = self.stats.as_dict()
-            out["utilisation"] = self.utilisation()
-            return out
-        return read
-
     @property
     def resident_lines(self) -> int:
         return sum(len(s) for s in self._sets.values())
@@ -204,7 +201,7 @@ class Cache:
     def locked_lines(self) -> int:
         """Resident lines whose HALO lock bit is currently set."""
         return sum(1 for s in self._sets.values()
-                   for state in s.values() if state.locked)
+                   for state in s.values() if state & LOCKED)
 
     def utilisation(self) -> float:
         """Fraction of capacity currently holding lines."""

@@ -48,10 +48,6 @@ class AccessResult(NamedTuple):
     slice_id: int = -1
     lock_retries: int = 0
 
-    @property
-    def hit_llc_or_better(self) -> bool:
-        return self.level in ("L1", "L2", "LLC", "PRIV")
-
 
 class MemoryHierarchy:
     """The full cache/memory system for one machine (1..N sockets).
@@ -267,7 +263,7 @@ class MemoryHierarchy:
             if cache_set is None:
                 # Same state effect as Cache._set_for on a cold set.
                 sets[index] = ordered_dict()
-            elif cache_set.get(line) is not None:
+            elif cache_set.get(line) is not None:  # 0 is a resident line
                 cache_set.move_to_end(line)
                 stats.hits += 1
                 return hit_result
@@ -469,11 +465,6 @@ class MemoryHierarchy:
     def flush_private(self, core_id: int) -> None:
         self.l1[core_id].flush()
         self.l2[core_id].flush()
-
-    def flush_all(self) -> None:
-        """Empty every cache level (DRAM-resident scenarios, Figure 10)."""
-        for cache in self.l1 + self.l2 + self.llc:
-            cache.flush()
 
     def flush_region(self, base: int, size: int) -> None:
         """Evict one address range from every cache level.

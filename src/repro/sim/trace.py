@@ -304,17 +304,23 @@ class CoreTracerRouter(Tracer):
     currently *active* one; :func:`capture` (or :meth:`activate`/
     :meth:`restore`) brackets each functional call with the issuing core.
 
-    When no core is explicitly active, core 0's tracer records — which makes
-    single-core code that talks to ``table.tracer`` directly keep working
-    unchanged.
+    While no core is active the router records nothing, so functional
+    calls made outside any bracket (filling a table, installing rules)
+    leave no ops behind.  A bare :meth:`begin` opens a core-0 recording
+    that the next :meth:`take` closes, which keeps the single-core idiom
+    ``begin(); call(); take()`` working unchanged.
     """
 
-    __slots__ = ("_tracers", "_active")
+    __slots__ = ("_tracers", "_active", "_depth")
 
     def __init__(self) -> None:
         super().__init__()
         self._tracers: Dict[int, Tracer] = {}
-        self._active: Tracer = self.tracer_for(0)
+        #: The recording target; ``NULL_TRACER`` while no core is active.
+        self._active: Tracer = NULL_TRACER
+        #: Open :meth:`activate` brackets; a bare begin's recording is the
+        #: one that ``take`` closes at depth zero.
+        self._depth = 0
 
     def tracer_for(self, core_id: int) -> Tracer:
         """The (lazily created) tracer owned by ``core_id``."""
@@ -328,14 +334,18 @@ class CoreTracerRouter(Tracer):
         target so nested activations restore correctly."""
         previous = self._active
         self._active = self.tracer_for(core_id)
+        self._depth += 1
         return previous
 
     def restore(self, token: Optional[Tracer]) -> None:
         if token is not None:
             self._active = token
+            self._depth -= 1
 
     # -- delegated recording interface ----------------------------------------
     def begin(self) -> None:
+        if self._active is NULL_TRACER:
+            self._active = self.tracer_for(0)
         self._active.begin()
 
     def barrier(self) -> None:
@@ -355,7 +365,13 @@ class CoreTracerRouter(Tracer):
         self._active.emit_trace(ops, dep_advance, mix)
 
     def take(self) -> MemTrace:
-        return self._active.take()
+        active = self._active
+        if active is NULL_TRACER:
+            return self.tracer_for(0).take()
+        trace = active.take()
+        if not self._depth:
+            self._active = NULL_TRACER
+        return trace
 
 
 def capture(tracer: Tracer, core_id: int, func, *args,

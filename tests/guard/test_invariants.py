@@ -22,7 +22,7 @@ from repro.guard import (
     standard_invariants,
     store_consistency,
 )
-from repro.sim.cache import Cache, LineState
+from repro.sim.cache import Cache
 from repro.sim.engine import Engine, Resource, Store
 from repro.sim.params import CacheParams
 
@@ -118,7 +118,7 @@ def test_cache_occupancy_quiet_then_loud():
     # Corrupt a set past its associativity, as a broken fill path would.
     victim_set = cache._sets[0]
     for extra in range(1000, 1000 + cache.assoc + 1):
-        victim_set[extra * cache.num_sets] = LineState()
+        victim_set[extra * cache.num_sets] = 0  # a clean, unlocked line
     detail = invariant.predicate()
     assert detail is not None and "ways" in detail
 

@@ -46,6 +46,33 @@ def test_fig04_runs():
         assert c_row.utilisation > s_row.utilisation * 2
 
 
+def _fig04_rows(flow_counts, sfh_llc_mpkl):
+    return [fig04_hash.Fig4Row(kind, count, 0.5, 1.0,
+                               sfh_llc_mpkl if kind == "sfh" else 0.1,
+                               0.5, 200.0)
+            for count in flow_counts for kind in ("cuckoo", "sfh")]
+
+
+def _sfh_cliff_line(text):
+    return next(line for line in text.splitlines()
+                if "SFH LLC misses from 100K flows" in line)
+
+
+def test_fig04_quick_grid_does_not_judge_the_100k_cliff():
+    # The quick grid stops at 10K flows: the 100K check is not measured,
+    # so it must neither hold nor diverge.
+    line = _sfh_cliff_line(fig04_hash.report(
+        _fig04_rows((1_000, 10_000), sfh_llc_mpkl=0.0)))
+    assert line.endswith("measured not run: grid stops at 10000 flows")
+    assert "DIVERGES" not in line and "shape holds" not in line
+
+
+def test_fig04_full_grid_judges_the_100k_row():
+    line = _sfh_cliff_line(fig04_hash.report(
+        _fig04_rows((10_000, 100_000, 400_000), sfh_llc_mpkl=12.0)))
+    assert line.endswith("measured 12.0 MPKL  [shape holds]")
+
+
 def test_fig04_achievable_occupancy():
     assert fig04_hash.achievable_occupancy("cuckoo", slots=2048) > 0.85
     assert fig04_hash.achievable_occupancy("sfh", slots=2048) < 0.45

@@ -3,8 +3,12 @@ allocation-free NullTracer fast path."""
 
 import pytest
 
+from repro.core import HaloSystem
+from repro.hashtable import CuckooHashTable
 from repro.sim import CoreTracerRouter, MemTrace, NullTracer, Tracer, capture
 from repro.sim.trace import NULL_TRACER
+
+from ..conftest import make_keys
 
 
 class TestNullTracer:
@@ -101,6 +105,73 @@ class TestCoreTracerRouter:
         router.load(0xC0)
         assert [op.addr for op in router.tracer_for(0).trace] == [0xC0]
         assert len(router.tracer_for(5).trace) == 0
+
+
+class TestIdleRouter:
+    """Outside a capture the router records nothing."""
+
+    def test_table_inserts_outside_capture_leave_core_zero_empty(self):
+        system = HaloSystem()
+        table = system.create_table(1024)
+        for index, key in enumerate(make_keys(600, seed=3)):
+            assert table.insert(key, index)
+        assert table.stats.kicks > 0
+        assert table.delete(make_keys(1, seed=3)[0])
+        idle = system.tracer_for(0).trace
+        assert len(idle) == 0 and idle.mix.total == 0
+
+    def test_bare_begin_records_until_take(self):
+        router = CoreTracerRouter()
+        router.load(0x10)                      # idle: dropped
+        router.begin()
+        router.load(0x40)
+        router.count(loads=1)
+        trace = router.take()
+        router.load(0x80)                      # idle again: dropped
+        assert [op.addr for op in trace] == [0x40]
+        assert trace.mix.loads == 1
+        assert len(router.tracer_for(0).trace) == 0
+        assert len(router.take()) == 0
+
+    def test_capture_inside_bare_begin_keeps_the_outer_recording(self):
+        router = CoreTracerRouter()
+        router.begin()
+        router.load(0x1)
+        _, inner = capture(router, 2, lambda: router.load(0x2))
+        router.load(0x3)
+        outer = router.take()
+        assert [op.addr for op in inner] == [0x2]
+        assert [op.addr for op in outer] == [0x1, 0x3]
+
+    def test_bare_begin_and_capture_record_the_same_ops(self):
+        keys = make_keys(200, seed=11)
+        router = CoreTracerRouter()
+        routed = CuckooHashTable(256, tracer=router)
+        plain_tracer = Tracer()
+        plain = CuckooHashTable(256, tracer=plain_tracer)
+        for index, key in enumerate(keys):
+            routed.insert(key, index)
+            plain.insert(key, index)
+        for key in keys[:20] + make_keys(5, seed=12):
+            plain_tracer.begin()
+            expected_value = plain.lookup(key)
+            expected = plain_tracer.take()
+            router.begin()
+            value = routed.lookup(key)
+            bare = router.take()
+            captured_value, captured = capture(router, 3, routed.lookup, key)
+            assert value == captured_value == expected_value
+            for trace in (bare, captured):
+                assert list(trace) == list(expected)
+                assert trace.mix == expected.mix
+        # An insert recorded under capture matches the plain tracer too.
+        extra = make_keys(1, seed=13)[0]
+        plain_tracer.begin()
+        plain.insert(extra, -1)
+        expected = plain_tracer.take()
+        _, captured = capture(router, 0, routed.insert, extra, -1)
+        assert list(captured) == list(expected)
+        assert captured.mix == expected.mix
 
 
 class TestPlainTracerHooks:
