@@ -16,22 +16,26 @@ function-local import is the sanctioned escape hatch for facades such as
 without creating a static upward edge.
 
 ``repro.cluster`` is the top layer: it composes whole systems (core),
-workloads (exec/traffic), and the supervised pool (runner) into sharded
-cluster runs, so everything sits below it.  The single sanctioned upward
-edge is ``analysis -> cluster`` (:data:`ALLOWED_UPWARD`): experiments
-sweep cluster configurations, but no model layer — sim, core, exec,
-vswitch, nf — may ever know the cluster exists.
+execution and traffic (exec/traffic) and shard fault plans (faults) into
+sharded cluster runs whose shards all run in the calling process, so
+everything sits below it.  It imports nothing from ``repro.runner``: an
+experiment that sweeps cluster configurations is an ordinary runner work
+unit.  The single sanctioned upward edge is ``analysis -> cluster``
+(:data:`ALLOWED_UPWARD`): experiments sweep cluster configurations, but
+no model layer — sim, core, exec, vswitch, nf — may ever know the
+cluster exists.
 
 Some layers additionally restrict who above them may import them at all:
 ``repro.faults`` is a leaf capability — it may import sim/core/exec, but
-of the layers above it only ``analysis`` and ``runner`` may depend on it
-(workload layers such as ``vswitch``/``nf`` must stay fault-agnostic;
-fault plans are installed from experiments and examples, not from inside
-the modelled dataplane).  ``repro.guard`` is the same kind of leaf: the
-safety net attaches from the harness (``sim`` owns the attachment seam,
-``runner``/``analysis`` opt campaigns in), never from inside the
-modelled hardware or workloads — a cache or NF that imported its own
-invariant checker would entangle the model with its auditor.
+of the layers above it only ``analysis``, ``runner`` and ``cluster`` may
+depend on it (workload layers such as ``vswitch``/``nf`` must stay
+fault-agnostic; fault plans are installed from experiments, examples and
+the cluster orchestrator, not from inside the modelled dataplane).
+``repro.guard`` is the same kind of leaf: the safety net attaches from
+the harness (``sim`` owns the attachment seam, ``runner``/``analysis``
+opt campaigns in), never from inside the modelled hardware or workloads
+— a cache or NF that imported its own invariant checker would entangle
+the model with its auditor.
 ``repro.workloads`` (churn/attack traffic scenarios) is restricted the
 same way: only ``analysis`` and ``runner`` may import it — the modelled
 dataplane must never know which scenario is driving it, exactly as a

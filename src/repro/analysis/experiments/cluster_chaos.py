@@ -4,10 +4,10 @@ The paper's hybrid mode degrades gracefully when the flow register
 overflows (§4.4); this experiment asks the scale-out version of that
 question.  A sharded vswitch cluster (:mod:`repro.cluster`) serves a
 Zipf key stream while a :class:`~repro.faults.shard_plan.ShardFaultPlan`
-kills shards on schedule; ``run_cluster(failover=True)`` detects each
-death through the supervised pool's failure-classification seam,
-re-steers the victim's RSS indirection-table entries across survivors,
-and replays its flow substream in a recovery round.
+kills shards on schedule; ``run_cluster(failover=True)`` marks each
+shard that dies on every attempt as failed, re-steers the victim's RSS
+indirection-table entries across survivors, and replays its flow
+substream in a recovery round.
 
 Swept axes: kill rate (nested kill sets — same per-shard draw compared
 against a rising threshold), with fixed shard count, plus an admission-
@@ -65,7 +65,6 @@ class ChaosPoint:
     p99_cycles: float
     makespan_cycles: float
     throughput_per_kcycle: float
-    mode: str
     detection_cycles: float = 0.0
     #: Aggregate EMC miss rate over recovery-round (cold-cache) results.
     cold_miss_rate: float = 0.0
@@ -102,7 +101,6 @@ def _config(params: Dict, seed: int) -> ClusterConfig:
         # their stream seed so both sides serve the identical workload.
         seed=params.get("stream_seed", seed),
         retries=params.get("retries", 1),
-        parallel=params.get("parallel"),
         failover=params.get("failover", False),
         detection_cycles=params.get("detection_cycles"),
         shard_faults=plan.to_params() if plan else None,
@@ -130,7 +128,6 @@ def run_point(label: str, params: Dict, seed: int = 1234) -> ChaosPoint:
         p99_cycles=result.p99_cycles,
         makespan_cycles=result.makespan_cycles,
         throughput_per_kcycle=result.throughput_per_kcycle,
-        mode=result.mode,
         detection_cycles=params.get("detection_cycles") or 0.0,
         cold_miss_rate=_miss_rate(result.shard_results, degraded=True),
         warm_miss_rate=_miss_rate(result.shard_results, degraded=False),

@@ -49,7 +49,6 @@ class ScalingPoint:
     rebalance_moves: int
     imbalance_before: float
     imbalance_after: float
-    mode: str
 
 
 def run_point(label: str, params: Dict, seed: int = 1234) -> ScalingPoint:
@@ -71,7 +70,6 @@ def run_point(label: str, params: Dict, seed: int = 1234) -> ScalingPoint:
         rebalance_moves=result.rebalance_moves,
         imbalance_before=result.imbalance_before,
         imbalance_after=result.imbalance_after,
-        mode=result.mode,
     )
 
 

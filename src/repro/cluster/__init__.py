@@ -14,21 +14,18 @@ HALO-equipped sockets stop paying and sharding the flow table across
   full :class:`~repro.core.halo_system.HaloSystem` on its own topology,
   serving exactly the keys the balancer routed to it.
 * :func:`~repro.cluster.cluster.run_cluster` — the orchestrator: routes
-  a key stream, optionally rebalances, runs every shard (genuinely in
-  parallel through the supervised pool when the process is allowed to
-  fork; inline otherwise — identical results either way), and merges
-  the shards' latency histograms and ``repro.obs`` counters.  With
-  ``failover=True`` it detects shard failures through the pool's
-  classification seam and replays the victims' flows through the
-  survivors — zero lost flows by construction.
+  a key stream, optionally rebalances, runs every shard in the calling
+  process, and merges the shards' latency histograms and ``repro.obs``
+  counters.  With ``failover=True`` a shard that a scheduled fault kills
+  on every attempt is marked dead and its flows are replayed through
+  the survivors — zero lost flows by construction.
 
 Public contract: :class:`ClusterConfig` / :class:`ClusterResult` /
 :func:`run_cluster`, :class:`RssBalancer` (hash determinism: same seed +
 same key bytes → same shard, forever), and :func:`run_shard`'s
-``(label, params, seed)`` signature — it is dispatched by dotted path
-into supervised-pool workers, so its location and signature are API.
-Layering: *nothing* below ``repro.analysis`` may import this package;
-experiments reach it, model code never does.
+``(params)`` signature.  Layering: *nothing* below ``repro.analysis``
+may import this package; experiments reach it, model code never does,
+and it imports nothing from ``repro.runner``.
 """
 
 from .balancer import RebalanceResult, RssBalancer, SteeringChange

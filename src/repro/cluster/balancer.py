@@ -23,9 +23,8 @@ merged results were served degraded.
 
 Determinism is the point: the same ``(seed, key bytes)`` pair maps to
 the same entry on every run, every process, every platform (SplitMix64
-is exact 64-bit arithmetic), so shard workers can re-derive their own
-key subsets from the stream definition instead of shipping key lists
-across process boundaries.
+is exact 64-bit arithmetic), so each shard re-derives its own key
+subset from the stream definition instead of being handed a key list.
 
 Public contract: :class:`RssBalancer` (the pinned ``entry_of`` hash, the
 install/rebalance validation behaviour, ``fail_shard``/``restore_shard``
@@ -122,7 +121,7 @@ class RssBalancer:
         return self.table[self.entry_of(key)]
 
     def install(self, table: Sequence[int]) -> None:
-        """Adopt a previously computed indirection table (shard workers
+        """Adopt a previously computed indirection table (shards
         re-create the balancer and install the orchestrator's table).
 
         Validates shape and content before touching any state: a bad

@@ -5,12 +5,11 @@
 cluster-wide key stream from a :class:`ClusterConfig`, routes it through
 an :class:`~repro.cluster.balancer.RssBalancer`, optionally performs one
 skew-triggered indirection-table rebalance, then runs every shard as an
-independent simulation — genuinely in parallel through the supervised
-pool (each shard is its own killable process) whenever the current
-process may fork, inline otherwise.  The two dispatch modes produce
-*identical* shard results: shards are pure functions of their params
-dict, and the orchestrator aggregates the same picklable
-:class:`~repro.cluster.shards.ShardResult` payloads either way.
+independent simulation, one after another, in the calling process.
+Shards are pure functions of their params dict and report simulated
+cycles, so the host process that runs them can never change a number;
+running them in place is also the cheapest dispatch at every size the
+campaign runs (docs/PERFORMANCE.md §1.7).
 
 Aggregation merges the shards' fixed-bucket latency histograms (exact —
 all shards share :data:`~repro.obs.metrics.DEFAULT_LATENCY_BUCKETS`),
@@ -18,28 +17,28 @@ sums lookup/hit counters, and models cluster throughput as total
 lookups over the *slowest* shard's simulated cycles (shards run
 concurrently on separate machines, so the straggler sets the pace).
 
-Failover (``ClusterConfig.failover=True``): a shard whose worker
-crashes, times out, or livelocks past its retry budget is *detected*
-through the pool's failure-classification seam, marked dead in the
-balancer (``fail_shard`` re-steers its indirection-table entries across
+Failover (``ClusterConfig.failover=True``): a shard that fails on every
+one of its ``retries + 1`` attempts is marked dead in the balancer
+(``fail_shard`` re-steers its indirection-table entries across
 survivors), and its flow substream — re-derived from the seed, never
-shipped — is replayed through the survivors in a *recovery round* whose
-latencies carry the primary round's makespan as a detection/re-steer
-offset.  Merged results mark the degraded epochs; zero flows are lost
-by construction.  Scheduled chaos (``ClusterConfig.shard_faults``, a
-serialised :class:`~repro.faults.shard_plan.ShardFaultPlan`) is realised
-inside pool workers as real process deaths and synthesised decision-
-for-decision by inline dispatch, so both modes agree bit-identically.
+shipped — is replayed through the survivors in a *recovery round*; its
+latencies wait out one detection/re-steer epoch per victim, up to and
+including its own.  Merged results mark the degraded epochs; zero flows
+are lost by construction.  Scheduled chaos (``ClusterConfig.shard_faults``,
+a serialised :class:`~repro.faults.shard_plan.ShardFaultPlan`) is
+resolved attempt by attempt: a kill decision fails that attempt
+(recorded as a ``"crash"``), so a flap recovers on a later attempt and a
+permanent kill exhausts the budget; the surviving attempt number is
+handed to the shard, which applies that attempt's straggler decision.
 
 Public contract: :class:`ClusterConfig`, :class:`ClusterResult`, and
 :func:`run_cluster` are stable API — ``repro.analysis`` experiments and
-external harnesses build on them.  Dispatch internals (pool vs inline
-selection, spec construction) may change without notice.
+external harnesses build on them.  The attempt loop and shard params
+construction may change without notice.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -48,19 +47,10 @@ from ..obs.tracing import TraceRecorder
 from .balancer import RebalanceResult, RssBalancer
 from .shards import ShardResult, run_shard
 
-#: Dotted path the supervised pool's children resolve to run one shard.
-SHARD_ENTRYPOINT = "repro.cluster.shards:run_shard"
-
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Everything that defines one cluster run (frozen, hashable-ish).
-
-    ``parallel=None`` (default) auto-selects: supervised-pool dispatch
-    when there is more than one shard and the current process is allowed
-    to fork children (daemonic pool workers are not — they fall back
-    inline, so a cluster run can itself be a pool work unit).
-    """
+    """Everything that defines one cluster run (frozen, hashable-ish)."""
 
     shards: int = 2
     sockets: int = 1
@@ -75,8 +65,8 @@ class ClusterConfig:
     table_capacity: int = 1 << 10
     table_size: int = 128
     seed: int = 1234
-    parallel: Optional[bool] = None
-    timeout_s: Optional[float] = None
+    #: Extra attempts a shard gets after a scheduled kill (a flap window
+    #: needs at least one to recover).
     retries: int = 0
     #: Detect shard failures and re-steer + replay their flows through
     #: the survivors instead of aborting the run.
@@ -103,9 +93,20 @@ class ClusterConfig:
         if self.sockets < 1:
             raise ValueError(
                 f"ClusterConfig.sockets must be >= 1 (got {self.sockets})")
+        if self.flows < 1:
+            raise ValueError(
+                f"ClusterConfig.flows must be >= 1 (got {self.flows})")
         if self.lookups < 1:
             raise ValueError(
                 f"ClusterConfig.lookups must be >= 1 (got {self.lookups})")
+        if self.retries < 0:
+            raise ValueError(
+                f"ClusterConfig.retries must be >= 0 (got {self.retries})")
+        if (self.detection_cycles is not None
+                and not self.detection_cycles >= 0):
+            raise ValueError(
+                f"ClusterConfig.detection_cycles must be >= 0 or None "
+                f"(got {self.detection_cycles})")
         if self.cache_entries < 1:
             raise ValueError(
                 f"ClusterConfig.cache_entries must be >= 1 "
@@ -118,8 +119,6 @@ class ClusterResult:
 
     config: ClusterConfig
     shard_results: List[ShardResult]
-    #: ``"pool"`` or ``"inline"`` — which dispatch path actually ran.
-    mode: str
     loads_before: List[int] = field(default_factory=list)
     loads_after: List[int] = field(default_factory=list)
     imbalance_before: float = 0.0
@@ -138,7 +137,7 @@ class ClusterResult:
     #: Largest shard's share of the stream (1/shards = perfectly even).
     max_shard_fraction: float = 0.0
     link_crossings: int = 0
-    #: Shards whose workers failed past their retry budget.
+    #: Shards that failed on every attempt of their retry budget.
     failed_shards: List[int] = field(default_factory=list)
     #: Failed shard -> balancer epoch at which its entries were re-steered.
     degraded_epochs: Dict[int, int] = field(default_factory=dict)
@@ -190,54 +189,6 @@ def _shard_params(config: ClusterConfig, shard: int,
     return params
 
 
-def _spec_label(prefix: str, params: Dict[str, Any]) -> str:
-    victim = params.get("serve_for")
-    if victim is not None:
-        # Recovery runs are keyed (victim, survivor): one survivor may
-        # replay slices of several dead shards in the same round.
-        return f"{prefix}{victim:02d}x{params['shard']:02d}"
-    return f"{prefix}{params['shard']:02d}"
-
-
-def _dispatch_pool_outcomes(config: ClusterConfig,
-                            param_sets: List[Dict[str, Any]],
-                            label_prefix: str = "shard") -> List[Any]:
-    """Dispatch shard params through the supervised pool; returns the
-    raw :class:`~repro.runner.pool.PoolOutcome` list (failures included —
-    the caller decides whether a dead shard aborts or fails over)."""
-    from ..runner.pool import run_supervised
-    from ..runner.schema import RunSpec
-
-    specs = [RunSpec(experiment="cluster",
-                     label=_spec_label(label_prefix, params),
-                     params=params, seed=config.seed + params["shard"])
-             for params in param_sets]
-    outcomes, skipped = run_supervised(
-        specs, jobs=min(len(specs), max(1, multiprocessing.cpu_count())),
-        timeout_s=config.timeout_s, retries=config.retries,
-        backoff_s=0.05, entrypoint=SHARD_ENTRYPOINT)
-    if skipped:
-        raise RuntimeError(
-            f"cluster dispatch skipped {len(skipped)} shard(s) "
-            "(supervisor stop requested)")
-    return outcomes
-
-
-def _dispatch_pool(config: ClusterConfig,
-                   param_sets: List[Dict[str, Any]],
-                   label_prefix: str = "shard") -> List[ShardResult]:
-    outcomes = _dispatch_pool_outcomes(config, param_sets, label_prefix)
-    failures = [outcome for outcome in outcomes if not outcome.ok]
-    if failures:
-        worst = failures[0]
-        raise RuntimeError(
-            f"{len(failures)} shard(s) failed; first: {worst.spec.run_id} "
-            f"[{worst.error_type}] {worst.message}")
-    by_label = {outcome.spec.label: outcome.payload for outcome in outcomes}
-    return [by_label[_spec_label(label_prefix, params)]
-            for params in param_sets]
-
-
 def run_cluster(config: ClusterConfig,
                 metrics: Optional[MetricsRegistry] = None,
                 trace: Optional[TraceRecorder] = None) -> ClusterResult:
@@ -245,10 +196,10 @@ def run_cluster(config: ClusterConfig,
 
     Deterministic end to end: the stream, the routing, the (optional)
     rebalance, any scheduled faults, and every shard simulation derive
-    from ``config`` alone, so repeated calls — in either dispatch mode —
-    agree exactly.  ``metrics``/``trace`` opt into ``cluster.failover.*``
-    counters and ``failover.resteer`` spans; observation never feeds back
-    into the model, so results are identical with or without them.
+    from ``config`` alone, so repeated calls agree exactly.
+    ``metrics``/``trace`` opt into ``cluster.failover.*`` counters and
+    ``failover.resteer`` spans; observation never feeds back into the
+    model, so results are identical with or without them.
     """
     from ..traffic.generator import FlowSet, key_stream
 
@@ -271,16 +222,6 @@ def run_cluster(config: ClusterConfig,
     loads_after = balancer.shard_loads(keys)
     imbalance_after = (max(loads_after) / mean - 1.0) if mean else 0.0
 
-    param_sets = [_shard_params(config, shard, list(balancer.table))
-                  for shard in range(config.shards)]
-
-    use_pool = (config.parallel is not False and config.shards > 1
-                and not multiprocessing.current_process().daemon)
-    if config.parallel is True and multiprocessing.current_process().daemon:
-        raise RuntimeError(
-            "parallel cluster dispatch requested from a daemonic process, "
-            "which cannot fork children; use parallel=None (auto) or False")
-
     plan = None
     if config.shard_faults:
         from ..faults.shard_plan import ShardFaultPlan
@@ -288,59 +229,31 @@ def run_cluster(config: ClusterConfig,
 
     shard_results: List[ShardResult] = []
     failed: List[int] = []
-    attempt_failures: Dict[int, List[Dict[str, Any]]] = {}
-    if use_pool:
-        mode = "pool"
-        if not config.failover and plan is None:
-            shard_results = _dispatch_pool(config, param_sets)
+    histories: Dict[int, List[Dict[str, Any]]] = {}
+    attempts = config.retries + 1
+    for shard in range(config.shards):
+        params = _shard_params(config, shard, list(balancer.table))
+        history: List[Dict[str, Any]] = []
+        shard_result: Optional[ShardResult] = None
+        for attempt in range(1, attempts + 1):
+            if plan is not None and plan.decide(shard, attempt).kill:
+                history.append({"attempt": attempt, "kind": "crash"})
+                continue
+            if plan is not None:
+                params["attempt"] = attempt
+            shard_result = run_shard(params)
+            break
+        if history:
+            histories[shard] = history
+        if shard_result is not None:
+            shard_results.append(shard_result)
         else:
-            outcomes = _dispatch_pool_outcomes(config, param_sets)
-            for outcome in outcomes:
-                shard = outcome.spec.params["shard"]
-                history = [{"attempt": f.attempt, "kind": f.kind}
-                           for f in outcome.attempt_failures]
-                if history:
-                    attempt_failures[shard] = history
-                if outcome.ok:
-                    shard_results.append(outcome.payload)
-                else:
-                    failed.append(shard)
-                    if not config.failover:
-                        raise RuntimeError(
-                            f"shard {shard} failed "
-                            f"({outcome.failure_kind}: {outcome.error_type}"
-                            f") and failover is disabled: {outcome.message}")
-    else:
-        mode = "inline"
-        # Inline dispatch synthesises the pool's attempt loop so fault
-        # decisions (and therefore results) match pool mode exactly.
-        attempts = config.retries + 1
-        for params in param_sets:
-            shard = params["shard"]
-            history: List[Dict[str, Any]] = []
-            result_payload: Optional[ShardResult] = None
-            for attempt in range(1, attempts + 1):
-                if plan is not None and plan.decide(shard, attempt).kill:
-                    history.append({"attempt": attempt, "kind": "crash"})
-                    continue
-                run_params = params
-                if plan is not None:
-                    run_params = dict(params)
-                    run_params["synthetic_attempt"] = attempt
-                result_payload = run_shard(f"shard{shard:02d}", run_params,
-                                           config.seed + shard)
-                break
-            if history:
-                attempt_failures[shard] = history
-            if result_payload is not None:
-                shard_results.append(result_payload)
-            else:
-                failed.append(shard)
-                if not config.failover:
-                    raise RuntimeError(
-                        f"shard {shard} failed (crash: scheduled kill on "
-                        f"all {attempts} attempt(s)) and failover is "
-                        f"disabled")
+            failed.append(shard)
+            if not config.failover:
+                raise RuntimeError(
+                    f"shard {shard} failed (crash: scheduled kill on "
+                    f"all {attempts} attempt(s)) and failover is "
+                    f"disabled")
 
     # -- failover: re-steer dead shards' entries, replay their flows ------
     degraded_epochs: Dict[int, int] = {}
@@ -370,22 +283,13 @@ def run_cluster(config: ClusterConfig,
             if owner in failed_set:
                 groups.setdefault((owner, balancer.table[entry]),
                                   []).append(entry)
-        recovery_param_sets = []
+        recovery_results = []
         for victim, survivor in sorted(groups):
             params = _shard_params(config, survivor, list(balancer.table))
             params.pop("shard_faults", None)  # recovery runs un-faulted
-            params["serve_for"] = victim
             params["serve_entries"] = sorted(groups[(victim, survivor)])
             params["latency_offset"] = victim_rank[victim] * detection
-            recovery_param_sets.append(params)
-        if use_pool:
-            recovery_results = _dispatch_pool(config, recovery_param_sets,
-                                              label_prefix="recover")
-        else:
-            recovery_results = [
-                run_shard(_spec_label("recover", params), params,
-                          config.seed + params["shard"])
-                for params in recovery_param_sets]
+            recovery_results.append(run_shard(params))
         recovery_lookups = sum(r.lookups for r in recovery_results)
         shard_results.extend(recovery_results)
         if metrics is not None:
@@ -394,14 +298,14 @@ def run_cluster(config: ClusterConfig,
                 "cluster.failover.recovered_flows").inc(recovery_lookups)
 
     result = ClusterResult(
-        config=config, shard_results=shard_results, mode=mode,
+        config=config, shard_results=shard_results,
         loads_before=loads_before, loads_after=loads_after,
         imbalance_before=imbalance_before, imbalance_after=imbalance_after,
         rebalance_moves=len(rebalance_result.moves) if rebalance_result
         else 0,
         rebalanced=rebalance_result is not None,
         failed_shards=sorted(failed), degraded_epochs=degraded_epochs,
-        shard_attempt_failures=attempt_failures,
+        shard_attempt_failures=histories,
         resteered_entries=resteered, recovery_lookups=recovery_lookups)
 
     merged = result.merged_latency()

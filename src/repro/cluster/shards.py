@@ -1,12 +1,12 @@
-"""One vswitch shard's simulation, shaped for supervised-pool dispatch.
+"""One vswitch shard's simulation, a pure function of its params dict.
 
 A shard is a complete :class:`~repro.core.halo_system.HaloSystem` — its
 own engine, memory hierarchy, accelerators — serving exactly the subset
 of a cluster-wide key stream that the RSS balancer routed to it.  The
-whole workload definition travels as a small picklable ``params`` dict
-(stream seeds + the balancer's indirection table), and the shard
-re-derives its key subset deterministically; key lists never cross the
-process boundary, mirroring how a NIC filters by hash in hardware.
+whole workload definition is a small ``params`` dict (stream seeds + the
+balancer's indirection table), and the shard re-derives its key subset
+deterministically; key lists are never handed over, mirroring how a NIC
+filters by hash in hardware.
 
 On a multi-socket shard machine the stream splits round-robin over one
 pinned core per socket (:class:`~repro.exec.cores.CoreWorkload` with
@@ -21,27 +21,24 @@ path so pre-failover results are bit-identical):
   round;
 * ``latency_offset`` — extra cycles added to every observed latency,
   modelling the detection + re-steer delay a recovered flow experienced;
-* ``shard_faults`` — a serialised
-  :class:`~repro.faults.shard_plan.ShardFaultPlan`; inside a pool worker
-  a kill decision exits the process (the pool sees a crash), while
-  straggler decisions slow every lookup.  Inline dispatch resolves kill
-  decisions itself and passes the surviving attempt as
-  ``synthetic_attempt`` so both paths realise identical fault histories;
+* ``shard_faults`` + ``attempt`` — a serialised
+  :class:`~repro.faults.shard_plan.ShardFaultPlan` and the attempt
+  number :func:`~repro.cluster.cluster.run_cluster` survived to; that
+  attempt's straggler decision slows every lookup.  The orchestrator
+  resolves kill decisions before calling the shard, so a kill decision
+  here is a caller error and raises;
 * ``cache_policy``/``cache_entries`` — stream the served keys through an
   :class:`~repro.classifier.emc.ExactMatchCache` under the named policy
   and report the cold-start miss rate (the post-failover refill signal
   ``cluster_chaos`` compares across admission policies).
 
-Public contract: :func:`run_shard`'s ``(label, params, seed)`` signature
-and :class:`ShardResult`'s fields are stable — the cluster orchestrator
-dispatches ``repro.cluster.shards:run_shard`` by dotted path into
-supervised-pool worker processes, so both ends of that pipe (and any
-external harness replaying a journal) depend on them not drifting.
+Public contract: :func:`run_shard`'s ``(params)`` signature and
+:class:`ShardResult`'s fields are stable — the cluster orchestrator and
+any harness that runs one shard on its own depend on them not drifting.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
@@ -50,7 +47,7 @@ from ..obs.metrics import DEFAULT_LATENCY_BUCKETS, Histogram
 
 @dataclass
 class ShardResult:
-    """What one shard did (picklable; travels back over the pool pipe)."""
+    """What one shard did."""
 
     shard: int
     lookups: int
@@ -115,20 +112,17 @@ def shard_machine(sockets: int):
     return SKYLAKE_SP_16C.scale_out(sockets)
 
 
-def run_shard(label: str, params: Dict[str, Any], seed: int) -> ShardResult:
-    """Run one shard end to end; the supervised pool's dotted entrypoint.
+def run_shard(params: Dict[str, Any]) -> ShardResult:
+    """Run one shard end to end.
 
     ``params`` carries the full cluster workload definition — flow
     count, lookup count, Zipf skew, stream seeds, shard geometry, and
     the balancer's (possibly rebalanced) indirection table — so this
-    function is a pure function of ``params``; ``label`` and ``seed``
-    are accepted for pool-protocol compatibility and ignored.
+    function is a pure function of ``params``.
     """
-    del label, seed
     from ..core.halo_system import HaloSystem
     from ..exec.cores import CoreWorkload
     from ..faults.shard_plan import ShardFaultPlan
-    from ..runner.pool import current_attempt
     from .balancer import RssBalancer
     from ..traffic.generator import FlowSet, key_stream
 
@@ -139,28 +133,18 @@ def run_shard(label: str, params: Dict[str, Any], seed: int) -> ShardResult:
     flow_seed = params["flow_seed"]
     stream_seed = params["stream_seed"]
 
-    # Realise any scheduled shard fault for this attempt.  Inside a pool
-    # worker the attempt number comes from the supervision seam and a
-    # kill decision exits the process — the pool observes a genuine
-    # worker crash.  Inline dispatch resolves kills itself and hands the
-    # surviving attempt in as ``synthetic_attempt``.
+    # Realise the scheduled straggler fault of the attempt the
+    # orchestrator survived to (it resolves kills before calling here).
     straggle = 0.0
-    if params.get("shard_faults"):
+    attempt = params.get("attempt")
+    if params.get("shard_faults") and attempt is not None:
         plan = ShardFaultPlan.from_params(params["shard_faults"])
-        attempt = current_attempt()
-        in_worker = attempt is not None
-        if attempt is None:
-            attempt = params.get("synthetic_attempt")
-        if attempt is not None:
-            decision = plan.decide(shard, attempt)
-            if decision.kill:
-                if in_worker:
-                    os._exit(70)
-                raise RuntimeError(
-                    f"shard {shard} is scheduled to die on attempt "
-                    f"{attempt}; inline dispatch must resolve kills "
-                    f"before calling run_shard")
-            straggle = decision.straggle_cycles
+        decision = plan.decide(shard, attempt)
+        if decision.kill:
+            raise RuntimeError(
+                f"shard {shard} is scheduled to die on attempt {attempt}; "
+                f"run_cluster resolves kills before calling run_shard")
+        straggle = decision.straggle_cycles
 
     flow_set = FlowSet.generate(params["flows"], seed=flow_seed)
     keys = key_stream(flow_set, params["lookups"],

@@ -19,10 +19,9 @@ Three pieces:
   ``Interconnect.fault_hook``, ``HardwareLockManager.hold``), and exports
   ``faults.*`` counters through ``repro.obs``;
 * :class:`~repro.faults.shard_plan.ShardFaultPlan` — the cluster-level
-  analogue: which *shard* dies/flaps/straggles on which attempt, realised
-  by the supervised pool's worker processes (or synthesised by
-  ``run_cluster``'s inline dispatch) so ``cluster_chaos`` can kill shards
-  deterministically and exercise RSS failover.
+  analogue: which *shard* dies/flaps/straggles on which attempt,
+  resolved attempt by attempt by ``run_cluster`` so ``cluster_chaos``
+  can kill shards deterministically and exercise RSS failover.
 
 Determinism: all randomness flows through a :class:`SplitMix64` stream
 seeded from the plan, and the DES engine is single-threaded with a total

@@ -4,10 +4,11 @@
 cycles, slices, DRAM.  The ``repro.cluster`` layer needs a coarser
 vocabulary: *shard 3 is dead*, *shard 1 crashes once and recovers on
 retry*, *shard 5 runs slow*.  :class:`ShardFaultPlan` is that schedule —
-pure data, interpreted by the supervised pool's worker processes (a kill
-decision exits the child, which the pool observes as a crash) and, for
-inline dispatch, synthesised by ``run_cluster`` itself so both dispatch
-paths realise bit-identical fault histories for the same seed.
+pure data, resolved attempt by attempt by ``run_cluster``: a kill
+decision fails that attempt (a flap recovers on a later one, a permanent
+kill exhausts the retry budget), and the shard that runs applies its
+attempt's straggler decision, so the same seed realises the same fault
+history on every run.
 
 Determinism and monotonicity are load-bearing:
 
@@ -125,8 +126,9 @@ class ShardFaultPlan:
     """An immutable shard-fault schedule + seed.
 
     ``decide(shard, attempt)`` is a pure function of (plan, shard,
-    attempt): the supervised pool's children and ``run_cluster``'s inline
-    dispatch both call it and must reach identical conclusions.
+    attempt): ``run_cluster`` calls it for the kill decision and the
+    shard for the straggler decision, and both must reach the same
+    conclusion on every run.
     """
 
     windows: Tuple[ShardFaultWindow, ...] = ()
@@ -265,8 +267,8 @@ class ShardFaultPlan:
     def flaky(cls, rate: float, attempts: int = 1,
               seed: int = 0x5AD0) -> "ShardFaultPlan":
         """Transient crashes: affected shards die on their first
-        ``attempts`` tries, then recover — retry budget permitting, the
-        supervised pool absorbs these without failover."""
+        ``attempts`` tries, then recover — retry budget permitting,
+        ``run_cluster`` absorbs these without failover."""
         if rate == 0.0:
             return cls(windows=(), seed=seed, protected=())
         return cls(windows=(ShardFaultWindow(

@@ -24,9 +24,7 @@ that structure into an orchestration subsystem:
   completed runs so ``--resume`` skips finished work after a crash or a
   Ctrl-C (which drains in-flight runs gracefully and exits 130);
 * :mod:`repro.runner.schema` defines the grid/run/result dataclasses
-  shared by all of the above;
-* :mod:`repro.runner._legacy_engine` is the frozen heap-based engine the
-  calendar-equivalence tests hold the live engine to.
+  shared by all of the above.
 
 Entry points: ``python -m repro bench`` (the CLI) and
 :func:`run_benchmarks` / :func:`run_for_bench` (the library API the
@@ -42,8 +40,8 @@ from __future__ import annotations
 
 from .cache import CACHE_FORMAT_VERSION, ResultCache, code_fingerprint
 from .journal import RunJournal, campaign_id, default_journal_path
-from .pool import AttemptFailure, PoolOutcome, RunTimeoutError, \
-    WorkerCrashedError, classify_failure, current_attempt, run_supervised
+from .pool import PoolOutcome, RunTimeoutError, WorkerCrashedError, \
+    classify_failure, run_supervised
 from .registry import (
     ExperimentLoadError,
     UnknownExperimentError,
@@ -68,7 +66,6 @@ from .scheduler import (
 from .schema import ExperimentSpec, GridPoint, RunResult, RunSpec
 
 __all__ = [
-    "AttemptFailure",
     "BenchFailedError",
     "BenchSummary",
     "CACHE_FORMAT_VERSION",
@@ -88,7 +85,6 @@ __all__ = [
     "campaign_id",
     "classify_failure",
     "code_fingerprint",
-    "current_attempt",
     "default_jobs",
     "default_journal_path",
     "default_reports_dir",

@@ -24,24 +24,17 @@ carries a ``failure_kind`` — ``"crash"`` (the process died without
 reporting), ``"timeout"`` (the supervisor killed it at the deadline),
 ``"livelock"`` (the child's own guard raised a
 :class:`~repro.guard.errors.StallError`), or ``"error"`` (any other
-child exception) — so callers such as the cluster failover layer can
-react to *how* a run died, not just that it did.  Every failed attempt
-(including ones later recovered by retry) is recorded in
-``PoolOutcome.attempt_failures``, surfacing per-run health to the
-caller instead of burying it in the retry loop.
+child exception) — so the scheduler and the journal record *how* a run
+died, not just that it did.
 
-Public contract: :func:`run_supervised` (its signature — including the
-optional ``entrypoint="module:function"`` redirect that lets
-non-registry callers such as ``repro.cluster`` run arbitrary picklable
-work units under the same supervision — and the timeout/retry semantics
-above), :class:`PoolOutcome` (including ``failure_kind`` and
-``attempt_failures``), :func:`classify_failure`, the ``FAILURE_*``
-kind constants, :func:`current_attempt` (the child-side attempt-number
-seam fault planners read), and the exception types
-:class:`RunTimeoutError` / :class:`WorkerCrashedError` are stable API —
-the scheduler and external harnesses may rely on them.  The worker
-internals, pipe protocol, and backoff arithmetic are implementation
-detail and may change without notice.
+Public contract: :func:`run_supervised` (its signature and the
+timeout/retry semantics above), :class:`PoolOutcome` (including
+``failure_kind``), :func:`classify_failure`, the ``FAILURE_*`` kind
+constants, and the exception types :class:`RunTimeoutError` /
+:class:`WorkerCrashedError` are stable API — the scheduler and external
+harnesses may rely on them.  The worker internals, pipe protocol, and
+backoff arithmetic are implementation detail and may change without
+notice.
 """
 
 from __future__ import annotations
@@ -99,34 +92,6 @@ def classify_failure(error_type: str) -> str:
     return FAILURE_ERROR
 
 
-#: Child-process-side attempt number (1-based).  Set by ``_child_main``
-#: before the work unit runs; ``None`` outside a supervised worker.
-_CURRENT_ATTEMPT: Optional[int] = None
-
-
-def current_attempt() -> Optional[int]:
-    """The 1-based attempt number of the supervised worker this process
-    is, or ``None`` when not running inside one.
-
-    This is the seam deterministic chaos planners
-    (:class:`~repro.faults.shard_plan.ShardFaultPlan`) key their
-    per-attempt fault decisions on: the same ``(seed, shard, attempt)``
-    triple fires the same fault on every run.
-    """
-    return _CURRENT_ATTEMPT
-
-
-@dataclass(frozen=True)
-class AttemptFailure:
-    """One failed attempt of one run (kept even when a retry recovers)."""
-
-    attempt: int
-    kind: str
-    error_type: str
-    message: str
-    wall_s: float
-
-
 @dataclass
 class PoolOutcome:
     """What the supervisor concluded about one run.
@@ -135,9 +100,7 @@ class PoolOutcome:
     traceback text) rather than a rebuilt exception object — the original
     never crosses the process boundary, and the failure record only needs
     the strings anyway.  ``failure_kind`` classifies the *final* failure
-    (empty for successes); ``attempt_failures`` lists every failed
-    attempt, so a run that flapped and recovered still shows its
-    history."""
+    (empty for successes)."""
 
     spec: RunSpec
     ok: bool
@@ -148,45 +111,17 @@ class PoolOutcome:
     message: str = ""
     traceback: str = ""
     failure_kind: str = ""
-    attempt_failures: List["AttemptFailure"] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.attempt_failures is None:
-            self.attempt_failures = []
-
-
-def _resolve_entrypoint(entrypoint: str):
-    """Resolve a ``"module:function"`` dotted path (child-side)."""
-    import importlib
-
-    module_name, _, func_name = entrypoint.partition(":")
-    if not module_name or not func_name:
-        raise ValueError(
-            f"entrypoint {entrypoint!r} must be 'module:function'")
-    return getattr(importlib.import_module(module_name), func_name)
 
 
 def _child_main(conn, experiment: str, label: str,
-                params: Dict[str, Any], seed: int,
-                entrypoint: Optional[str] = None,
-                attempt: int = 1) -> None:
+                params: Dict[str, Any], seed: int) -> None:
     """Entry point of one worker process: run the grid point, report."""
-    global _CURRENT_ATTEMPT
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _CURRENT_ATTEMPT = attempt
     try:
-        if entrypoint is not None:
-            func = _resolve_entrypoint(entrypoint)
-            start = time.perf_counter()
-            payload = func(label, params, seed)
-            wall = time.perf_counter() - start
-        else:
-            # Local import keeps the child's startup path identical to
-            # the ProcessPoolExecutor workers': resolve the hook
-            # in-process.
-            from .scheduler import _execute_payload
-            payload, wall = _execute_payload(experiment, label, params,
-                                             seed)
+        # Local import keeps the child's startup path identical to the
+        # ProcessPoolExecutor workers': resolve the hook in-process.
+        from .scheduler import _execute_payload
+        payload, wall = _execute_payload(experiment, label, params, seed)
         conn.send(("ok", payload, wall))
     except BaseException as exc:  # noqa: BLE001 - report, never swallow
         conn.send(("error", type(exc).__name__, str(exc),
@@ -213,7 +148,6 @@ def run_supervised(pending: Sequence[RunSpec], *, jobs: int,
                    retries: int = 0,
                    backoff_s: float = 0.5,
                    should_stop: Callable[[], bool] = lambda: False,
-                   entrypoint: Optional[str] = None,
                    ) -> Tuple[List[PoolOutcome], List[RunSpec]]:
     """Run ``pending`` under supervision; returns ``(outcomes, skipped)``.
 
@@ -221,23 +155,12 @@ def run_supervised(pending: Sequence[RunSpec], *, jobs: int,
     ``should_stop`` flipped (SIGINT drain): in-flight runs are allowed to
     finish (their timeouts still enforced), queued ones are returned
     untouched so the journal/caller can account for them.
-
-    ``entrypoint`` (``"module:function"``) redirects the children away
-    from the experiment registry: each worker resolves the dotted path
-    in its own process and calls ``function(label, params, seed)`` with
-    the spec's fields.  ``None`` keeps the registry path (the scheduler's
-    contract).  This is how non-registry callers — e.g. the
-    ``repro.cluster`` shard runner — reuse the pool's kill/retry
-    machinery for genuinely parallel simulations.
     """
     queue: List[Tuple[RunSpec, int, float]] = [
         (spec, 1, 0.0) for spec in pending]  # (spec, attempt, not_before)
     active: List[_Active] = []
     outcomes: List[PoolOutcome] = []
     skipped: List[RunSpec] = []
-    #: Per-run health history: every failed attempt, keyed by run id, so
-    #: the final outcome can surface the full story to the caller.
-    attempt_log: Dict[str, List[AttemptFailure]] = {}
     jobs = max(1, jobs)
 
     def _launch(spec: RunSpec, attempt: int) -> None:
@@ -245,7 +168,7 @@ def run_supervised(pending: Sequence[RunSpec], *, jobs: int,
         process = multiprocessing.Process(
             target=_child_main,
             args=(child_conn, spec.experiment, spec.label, spec.params,
-                  spec.seed, entrypoint, attempt),
+                  spec.seed),
             daemon=True)
         process.start()
         child_conn.close()
@@ -258,16 +181,10 @@ def run_supervised(pending: Sequence[RunSpec], *, jobs: int,
     def _conclude(entry: _Active, outcome: PoolOutcome) -> None:
         entry.conn.close()
         entry.process.join(timeout=TERMINATE_GRACE_S)
-        outcome.attempt_failures = attempt_log.get(entry.spec.run_id, [])
         outcomes.append(outcome)
 
     def _retry_or_fail(entry: _Active, error_type: str, message: str,
                        tb: str) -> None:
-        kind = classify_failure(error_type)
-        attempt_log.setdefault(entry.spec.run_id, []).append(AttemptFailure(
-            attempt=entry.attempt, kind=kind, error_type=error_type,
-            message=message,
-            wall_s=time.monotonic() - entry.started))
         if entry.attempt <= retries and not should_stop():
             delay = backoff_s * (2 ** (entry.attempt - 1))
             queue.insert(0, (entry.spec, entry.attempt + 1,
@@ -279,7 +196,7 @@ def run_supervised(pending: Sequence[RunSpec], *, jobs: int,
             spec=entry.spec, ok=False, attempts=entry.attempt,
             wall_s=time.monotonic() - entry.started,
             error_type=error_type, message=message, traceback=tb,
-            failure_kind=kind))
+            failure_kind=classify_failure(error_type)))
 
     while queue or active:
         if should_stop():

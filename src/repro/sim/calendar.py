@@ -18,7 +18,7 @@ Ordering contract: entries pop in strictly increasing ``(time, seq)``
 order, where ``seq`` is the engine's global insertion counter — events
 scheduled for the same time fire in insertion order, exactly as from one
 flat binary heap over every entry (the original engine, frozen in
-:mod:`repro.runner._legacy_engine`, which the equivalence suite holds this
+``tests/sim/legacy_engine.py``, which the equivalence suite holds this
 calendar and the engine to).  The bucket invariant that makes the split
 sound: every entry in bucket ``c`` has ``floor(time) == c``, so its time
 is strictly less than any entry of a higher bucket; within a bucket the

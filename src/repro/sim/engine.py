@@ -17,7 +17,7 @@ integer (or float) *cycles*.  The engine provides:
 The kernel is single-threaded and fully deterministic: events scheduled for
 the same cycle fire in insertion order.  The ordering contract lives in
 :mod:`repro.sim.calendar`; the equivalence property suite holds this engine
-to the frozen heap-based engine in :mod:`repro.runner._legacy_engine`.
+to the frozen heap-based engine in ``tests/sim/legacy_engine.py``.
 
 The engine also carries the harness safety net's attachment point: an
 optional *guard* (see :mod:`repro.guard`) observes every event, enforces
@@ -337,7 +337,7 @@ class Engine:
     Fired ``Timeout`` records nothing else references are recycled through
     a free-list (see :meth:`run`).  ``tests/sim/test_calendar_equivalence.py``
     holds the engine — calendar, drain loop and free-list — to the frozen
-    heap-based engine in :mod:`repro.runner._legacy_engine`.
+    heap-based engine in ``tests/sim/legacy_engine.py``.
     """
 
     __slots__ = ("now", "_calendar", "_schedule", "timeout", "_sequence",

@@ -1,14 +1,10 @@
-"""The cluster orchestrator: inline and supervised-pool dispatch agree
-exactly, shards partition the stream, rebalancing triggers on skew, and
-the daemonic-process fallback keeps clusters usable *inside* pool
-workers."""
-
-import multiprocessing
+"""The cluster orchestrator: config boundaries are checked, shards
+partition the stream, results are deterministic, and rebalancing
+triggers on skew."""
 
 import pytest
 
 from repro.cluster import ClusterConfig, run_cluster
-from repro.cluster.cluster import SHARD_ENTRYPOINT
 from repro.cluster.shards import run_shard
 
 QUICK = dict(flows=48, lookups=240)
@@ -27,12 +23,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="lookups must be >= 1"):
             ClusterConfig(lookups=0)
 
+    def test_rejects_negative_retries(self):
+        with pytest.raises(ValueError,
+                           match=r"retries must be >= 0 \(got -1\)"):
+            ClusterConfig(shards=2, retries=-1)
+
+    def test_rejects_zero_flows(self):
+        with pytest.raises(ValueError, match=r"flows must be >= 1 \(got 0\)"):
+            ClusterConfig(flows=0)
+
+    def test_rejects_negative_detection_cycles(self):
+        with pytest.raises(ValueError,
+                           match=r"detection_cycles must be >= 0 or None "
+                                 r"\(got -1\.0\)"):
+            ClusterConfig(failover=True, detection_cycles=-1.0)
+
 
 class TestInlineDispatch:
     def test_stream_partitions_exactly(self):
-        result = run_cluster(ClusterConfig(shards=3, parallel=False,
-                                           **QUICK))
-        assert result.mode == "inline"
+        result = run_cluster(ClusterConfig(shards=3, **QUICK))
         assert result.total_lookups == QUICK["lookups"]
         assert sum(r.lookups for r in result.shard_results) == \
             QUICK["lookups"]
@@ -40,21 +49,18 @@ class TestInlineDispatch:
         assert sorted(r.shard for r in result.shard_results) == [0, 1, 2]
 
     def test_latency_merge_matches_shard_counts(self):
-        result = run_cluster(ClusterConfig(shards=3, parallel=False,
-                                           **QUICK))
+        result = run_cluster(ClusterConfig(shards=3, **QUICK))
         merged = result.merged_latency()
         assert merged.count == result.total_lookups
         assert result.p99_cycles >= result.p50_cycles > 0
         assert result.throughput_per_kcycle > 0
 
     def test_single_shard_cluster(self):
-        result = run_cluster(ClusterConfig(shards=1, parallel=False,
-                                           **QUICK))
-        assert result.mode == "inline"   # one shard never needs the pool
+        result = run_cluster(ClusterConfig(shards=1, **QUICK))
         assert result.max_shard_fraction == 1.0
 
     def test_deterministic_across_calls(self):
-        config = ClusterConfig(shards=2, parallel=False, **QUICK)
+        config = ClusterConfig(shards=2, **QUICK)
         first = run_cluster(config)
         second = run_cluster(config)
         assert [r.elapsed_cycles for r in first.shard_results] == \
@@ -62,73 +68,21 @@ class TestInlineDispatch:
         assert first.p99_cycles == second.p99_cycles
 
 
-class TestPoolDispatch:
-    def test_pool_and_inline_agree_exactly(self):
-        inline = run_cluster(ClusterConfig(shards=2, parallel=False,
-                                           **QUICK))
-        pooled = run_cluster(ClusterConfig(shards=2, parallel=True,
-                                           **QUICK))
-        assert pooled.mode == "pool"
-        assert [r.elapsed_cycles for r in pooled.shard_results] == \
-            [r.elapsed_cycles for r in inline.shard_results]
-        assert pooled.p99_cycles == inline.p99_cycles
-        assert pooled.throughput_per_kcycle == \
-            inline.throughput_per_kcycle
-        assert [r.mem for r in pooled.shard_results] == \
-            [r.mem for r in inline.shard_results]
-
-    def test_entrypoint_dispatch_through_supervised_pool(self):
-        """run_shard is reachable by dotted path — the contract the
-        orchestrator (and any external harness) depends on."""
-        from repro.runner.pool import run_supervised
-        from repro.runner.schema import RunSpec
-
-        config = ClusterConfig(shards=2, parallel=False, **QUICK)
-        inline = run_shard("shard00", _shard_params(config, 0), 0)
-        specs = [RunSpec(experiment="cluster", label="shard00",
-                         params=_shard_params(config, 0), seed=0)]
-        outcomes, skipped = run_supervised(specs, jobs=1,
-                                           entrypoint=SHARD_ENTRYPOINT)
-        assert not skipped
-        assert outcomes[0].ok, outcomes[0].message
-        assert outcomes[0].payload.elapsed_cycles == inline.elapsed_cycles
-
-    def test_daemonic_process_falls_back_inline(self, monkeypatch):
-        class _FakeDaemon:
-            daemon = True
-
-        monkeypatch.setattr(multiprocessing, "current_process",
-                            lambda: _FakeDaemon())
-        result = run_cluster(ClusterConfig(shards=2, **QUICK))
-        assert result.mode == "inline"
-
-    def test_daemonic_process_rejects_forced_parallel(self, monkeypatch):
-        class _FakeDaemon:
-            daemon = True
-
-        monkeypatch.setattr(multiprocessing, "current_process",
-                            lambda: _FakeDaemon())
-        with pytest.raises(RuntimeError, match="daemonic"):
-            run_cluster(ClusterConfig(shards=2, parallel=True, **QUICK))
-
-
 class TestRebalanceTrigger:
     def test_below_threshold_does_not_trigger(self):
         result = run_cluster(ClusterConfig(shards=2, rebalance=True,
                                            rebalance_threshold=0.5,
-                                           parallel=False, flows=256,
-                                           lookups=2000))
+                                           flows=256, lookups=2000))
         assert result.imbalance_before < 0.5
         assert not result.rebalanced
         assert result.rebalance_moves == 0
 
     def test_skew_triggers_and_improves(self):
-        skewed = ClusterConfig(shards=4, zipf_s=1.2, parallel=False,
-                               flows=128, lookups=1200)
+        skewed = ClusterConfig(shards=4, zipf_s=1.2, flows=128, lookups=1200)
         without = run_cluster(skewed)
         with_rebalance = run_cluster(
             ClusterConfig(shards=4, zipf_s=1.2, rebalance=True,
-                          parallel=False, flows=128, lookups=1200))
+                          flows=128, lookups=1200))
         assert with_rebalance.rebalanced
         assert with_rebalance.rebalance_moves > 0
         assert (with_rebalance.max_shard_fraction
@@ -139,27 +93,24 @@ class TestRebalanceTrigger:
     def test_threshold_gates_the_rewrite(self):
         permissive = run_cluster(
             ClusterConfig(shards=4, zipf_s=1.2, rebalance=True,
-                          rebalance_threshold=10.0, parallel=False,
-                          flows=128, lookups=1200))
+                          rebalance_threshold=10.0, flows=128, lookups=1200))
         assert not permissive.rebalanced
 
 
 class TestShardEdgeCases:
     def test_empty_shard_returns_zero_result(self):
-        config = ClusterConfig(shards=2, parallel=False, **QUICK)
+        config = ClusterConfig(shards=2, **QUICK)
         params = _shard_params(config, 0)
         params["assignments"] = [1] * config.table_size  # starve shard 0
-        result = run_shard("shard00", params, 0)
+        result = run_shard(params)
         assert result.lookups == 0
         assert result.elapsed_cycles == 0.0
         assert result.latency_histogram().count == 0
 
     def test_multi_socket_shard_reports_link_traffic(self):
-        result = run_cluster(ClusterConfig(shards=1, sockets=2,
-                                           parallel=False, **QUICK))
+        result = run_cluster(ClusterConfig(shards=1, sockets=2, **QUICK))
         assert result.link_crossings > 0
-        single = run_cluster(ClusterConfig(shards=1, sockets=1,
-                                           parallel=False, **QUICK))
+        single = run_cluster(ClusterConfig(shards=1, sockets=1, **QUICK))
         assert single.link_crossings == 0
 
 

@@ -1,6 +1,8 @@
 """Cluster self-healing: deterministic RSS failover re-steering,
 minimal-move restore, and ``run_cluster(failover=True)`` recovering every
-flow of every killed shard — identically in pool and inline dispatch."""
+flow of every killed shard without leaving the calling process."""
+
+import multiprocessing
 
 import pytest
 
@@ -19,7 +21,7 @@ def chaos_config(kill_rate, seed=1234, **overrides):
     plan = ShardFaultPlan.kills(kill_rate, seed=FAULT_SEED)
     defaults = dict(shards=4, seed=seed, retries=1, failover=True,
                     shard_faults=plan.to_params() if plan else None,
-                    parallel=False, detection_cycles=4096.0, **QUICK)
+                    detection_cycles=4096.0, **QUICK)
     defaults.update(overrides)
     return ClusterConfig(**defaults)
 
@@ -162,6 +164,18 @@ class TestInstallHardening:
 
 
 class TestRunClusterFailover:
+    def test_shards_run_in_the_calling_process(self, monkeypatch):
+        """Primary and recovery rounds never start a child process."""
+        def refuse_to_start(process):
+            raise AssertionError(f"run_cluster started {process.name}")
+
+        monkeypatch.setattr(multiprocessing.Process, "start",
+                            refuse_to_start)
+        result = run_cluster(chaos_config(0.4))
+        assert result.failed_shards == [1, 2]
+        assert result.lost_flows == 0
+        assert result.recovery_lookups > 0
+
     def test_zero_lost_flows_across_kill_rates(self):
         for rate, expected_dead in ((0.2, [1]), (0.4, [1, 2]),
                                     (0.7, [1, 2, 3])):
@@ -193,8 +207,7 @@ class TestRunClusterFailover:
             assert all(h["kind"] == "crash" for h in history)
 
     def test_no_fault_parity_is_exact(self):
-        plain = run_cluster(ClusterConfig(shards=4, parallel=False,
-                                          seed=1234, **QUICK))
+        plain = run_cluster(ClusterConfig(shards=4, seed=1234, **QUICK))
         armed = run_cluster(chaos_config(0.0, shard_faults=None))
         assert armed.failed_shards == []
         assert (armed.p50_cycles, armed.p99_cycles, armed.makespan_cycles) \
@@ -244,19 +257,3 @@ class TestRunClusterFailover:
             assert info["policy"] == "lru"
             assert info["misses"] >= 1  # a cold cache always misses first
             assert 0.0 < info["miss_rate"] <= 1.0
-
-
-class TestPoolParity:
-    def test_pool_and_inline_failover_agree_exactly(self):
-        inline = run_cluster(chaos_config(0.4))
-        pooled = run_cluster(chaos_config(0.4, parallel=None))
-        assert pooled.mode == "pool"
-        assert pooled.failed_shards == inline.failed_shards
-        assert pooled.degraded_epochs == inline.degraded_epochs
-        assert pooled.shard_attempt_failures == \
-            inline.shard_attempt_failures
-        assert pooled.resteered_entries == inline.resteered_entries
-        assert pooled.total_lookups == inline.total_lookups
-        assert (pooled.p50_cycles, pooled.p99_cycles,
-                pooled.makespan_cycles) == \
-            (inline.p50_cycles, inline.p99_cycles, inline.makespan_cycles)

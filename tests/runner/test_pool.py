@@ -32,6 +32,9 @@ def _fake_run(label, params, seed):
         os._exit(3)
     if label == "raise":
         raise ValueError("boom from the child")
+    if label == "stall":
+        from repro.guard import StallError
+        raise StallError(blocked=(), now=512.0, stalled_events=4096)
     if label == "flaky":
         marker = pathlib.Path(params["marker"])
         if not marker.exists():
@@ -153,60 +156,7 @@ def test_timeout_then_retry_gets_a_fresh_budget(monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# entrypoint redirection (the repro.cluster seam)
-
-
-def _entry_ok(label, params, seed):
-    return {"label": label, "doubled": params["x"] * 2, "seed": seed}
-
-
-def _entry_raise(label, params, seed):
-    raise RuntimeError(f"entry boom for {label}")
-
-
-def test_entrypoint_redirects_children_away_from_registry():
-    specs = [RunSpec(experiment="not-registered", label="a",
-                     params={"x": 21}, seed=7)]
-    outcomes, skipped = run_supervised(
-        specs, jobs=1, entrypoint=f"{__name__}:_entry_ok")
-    assert not skipped
-    assert outcomes[0].ok
-    assert outcomes[0].payload == {"label": "a", "doubled": 42, "seed": 7}
-    assert outcomes[0].wall_s >= 0
-
-
-def test_entrypoint_child_exception_carries_identity():
-    specs = [RunSpec(experiment="x", label="b", params={}, seed=0)]
-    outcomes, _ = run_supervised(
-        specs, jobs=1, entrypoint=f"{__name__}:_entry_raise")
-    assert not outcomes[0].ok
-    assert outcomes[0].error_type == "RuntimeError"
-    assert "entry boom for b" in outcomes[0].message
-
-
-def test_malformed_entrypoint_fails_loudly():
-    specs = [RunSpec(experiment="x", label="c", params={}, seed=0)]
-    outcomes, _ = run_supervised(specs, jobs=1, entrypoint="no-colon-here")
-    assert not outcomes[0].ok
-    assert outcomes[0].error_type == "ValueError"
-    assert "module:function" in outcomes[0].message
-
-
-# ---------------------------------------------------------------------------
-# failure classification (the cluster failover detection seam)
-
-
-def _entry_stall(label, params, seed):
-    from repro.guard import StallError
-    raise StallError(blocked=(), now=512.0, stalled_events=4096)
-
-
-def _entry_attempt(label, params, seed):
-    from repro.runner.pool import current_attempt
-    attempt = current_attempt()
-    if attempt is not None and attempt < int(params.get("succeed_on", 1)):
-        raise RuntimeError(f"failing attempt {attempt}")
-    return attempt
+# failure classification
 
 
 @pytest.mark.parametrize("error_type,kind", [
@@ -225,9 +175,9 @@ def test_livelock_is_not_conflated_with_timeout(monkeypatch):
     """A guard-detected stall (events firing, no progress) and a
     supervisor deadline kill are different diseases; the outcome says
     which one struck."""
-    specs = [RunSpec(experiment="x", label="stall", params={}, seed=0)]
-    outcomes, _ = run_supervised(specs, jobs=1, timeout_s=30.0,
-                                 entrypoint=f"{__name__}:_entry_stall")
+    grid = [("stall", {})]
+    _install_fake(monkeypatch, grid)
+    outcomes, _ = run_supervised(_runs(grid), jobs=1, timeout_s=30.0)
     outcome = outcomes[0]
     assert not outcome.ok
     assert outcome.error_type == "StallError"
@@ -248,22 +198,6 @@ def test_successful_outcome_has_empty_failure_kind(monkeypatch):
     outcomes, _ = run_supervised(_runs(grid), jobs=1)
     assert outcomes[0].ok
     assert outcomes[0].failure_kind == ""
-    assert outcomes[0].attempt_failures == []
-
-
-def test_attempt_failures_survive_a_recovered_retry(monkeypatch, tmp_path):
-    """A run that flapped once and then succeeded still reports its
-    failed first attempt — per-run health, not just the final verdict."""
-    grid = [("flaky", {"marker": str(tmp_path / "flap.marker")})]
-    _install_fake(monkeypatch, grid)
-    outcomes, _ = run_supervised(_runs(grid), jobs=1, retries=1,
-                                 backoff_s=0.01)
-    outcome = outcomes[0]
-    assert outcome.ok and outcome.failure_kind == ""
-    assert [(f.attempt, f.kind) for f in outcome.attempt_failures] == \
-        [(1, "error")]
-    assert outcome.attempt_failures[0].error_type == "RuntimeError"
-    assert outcome.attempt_failures[0].wall_s >= 0.0
 
 
 def test_exhausted_retries_list_every_attempt(monkeypatch):
@@ -274,19 +208,4 @@ def test_exhausted_retries_list_every_attempt(monkeypatch):
     outcome = outcomes[0]
     assert not outcome.ok
     assert outcome.failure_kind == "error"
-    assert [f.attempt for f in outcome.attempt_failures] == [1, 2, 3]
-
-
-def test_current_attempt_is_none_in_the_parent():
-    from repro.runner.pool import current_attempt
-    assert current_attempt() is None
-
-
-def test_current_attempt_counts_up_inside_children():
-    specs = [RunSpec(experiment="x", label="n", params={"succeed_on": 2},
-                     seed=0)]
-    outcomes, _ = run_supervised(specs, jobs=1, retries=2, backoff_s=0.01,
-                                 entrypoint=f"{__name__}:_entry_attempt")
-    outcome = outcomes[0]
-    assert outcome.ok
-    assert outcome.payload == 2  # the attempt number the child saw
+    assert outcome.attempts == 3

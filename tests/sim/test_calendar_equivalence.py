@@ -3,7 +3,7 @@
 The bucketed calendar (:class:`repro.sim.calendar.BucketCalendar`), the
 engine's specialised drain loop (fused wakes) and its ``Timeout``
 free-list replaced parts of the original binary-heap engine, which
-survives frozen in :mod:`repro.runner._legacy_engine`.  These properties
+survives frozen in :mod:`tests.sim.legacy_engine`.  These properties
 are what make the swap safe.  Two layers:
 
 * **Calendar-level** — push randomized ``(time, seq)`` schedules into the
@@ -26,9 +26,10 @@ from heapq import heappop, heappush
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runner import _legacy_engine
 from repro.sim import engine as live_engine
 from repro.sim.calendar import BucketCalendar
+
+from . import legacy_engine
 
 # ---------------------------------------------------------------------------
 # calendar-level equivalence
@@ -172,7 +173,7 @@ def test_engines_execute_identically(programs):
     order on both engines without waking anyone.
     """
     assert (_run_schedule(live_engine, programs)
-            == _run_schedule(_legacy_engine, programs))
+            == _run_schedule(legacy_engine, programs))
 
 
 @settings(max_examples=120, deadline=None)
@@ -186,7 +187,7 @@ def test_timeout_freelist_is_invisible(programs):
     still run identically on both.
     """
     assert (_run_schedule(live_engine, programs)
-            == _run_schedule(_legacy_engine, programs))
+            == _run_schedule(legacy_engine, programs))
 
 
 def test_fired_timeouts_are_recycled():
