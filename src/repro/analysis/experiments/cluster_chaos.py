@@ -103,7 +103,7 @@ def _config(params: Dict, seed: int) -> ClusterConfig:
         retries=params.get("retries", 1),
         failover=params.get("failover", False),
         detection_cycles=params.get("detection_cycles"),
-        shard_faults=plan.to_params() if plan else None,
+        shard_faults=plan,
         cache_policy=params.get("cache_policy"),
         cache_entries=params.get("cache_entries", 32),
     )

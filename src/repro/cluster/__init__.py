@@ -12,18 +12,19 @@ HALO-equipped sockets stop paying and sharding the flow table across
   entries across survivors (minimal-move, epoch-logged).
 * :func:`~repro.cluster.shards.run_shard` — one shard's simulation: a
   full :class:`~repro.core.halo_system.HaloSystem` on its own topology,
-  serving exactly the keys the balancer routed to it.
-* :func:`~repro.cluster.cluster.run_cluster` — the orchestrator: routes
-  a key stream, optionally rebalances, runs every shard in the calling
-  process, and merges the shards' latency histograms and ``repro.obs``
-  counters.  With ``failover=True`` a shard that a scheduled fault kills
-  on every attempt is marked dead and its flows are replayed through
-  the survivors — zero lost flows by construction.
+  serving exactly the keys it is handed.
+* :func:`~repro.cluster.cluster.run_cluster` — the orchestrator: builds
+  and routes a key stream, optionally rebalances, splits the stream by
+  shard, runs every shard in the calling process, and merges the
+  shards' latency histograms and ``repro.obs`` counters.  With
+  ``failover=True`` a shard that a scheduled fault kills on every
+  attempt is marked dead and its keys are replayed through the
+  survivors — zero lost flows by construction.
 
 Public contract: :class:`ClusterConfig` / :class:`ClusterResult` /
 :func:`run_cluster`, :class:`RssBalancer` (hash determinism: same seed +
 same key bytes → same shard, forever), and :func:`run_shard`'s
-``(params)`` signature.  Layering: *nothing* below ``repro.analysis``
+``(shard, keys, *, ...)`` signature with keyword-only options.  Layering: *nothing* below ``repro.analysis``
 may import this package; experiments reach it, model code never does,
 and it imports nothing from ``repro.runner``.
 """

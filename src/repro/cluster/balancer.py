@@ -121,8 +121,7 @@ class RssBalancer:
         return self.table[self.entry_of(key)]
 
     def install(self, table: Sequence[int]) -> None:
-        """Adopt a previously computed indirection table (shards
-        re-create the balancer and install the orchestrator's table).
+        """Adopt a previously computed indirection table.
 
         Validates shape and content before touching any state: a bad
         table raises and leaves the current steering untouched rather

@@ -4,12 +4,12 @@
 :class:`~repro.core.halo_system.HaloSystem` run.  It derives the
 cluster-wide key stream from a :class:`ClusterConfig`, routes it through
 an :class:`~repro.cluster.balancer.RssBalancer`, optionally performs one
-skew-triggered indirection-table rebalance, then runs every shard as an
-independent simulation, one after another, in the calling process.
-Shards are pure functions of their params dict and report simulated
-cycles, so the host process that runs them can never change a number;
-running them in place is also the cheapest dispatch at every size the
-campaign runs (docs/PERFORMANCE.md §1.7).
+skew-triggered indirection-table rebalance, then splits the stream by
+shard, keeping stream order, and runs every shard over its own keys as
+an independent simulation, one after another, in the calling process.
+Shards report simulated cycles, so the host process that runs them can
+never change a number; running them in place is also the cheapest
+dispatch at every size the campaign runs (docs/PERFORMANCE.md §1.7).
 
 Aggregation merges the shards' fixed-bucket latency histograms (exact —
 all shards share :data:`~repro.obs.metrics.DEFAULT_LATENCY_BUCKETS`),
@@ -20,28 +20,29 @@ concurrently on separate machines, so the straggler sets the pace).
 Failover (``ClusterConfig.failover=True``): a shard that fails on every
 one of its ``retries + 1`` attempts is marked dead in the balancer
 (``fail_shard`` re-steers its indirection-table entries across
-survivors), and its flow substream — re-derived from the seed, never
-shipped — is replayed through the survivors in a *recovery round*; its
-latencies wait out one detection/re-steer epoch per victim, up to and
-including its own.  Merged results mark the degraded epochs; zero flows
-are lost by construction.  Scheduled chaos (``ClusterConfig.shard_faults``,
-a serialised :class:`~repro.faults.shard_plan.ShardFaultPlan`) is
-resolved attempt by attempt: a kill decision fails that attempt
-(recorded as a ``"crash"``), so a flap recovers on a later attempt and a
-permanent kill exhausts the budget; the surviving attempt number is
-handed to the shard, which applies that attempt's straggler decision.
+survivors), and its keys are replayed through the survivors in a
+*recovery round*; its latencies wait out one detection/re-steer epoch
+per victim, up to and including its own.  Merged results mark the
+degraded epochs; zero flows are lost by construction.  Scheduled chaos
+(``ClusterConfig.shard_faults``, a
+:class:`~repro.faults.shard_plan.ShardFaultPlan`) is resolved attempt by
+attempt, with one ``decide`` call per (shard, attempt): a kill decision
+fails that attempt (recorded as a ``"crash"``), so a flap recovers on a
+later attempt and a permanent kill exhausts the budget; the surviving
+attempt's straggler cycles are passed to the shard.
 
 Public contract: :class:`ClusterConfig`, :class:`ClusterResult`, and
 :func:`run_cluster` are stable API — ``repro.analysis`` experiments and
-external harnesses build on them.  The attempt loop and shard params
-construction may change without notice.
+external harnesses build on them.  The attempt loop and the way the
+stream is split across shards may change without notice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
+from ..faults.shard_plan import ShardFaultPlan
 from ..obs.metrics import Histogram, MetricsRegistry
 from ..obs.tracing import TraceRecorder
 from .balancer import RebalanceResult, RssBalancer
@@ -77,10 +78,9 @@ class ClusterConfig:
     #: their own.  ``None`` models reactive detection at the end of the
     #: primary round: one epoch = the surviving shards' makespan.
     detection_cycles: Optional[float] = None
-    #: Serialised :class:`~repro.faults.shard_plan.ShardFaultPlan`
-    #: (``ShardFaultPlan.to_params()``) scheduling shard kills/flaps/
-    #: stragglers; ``None`` = healthy cluster.
-    shard_faults: Optional[Dict[str, Any]] = None
+    #: Scheduled shard kills/flaps/stragglers; ``None`` = healthy
+    #: cluster.
+    shard_faults: Optional[ShardFaultPlan] = None
     #: Stream each shard's served keys through an EMC under this policy
     #: and report refill miss rates (``None`` = skip the measurement).
     cache_policy: Optional[str] = None
@@ -111,6 +111,11 @@ class ClusterConfig:
             raise ValueError(
                 f"ClusterConfig.cache_entries must be >= 1 "
                 f"(got {self.cache_entries})")
+        if not (self.shard_faults is None
+                or isinstance(self.shard_faults, ShardFaultPlan)):
+            raise TypeError(
+                f"ClusterConfig.shard_faults must be a ShardFaultPlan or "
+                f"None (got {type(self.shard_faults).__name__})")
 
 
 @dataclass
@@ -157,36 +162,8 @@ class ClusterResult:
         """Exact cross-shard latency distribution (fixed-bucket merge)."""
         merged = Histogram("cluster.latency")
         for shard_result in self.shard_results:
-            merged = merged.merge(shard_result.latency_histogram())
+            merged = merged.merge(shard_result.latency)
         return merged
-
-
-def _shard_params(config: ClusterConfig, shard: int,
-                  assignments: List[int]) -> Dict[str, Any]:
-    params = {
-        "shard": shard,
-        "shards": config.shards,
-        "sockets": config.sockets,
-        "backend": config.backend,
-        "flows": config.flows,
-        "lookups": config.lookups,
-        "zipf_s": config.zipf_s,
-        "flow_seed": config.seed,
-        "stream_seed": config.seed + 1,
-        "table_size": config.table_size,
-        "balancer_seed": config.seed,
-        "assignments": assignments,
-        "table_capacity": config.table_capacity,
-    }
-    # Only added when configured, so healthy-path params (and anything
-    # keyed on them, like result caches) are byte-identical to pre-
-    # failover builds.
-    if config.shard_faults:
-        params["shard_faults"] = config.shard_faults
-    if config.cache_policy:
-        params["cache_policy"] = config.cache_policy
-        params["cache_entries"] = config.cache_entries
-    return params
 
 
 def run_cluster(config: ClusterConfig,
@@ -222,26 +199,36 @@ def run_cluster(config: ClusterConfig,
     loads_after = balancer.shard_loads(keys)
     imbalance_after = (max(loads_after) / mean - 1.0) if mean else 0.0
 
-    plan = None
-    if config.shard_faults:
-        from ..faults.shard_plan import ShardFaultPlan
-        plan = ShardFaultPlan.from_params(config.shard_faults)
+    # Split the stream once, keeping stream order: each shard's keys.
+    routed: List[List[bytes]] = [[] for _ in range(config.shards)]
+    for key in keys:
+        routed[balancer.shard_of(key)].append(key)
 
+    def serve(shard: int, shard_keys: List[bytes], **faults) -> ShardResult:
+        return run_shard(shard, shard_keys, sockets=config.sockets,
+                         backend=config.backend,
+                         table_capacity=config.table_capacity,
+                         cache_policy=config.cache_policy,
+                         cache_entries=config.cache_entries, **faults)
+
+    plan = config.shard_faults
     shard_results: List[ShardResult] = []
     failed: List[int] = []
     histories: Dict[int, List[Dict[str, Any]]] = {}
     attempts = config.retries + 1
     for shard in range(config.shards):
-        params = _shard_params(config, shard, list(balancer.table))
         history: List[Dict[str, Any]] = []
         shard_result: Optional[ShardResult] = None
         for attempt in range(1, attempts + 1):
-            if plan is not None and plan.decide(shard, attempt).kill:
-                history.append({"attempt": attempt, "kind": "crash"})
-                continue
+            straggle = 0.0
             if plan is not None:
-                params["attempt"] = attempt
-            shard_result = run_shard(params)
+                decision = plan.decide(shard, attempt)
+                if decision.kill:
+                    history.append({"attempt": attempt, "kind": "crash"})
+                    continue
+                straggle = decision.straggle_cycles
+            shard_result = serve(shard, routed[shard],
+                                 straggle_cycles=straggle)
             break
         if history:
             histories[shard] = history
@@ -278,18 +265,20 @@ def run_cluster(config: ClusterConfig,
         else:
             detection = max(
                 (r.elapsed_cycles for r in shard_results), default=0.0)
-        groups: Dict[Any, List[int]] = {}
+        groups: Dict[Any, Set[int]] = {}
         for entry, owner in enumerate(pre_table):
             if owner in failed_set:
                 groups.setdefault((owner, balancer.table[entry]),
-                                  []).append(entry)
-        recovery_results = []
-        for victim, survivor in sorted(groups):
-            params = _shard_params(config, survivor, list(balancer.table))
-            params.pop("shard_faults", None)  # recovery runs un-faulted
-            params["serve_entries"] = sorted(groups[(victim, survivor)])
-            params["latency_offset"] = victim_rank[victim] * detection
-            recovery_results.append(run_shard(params))
+                                  set()).add(entry)
+        # Each survivor replays, un-faulted, the victim's keys that hash
+        # to the entries it inherited.
+        recovery_results = [
+            serve(survivor,
+                  [key for key in routed[victim]
+                   if balancer.entry_of(key) in groups[(victim, survivor)]],
+                  latency_offset=victim_rank[victim] * detection,
+                  degraded=True)
+            for victim, survivor in sorted(groups)]
         recovery_lookups = sum(r.lookups for r in recovery_results)
         shard_results.extend(recovery_results)
         if metrics is not None:

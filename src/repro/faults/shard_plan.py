@@ -4,11 +4,13 @@
 cycles, slices, DRAM.  The ``repro.cluster`` layer needs a coarser
 vocabulary: *shard 3 is dead*, *shard 1 crashes once and recovers on
 retry*, *shard 5 runs slow*.  :class:`ShardFaultPlan` is that schedule —
-pure data, resolved attempt by attempt by ``run_cluster``: a kill
+pure data, resolved attempt by attempt by ``run_cluster`` with one
+:meth:`~ShardFaultPlan.decide` call per (shard, attempt): a kill
 decision fails that attempt (a flap recovers on a later one, a permanent
-kill exhausts the retry budget), and the shard that runs applies its
-attempt's straggler decision, so the same seed realises the same fault
-history on every run.
+kill exhausts the retry budget), and the attempt that survives passes
+its straggler cycles to the shard, so the same seed realises the same
+fault history on every run.  ``ClusterConfig.shard_faults`` holds the
+plan object itself.
 
 Determinism and monotonicity are load-bearing:
 
@@ -23,11 +25,16 @@ Determinism and monotonicity are load-bearing:
 * ``protected`` shards are never killed, so a plan can guarantee at least
   one survivor for failover to re-steer onto.
 
+Malformed input fails at construction, naming the class and the field:
+a window ``kind`` that is not a :class:`ShardFaultKind` (the string
+``"kill"`` would otherwise never kill anything), a NaN or negative
+``magnitude``, a negative ``protected`` shard id.
+
 Public contract: :class:`ShardFaultKind`, :class:`ShardFaultWindow`,
 :class:`ShardFaultDecision`, and :class:`ShardFaultPlan` (including
 ``decide``'s pure-function determinism, the subset-nesting guarantee
-described above, and the ``to_params``/``from_params`` JSON round-trip)
-are stable API.  The presets (:meth:`ShardFaultPlan.kills`,
+described above, and the construction-time validation) are stable
+API.  The presets (:meth:`ShardFaultPlan.kills`,
 :meth:`ShardFaultPlan.flaky`, :meth:`ShardFaultPlan.chaos`) may gain
 keyword knobs but keep their semantics.
 """
@@ -36,7 +43,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .plan import SplitMix64
 
@@ -76,16 +83,28 @@ class ShardFaultWindow:
     magnitude: float = 0.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, ShardFaultKind):
+            raise TypeError(
+                f"ShardFaultWindow.kind must be a ShardFaultKind "
+                f"(got {self.kind!r})")
         if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"rate {self.rate} outside [0, 1]")
+            raise ValueError(
+                f"ShardFaultWindow.rate {self.rate} outside [0, 1]")
         if self.period is not None and self.period <= 0:
-            raise ValueError("period must be positive")
+            raise ValueError(
+                f"ShardFaultWindow.period must be positive "
+                f"(got {self.period})")
         if not 0.0 <= self.duty <= 1.0:
-            raise ValueError(f"duty {self.duty} outside [0, 1]")
+            raise ValueError(
+                f"ShardFaultWindow.duty {self.duty} outside [0, 1]")
         if self.flap_attempts < 1:
-            raise ValueError("flap_attempts must be >= 1")
-        if self.magnitude < 0:
-            raise ValueError("magnitude must be non-negative")
+            raise ValueError(
+                f"ShardFaultWindow.flap_attempts must be >= 1 "
+                f"(got {self.flap_attempts})")
+        if not self.magnitude >= 0:  # also rejects NaN
+            raise ValueError(
+                f"ShardFaultWindow.magnitude must be >= 0 "
+                f"(got {self.magnitude})")
         if not isinstance(self.shards, tuple):
             object.__setattr__(self, "shards", tuple(self.shards))
 
@@ -126,9 +145,9 @@ class ShardFaultPlan:
     """An immutable shard-fault schedule + seed.
 
     ``decide(shard, attempt)`` is a pure function of (plan, shard,
-    attempt): ``run_cluster`` calls it for the kill decision and the
-    shard for the straggler decision, and both must reach the same
-    conclusion on every run.
+    attempt): ``run_cluster`` calls it once per attempt, takes the kill
+    decision from it and hands the straggler cycles to the shard, and
+    the same plan reaches the same conclusions on every run.
     """
 
     windows: Tuple[ShardFaultWindow, ...] = ()
@@ -140,6 +159,11 @@ class ShardFaultPlan:
             object.__setattr__(self, "windows", tuple(self.windows))
         if not isinstance(self.protected, tuple):
             object.__setattr__(self, "protected", tuple(self.protected))
+        negative = [shard for shard in self.protected if shard < 0]
+        if negative:
+            raise ValueError(
+                f"ShardFaultPlan.protected must hold shard ids >= 0 "
+                f"(got {negative})")
 
     def __bool__(self) -> bool:
         return bool(self.windows)
@@ -190,46 +214,6 @@ class ShardFaultPlan:
                    for a in range(1, attempts + 1)):
                 doomed.append(shard)
         return tuple(doomed)
-
-    # -- serialisation -----------------------------------------------------
-    def to_params(self) -> Dict[str, Any]:
-        """A JSON-safe dict (experiment params, cross-process shard
-        params).  Round-trips exactly through :meth:`from_params`."""
-        return {
-            "seed": self.seed,
-            "protected": list(self.protected),
-            "windows": [
-                {
-                    "kind": w.kind.value,
-                    "rate": w.rate,
-                    "shards": list(w.shards),
-                    "period": w.period,
-                    "duty": w.duty,
-                    "flap_attempts": w.flap_attempts,
-                    "magnitude": w.magnitude,
-                }
-                for w in self.windows
-            ],
-        }
-
-    @classmethod
-    def from_params(cls, params: Dict[str, Any]) -> "ShardFaultPlan":
-        """Inverse of :meth:`to_params`; validates through the dataclass
-        constructors, so a corrupted dict raises rather than mis-steers."""
-        windows = tuple(
-            ShardFaultWindow(
-                kind=ShardFaultKind(w["kind"]),
-                rate=w.get("rate", 1.0),
-                shards=tuple(w.get("shards", ())),
-                period=w.get("period"),
-                duty=w.get("duty", 1.0),
-                flap_attempts=w.get("flap_attempts", 1),
-                magnitude=w.get("magnitude", 0.0),
-            )
-            for w in params.get("windows", ())
-        )
-        return cls(windows=windows, seed=params.get("seed", 0x5AD0),
-                   protected=tuple(params.get("protected", (0,))))
 
     def describe(self) -> str:
         if not self.windows:

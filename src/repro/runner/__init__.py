@@ -9,17 +9,18 @@ that structure into an orchestration subsystem:
 * :mod:`repro.runner.registry` discovers every experiment module under
   :mod:`repro.analysis.experiments` through the module-level ``BENCH``
   declaration (name, paper artifact, parameter grid, run/report hooks);
-* :mod:`repro.runner.scheduler` shards the independent grid points
-  across ``concurrent.futures.ProcessPoolExecutor`` workers with
-  deterministic per-run seeds, so ``--jobs 4`` produces bit-identical
-  results to serial execution;
+* :mod:`repro.runner.scheduler` runs the independent grid points with
+  deterministic per-run seeds — inline at ``--jobs 1``, otherwise on
+  the supervised pool — so ``--jobs 4`` produces bit-identical results
+  to serial execution;
 * :mod:`repro.runner.cache` memoizes completed runs in a
   content-addressed on-disk cache keyed on experiment name, grid label,
   parameters, seed, and a fingerprint of the ``repro`` source tree —
   re-runs are instant until the code changes;
-* :mod:`repro.runner.pool` supervises one killable process per run when
-  ``--timeout``/``--retries`` are in play — hung runs are terminated at
-  their wall-clock deadline and retried with backoff;
+* :mod:`repro.runner.pool` supervises one killable process per run —
+  a crashed worker fails only its own run, hung runs are terminated at
+  their ``--timeout`` deadline, and failures are retried with backoff
+  up to ``--retries`` times;
 * :mod:`repro.runner.journal` keeps an append-only, crash-safe record of
   completed runs so ``--resume`` skips finished work after a crash or a
   Ctrl-C (which drains in-flight runs gracefully and exits 130);

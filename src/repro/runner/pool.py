@@ -1,13 +1,14 @@
 """Supervised worker pool: one killable process per run, with deadlines.
 
-``concurrent.futures.ProcessPoolExecutor`` (the scheduler's fast path)
-cannot enforce per-task timeouts: a hung worker holds its slot forever
-and ``Future.cancel`` is powerless once a task has started.  When the
-operator asks for ``--timeout``/``--retries``, the scheduler switches to
-this pool instead — it spawns a fresh ``multiprocessing.Process`` per
-run, so a run that blows its wall-clock budget can be *killed*
+This is the only code in ``repro`` that starts a process.  The scheduler
+sends every campaign here except a ``--jobs 1`` run with no
+``--timeout``/``--retries``, which runs inline.  The pool spawns a fresh
+``multiprocessing.Process`` per run, so a worker that dies loses only
+its own run, and a run that blows its wall-clock budget can be *killed*
 (``terminate``) without poisoning any shared worker state, then retried
-a bounded number of times with backoff.
+a bounded number of times with backoff.  A shared-worker executor can
+do neither: one dead worker breaks every queued and running task, and a
+started task cannot be cancelled.
 
 Results travel back over a per-run ``Pipe``.  A child that dies without
 reporting (segfault, OOM kill, ``terminate``) is distinguished from one
@@ -118,8 +119,8 @@ def _child_main(conn, experiment: str, label: str,
     """Entry point of one worker process: run the grid point, report."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        # Local import keeps the child's startup path identical to the
-        # ProcessPoolExecutor workers': resolve the hook in-process.
+        # Local import: the scheduler imports this module, and the child
+        # resolves the hook from the registry by name.
         from .scheduler import _execute_payload
         payload, wall = _execute_payload(experiment, label, params, seed)
         conn.send(("ok", payload, wall))

@@ -1,4 +1,4 @@
-"""The run scheduler: shard grid points across processes, replay cache.
+"""The run scheduler: run grid points inline or supervised, replay cache.
 
 Execution model (HALO §6 evaluates by parameter sweep; this is the sweep
 engine):
@@ -10,11 +10,12 @@ engine):
    count or completion order.
 2. :func:`execute` answers what it can from the
    :class:`~repro.runner.cache.ResultCache`, then runs the misses —
-   inline for ``jobs=1``, otherwise on a
-   :class:`concurrent.futures.ProcessPoolExecutor`.  Workers receive
-   only ``(experiment, label, params, seed)`` and re-resolve the
-   callable from the registry in their own process, so nothing
-   unpicklable ever crosses the process boundary.
+   inline for ``jobs=1`` with no timeout or retries, otherwise on the
+   supervised pool (:func:`~repro.runner.pool.run_supervised`), one
+   forked process per run.  A child receives only ``(experiment,
+   label, params, seed)`` and resolves the callable from the registry
+   itself; only the payload crosses back, and a child that dies costs
+   only its own run.
 3. Per-experiment reports are rendered *in grid order* from the
    collected payloads, so the output text is identical whatever the
    interleaving was.
@@ -26,8 +27,8 @@ export.
 
 Campaign hardening (the harness safety net, layer 2 — see
 ``docs/MODELING.md`` §9): per-run wall-clock budgets and bounded
-retries via the supervised pool (:mod:`repro.runner.pool`), an
-incremental completion journal (:mod:`repro.runner.journal`) behind
+retries on the same supervised pool, an incremental completion
+journal (:mod:`repro.runner.journal`) behind
 ``--resume``, and SIGINT graceful drain that flushes partial results
 before exiting nonzero.
 """
@@ -41,7 +42,6 @@ import signal
 import threading
 import time
 import traceback as traceback_module
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
@@ -238,15 +238,19 @@ def execute(specs: Sequence[ExperimentSpec], *, jobs: int = 1,
 
     ``use_cache=False`` (``--no-cache``) forces recomputation but still
     *stores* fresh results, so the next cached invocation benefits.
-    ``jobs=1`` executes inline (no pool) — the reference ordering that
-    parallel runs must reproduce exactly.
+
+    Two dispatch paths.  ``jobs=1`` with no ``timeout_s`` and no
+    ``retries`` runs every miss inline, in this process — the reference
+    ordering that parallel runs must reproduce exactly.  Everything else
+    runs on the supervised pool (:mod:`repro.runner.pool`) with up to
+    ``jobs`` workers: one killable process per run, so a worker that
+    dies fails only its own run (``failure_kind="crash"``), a run past
+    ``timeout_s`` is terminated, and a failed run is retried with
+    backoff up to ``retries`` times before becoming a
+    :class:`RunFailure`.
 
     Hardening knobs:
 
-    * ``timeout_s``/``retries`` switch execution to the supervised pool
-      (:mod:`repro.runner.pool`): one killable process per run, hung
-      runs terminated at the deadline and retried with backoff up to
-      ``retries`` times before becoming a :class:`RunFailure`.
     * ``journal`` records every completion incrementally (crash-safe);
       with ``resume=True``, grid points the journal marks ``ok`` under
       the current cache key are served from the result cache and
@@ -324,14 +328,10 @@ def execute(specs: Sequence[ExperimentSpec], *, jobs: int = 1,
                                    failure_kind=failure.failure_kind)
         say(failure.render())
 
-    def _fail(spec_run: RunSpec, exc: BaseException, worker: str) -> None:
-        _record_failure(RunFailure.from_exception(spec_run, exc, worker),
-                        spec_run)
-
     # SIGINT → graceful drain.  Handlers only install on the main thread
-    # (the signal module refuses elsewhere); worker processes never see
-    # this handler, and the supervised pool's children ignore SIGINT
-    # outright so the drain stays in the supervisor's hands.
+    # (the signal module refuses elsewhere); the supervised pool's
+    # children ignore SIGINT outright so the drain stays in the
+    # supervisor's hands.
     stop_event = threading.Event()
     previous_handler = None
     on_main_thread = threading.current_thread() is threading.main_thread()
@@ -345,25 +345,7 @@ def execute(specs: Sequence[ExperimentSpec], *, jobs: int = 1,
         previous_handler = signal.signal(signal.SIGINT, _handle_sigint)
 
     try:
-        if timeout_s is not None or retries > 0:
-            workers = min(max(1, jobs), max(1, len(pending)))
-            pool_outcomes, _skipped = run_supervised(
-                pending, jobs=workers, timeout_s=timeout_s,
-                retries=retries, should_stop=stop_event.is_set)
-            for outcome in pool_outcomes:
-                if outcome.ok:
-                    _finish(outcome.spec, outcome.payload, outcome.wall_s,
-                            worker=f"supervised-{workers}")
-                else:
-                    _record_failure(RunFailure(
-                        experiment=outcome.spec.experiment,
-                        label=outcome.spec.label,
-                        error_type=outcome.error_type,
-                        message=outcome.message,
-                        traceback=outcome.traceback,
-                        worker=f"supervised-{workers}",
-                        failure_kind=outcome.failure_kind), outcome.spec)
-        elif jobs <= 1 or len(pending) <= 1:
+        if jobs <= 1 and timeout_s is None and retries == 0:
             for spec_run in pending:
                 if stop_event.is_set():
                     break
@@ -375,43 +357,29 @@ def execute(specs: Sequence[ExperimentSpec], *, jobs: int = 1,
                     stop_event.set()
                     break
                 except Exception as exc:
-                    _fail(spec_run, exc, worker="inline")
+                    _record_failure(RunFailure.from_exception(
+                        spec_run, exc, worker="inline"), spec_run)
                     continue
                 _finish(spec_run, payload, wall, worker="inline")
         else:
-            workers = min(jobs, len(pending))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(_execute_payload, spec_run.experiment,
-                                spec_run.label, spec_run.params,
-                                spec_run.seed): spec_run
-                    for spec_run in pending
-                }
-                remaining = set(futures)
-                cancelled = False
-                while remaining:
-                    done, remaining = wait(remaining, timeout=0.25,
-                                           return_when=FIRST_COMPLETED)
-                    for future in done:
-                        spec_run = futures[future]
-                        if future.cancelled():
-                            continue
-                        try:
-                            payload, wall = future.result()
-                        except Exception as exc:
-                            # One worker crash must not abort the pool
-                            # run; the rest of the sweep keeps executing.
-                            _fail(spec_run, exc, worker=f"pool-{workers}")
-                            continue
-                        _finish(spec_run, payload, wall,
-                                worker=f"pool-{workers}")
-                    if stop_event.is_set() and not cancelled:
-                        # Drain: cancel everything not yet started;
-                        # already-running futures finish and record.
-                        cancelled = True
-                        for future in set(remaining):
-                            if future.cancel():
-                                remaining.discard(future)
+            workers = min(max(1, jobs), max(1, len(pending)))
+            worker = f"supervised-{workers}"
+            pool_outcomes, _skipped = run_supervised(
+                pending, jobs=workers, timeout_s=timeout_s,
+                retries=retries, should_stop=stop_event.is_set)
+            for outcome in pool_outcomes:
+                if outcome.ok:
+                    _finish(outcome.spec, outcome.payload, outcome.wall_s,
+                            worker=worker)
+                else:
+                    _record_failure(RunFailure(
+                        experiment=outcome.spec.experiment,
+                        label=outcome.spec.label,
+                        error_type=outcome.error_type,
+                        message=outcome.message,
+                        traceback=outcome.traceback,
+                        worker=worker,
+                        failure_kind=outcome.failure_kind), outcome.spec)
     except KeyboardInterrupt:
         stop_event.set()
     finally:

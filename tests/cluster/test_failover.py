@@ -20,7 +20,7 @@ FAULT_SEED = 11
 def chaos_config(kill_rate, seed=1234, **overrides):
     plan = ShardFaultPlan.kills(kill_rate, seed=FAULT_SEED)
     defaults = dict(shards=4, seed=seed, retries=1, failover=True,
-                    shard_faults=plan.to_params() if plan else None,
+                    shard_faults=plan,
                     detection_cycles=4096.0, **QUICK)
     defaults.update(overrides)
     return ClusterConfig(**defaults)
@@ -216,8 +216,7 @@ class TestRunClusterFailover:
 
     def test_flap_recovered_by_retry_without_failover(self):
         plan = ShardFaultPlan.flaky(1.0, attempts=1)
-        result = run_cluster(chaos_config(
-            0.0, shard_faults=plan.to_params()))
+        result = run_cluster(chaos_config(0.0, shard_faults=plan))
         assert result.failed_shards == []
         assert result.lost_flows == 0
         # Every shard flapped once, then recovered on attempt 2.

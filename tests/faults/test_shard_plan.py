@@ -1,6 +1,5 @@
 """Shard-level fault schedules: determinism, kill-set nesting, the
-protected-shard guarantee, and the JSON round-trip both dispatch paths
-(pool children, inline synthesis) rely on."""
+protected-shard guarantee, and loud rejection of malformed plans."""
 
 import pytest
 
@@ -36,6 +35,28 @@ class TestWindowValidation:
     def test_magnitude_non_negative(self):
         with pytest.raises(ValueError, match="magnitude"):
             ShardFaultWindow(kind=ShardFaultKind.STRAGGLER, magnitude=-1.0)
+
+    def test_kind_must_be_a_shard_fault_kind(self):
+        # A bare string would be stored and never kill anything.
+        with pytest.raises(TypeError,
+                           match=r"ShardFaultWindow\.kind must be a "
+                                 r"ShardFaultKind \(got 'kill'\)"):
+            ShardFaultWindow(kind="kill")
+
+    def test_magnitude_rejects_nan(self):
+        with pytest.raises(ValueError,
+                           match=r"ShardFaultWindow\.magnitude must be "
+                                 r">= 0 \(got nan\)"):
+            ShardFaultWindow(kind=ShardFaultKind.STRAGGLER,
+                             magnitude=float("nan"))
+
+
+class TestPlanValidation:
+    def test_protected_rejects_negative_shard_ids(self):
+        with pytest.raises(ValueError,
+                           match=r"ShardFaultPlan\.protected must hold "
+                                 r"shard ids >= 0 \(got \[-1\]\)"):
+            ShardFaultPlan.kills(0.5, protected=(0, -1))
 
 
 class TestTargeting:
@@ -123,31 +144,6 @@ class TestDecide:
         assert not ShardFaultDecision()
         assert ShardFaultDecision(kill=True)
         assert ShardFaultDecision(straggle_cycles=1.0)
-
-
-class TestSerialisation:
-    def test_round_trip_exact(self):
-        plan = ShardFaultPlan.chaos(0.4, seed=77, protected=(0, 1))
-        assert ShardFaultPlan.from_params(plan.to_params()) == plan
-
-    def test_params_are_json_safe(self):
-        import json
-        params = ShardFaultPlan.chaos(0.3).to_params()
-        assert json.loads(json.dumps(params)) == params
-
-    def test_round_tripped_plan_decides_identically(self):
-        plan = ShardFaultPlan.chaos(0.6, seed=5)
-        copy = ShardFaultPlan.from_params(plan.to_params())
-        for shard in range(SHARDS):
-            for attempt in range(1, ATTEMPTS + 1):
-                assert copy.decide(shard, attempt) == \
-                    plan.decide(shard, attempt)
-
-    def test_corrupt_kind_raises(self):
-        params = ShardFaultPlan.kills(0.5).to_params()
-        params["windows"][0]["kind"] = "meltdown"
-        with pytest.raises(ValueError):
-            ShardFaultPlan.from_params(params)
 
 
 class TestPresets:

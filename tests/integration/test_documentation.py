@@ -122,3 +122,52 @@ def test_experiments_catalog_lists_every_experiment():
     for name, spec in discover().items():
         assert f"`{name}`" in text, f"{name} missing from docs/EXPERIMENTS.md"
         assert spec.module.rsplit(".", 1)[1] in text, spec.module
+
+
+#: EXPERIMENTS.md sections whose measured numbers are quoted from a
+#: committed report: section heading -> report file.
+QUOTED_REPORTS = {
+    "## Figure 3 ": "fig03_breakdown.txt",
+    "## Figure 9 ": "fig09_single_lookup.txt",
+    "## Figure 10 ": "fig10_latency_breakdown.txt",
+}
+
+#: A quoted measurement: a number directly followed by ``×`` or ``%``.
+QUOTED_FIGURE = re.compile(r"(?<![\d.])(\d+(?:\.\d+)?)([×%])")
+
+
+def _section(text, heading):
+    start = text.index(heading)
+    end = text.find("\n## ", start + 1)
+    return text[start:] if end == -1 else text[start:end]
+
+
+@pytest.mark.parametrize("heading", sorted(QUOTED_REPORTS))
+def test_experiments_md_quotes_the_committed_report(heading):
+    """Each ×/% figure in the measured column of EXPERIMENTS.md's Figure
+    3, 9 and 10 tables appears in that figure's committed report
+    (reading × as x), and each line of the section's report excerpt is a
+    line of the report, so hand-copied numbers cannot drift."""
+    section = _section((ROOT / "EXPERIMENTS.md").read_text(), heading)
+    report = (ROOT / "benchmarks" / "reports"
+              / QUOTED_REPORTS[heading]).read_text()
+
+    measured = [row.strip().strip("|").split("|")[-1]
+                for row in section.splitlines()
+                if row.startswith("|") and not row.startswith("|---")]
+    figures = [number + ("x" if unit == "×" else "%")
+               for cell in measured
+               for number, unit in QUOTED_FIGURE.findall(cell)]
+    assert figures, f"{heading.strip()}: no measured ×/% figures found"
+    missing = [figure for figure in figures
+               if not re.search(r"(?<![\d.])" + re.escape(figure), report)]
+    assert not missing, (f"{heading.strip()}: {missing} not in "
+                         f"{QUOTED_REPORTS[heading]}")
+
+    report_lines = {line.rstrip() for line in report.splitlines()}
+    excerpts = re.findall(r"```\n(.*?)```", section, re.DOTALL)
+    stale = [line for excerpt in excerpts
+             for line in excerpt.splitlines()
+             if line.rstrip() not in report_lines]
+    assert not stale, (f"{heading.strip()}: excerpt lines not in "
+                       f"{QUOTED_REPORTS[heading]}: {stale}")

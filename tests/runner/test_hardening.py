@@ -166,7 +166,7 @@ def _cluster_chaos_run(label, params, seed):
     result = run_cluster(ClusterConfig(
         shards=3, flows=32, lookups=96, seed=seed, retries=1,
         failover=True, detection_cycles=2048.0,
-        shard_faults=plan.to_params() if plan else None))
+        shard_faults=plan))
     if "log" in params:
         with open(params["log"], "a", encoding="utf-8") as handle:
             handle.write(f"{label}:{len(result.failed_shards)}:"

@@ -5,6 +5,8 @@ grids) so these tests exercise the real worker path end to end without
 taking benchmark-scale time.
 """
 
+import os
+
 import pytest
 
 from repro.obs import MetricsRegistry
@@ -19,6 +21,8 @@ from repro.runner import (
     plan_runs,
     run_benchmarks,
 )
+from repro.runner import scheduler
+from repro.runner.scheduler import _execute_payload
 from repro.runner.schema import ExperimentSpec, GridPoint
 
 CHEAP = ("tab04", "fig08")
@@ -150,9 +154,39 @@ def test_pool_crash_keeps_remaining_runs_alive():
     assert len(summary.failures) == 1
     failure = summary.failures[0]
     assert failure.run_id == "fig08/broken"
-    assert failure.worker.startswith("pool-")
+    assert failure.worker == "supervised-2"
     assert "KeyError" in failure.render()
     assert any(r.experiment == "tab04" for r in summary.results)
+
+
+#: The grid point whose worker process dies in the containment test.
+CRASH_VICTIM = "fig09/size_2e03"
+
+
+def _exit_in_victim(experiment, label, params, seed):
+    """``_execute_payload`` whose worker dies without reporting (as a
+    segfault or OOM kill would) on :data:`CRASH_VICTIM` only."""
+    if f"{experiment}/{label}" == CRASH_VICTIM:
+        os._exit(1)
+    return _execute_payload(experiment, label, params, seed)
+
+
+def test_dead_worker_fails_only_its_own_run(monkeypatch):
+    monkeypatch.setattr(scheduler, "_execute_payload", _exit_in_victim)
+    specs = [get_experiment(name)
+             for name in ("fig09", "tab04", "fig08", "sec34")]
+    planned = {run.run_id for run in plan_runs(specs, quick=True)}
+    summary = execute(specs, jobs=2, quick=True, cache=None,
+                      use_cache=False)
+    assert [failure.run_id for failure in summary.failures] \
+        == [CRASH_VICTIM]
+    failure = summary.failures[0]
+    assert failure.failure_kind == "crash"
+    assert failure.error_type == "WorkerCrashedError"
+    assert failure.worker == "supervised-2"
+    # Every other run finished on the same pool.
+    assert {result.run_id for result in summary.results} \
+        == planned - {CRASH_VICTIM}
 
 
 def test_failed_spec_report_shows_failure_not_partial_payloads():
