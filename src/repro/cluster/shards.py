@@ -11,8 +11,15 @@ On a multi-socket shard machine the stream splits round-robin over one
 pinned core per socket (:class:`~repro.exec.cores.CoreWorkload` with
 ``socket=``), so per-socket-HALO scaling is exercised inside a shard.
 
-Failover and chaos arrive as keyword arguments, all defaulting to the
-healthy path:
+The machine and table arguments (``sockets``, ``backend``,
+``table_capacity``, ``cache_policy``, ``cache_entries``) are required:
+their defaults live on :class:`~repro.cluster.cluster.ClusterConfig`
+alone.  ``cache_policy`` names an
+:class:`~repro.classifier.emc.ExactMatchCache` admission policy to
+stream the served keys through, reporting the cold-start miss rate (the
+post-failover refill signal ``cluster_chaos`` compares across
+policies); ``None`` skips it.  Failover and chaos arrive as keyword
+arguments defaulting to the healthy path:
 
 * ``latency_offset`` — extra cycles added to every observed latency,
   modelling the detection + re-steer delay a recovered flow experienced;
@@ -21,11 +28,7 @@ healthy path:
   :func:`~repro.cluster.cluster.run_cluster` survived to (it resolves
   kill decisions before calling the shard);
 * ``degraded`` — marks a recovery-round result (the keys were
-  re-steered here after their home shard failed);
-* ``cache_policy``/``cache_entries`` — stream the served keys through an
-  :class:`~repro.classifier.emc.ExactMatchCache` under the named policy
-  and report the cold-start miss rate (the post-failover refill signal
-  ``cluster_chaos`` compares across admission policies).
+  re-steered here after their home shard failed).
 
 Public contract: :func:`run_shard`'s ``(shard, keys, *, sockets,
 backend, table_capacity, latency_offset, straggle_cycles, degraded,
@@ -81,11 +84,11 @@ def shard_machine(sockets: int):
     return SKYLAKE_SP_16C.scale_out(sockets)
 
 
-def run_shard(shard: int, keys: Sequence[bytes], *, sockets: int = 1,
-              backend: str = "software", table_capacity: int = 1 << 10,
+def run_shard(shard: int, keys: Sequence[bytes], *, sockets: int,
+              backend: str, table_capacity: int,
               latency_offset: float = 0.0, straggle_cycles: float = 0.0,
-              degraded: bool = False, cache_policy: Optional[str] = None,
-              cache_entries: int = 1024) -> ShardResult:
+              degraded: bool = False, cache_policy: Optional[str],
+              cache_entries: int) -> ShardResult:
     """Run one shard end to end over ``keys``, in the order given.
 
     The shard inserts every distinct key into its own table, warms it,

@@ -10,7 +10,11 @@ a bounded number of times with backoff.  A shared-worker executor can
 do neither: one dead worker breaks every queued and running task, and a
 started task cannot be cancelled.
 
-Results travel back over a per-run ``Pipe``.  A child that dies without
+Results travel back over a per-run ``Pipe``.  The supervisor waits on
+the pipes and the children's sentinels, so it wakes as soon as a run
+reports or dies, and hands each concluded outcome to the caller's
+``on_outcome`` at once: the scheduler caches and journals a run there,
+while its siblings are still executing.  A child that dies without
 reporting (segfault, OOM kill, ``terminate``) is distinguished from one
 that raised: the former becomes a retryable :class:`WorkerCrashedError`
 or :class:`RunTimeoutError`, the latter carries the child's own
@@ -45,11 +49,13 @@ import signal
 import time
 import traceback as traceback_module
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .schema import RunSpec
 
-#: How long the supervisor sleeps between polls of its active children.
+#: Longest the supervisor waits between passes over its children; a
+#: child that reports or exits wakes it at once.
 POLL_INTERVAL_S = 0.02
 
 #: Grace period for ``join`` after ``terminate`` before escalating.
@@ -149,6 +155,7 @@ def run_supervised(pending: Sequence[RunSpec], *, jobs: int,
                    retries: int = 0,
                    backoff_s: float = 0.5,
                    should_stop: Callable[[], bool] = lambda: False,
+                   on_outcome: Optional[Callable[[PoolOutcome], None]] = None,
                    ) -> Tuple[List[PoolOutcome], List[RunSpec]]:
     """Run ``pending`` under supervision; returns ``(outcomes, skipped)``.
 
@@ -156,6 +163,11 @@ def run_supervised(pending: Sequence[RunSpec], *, jobs: int,
     ``should_stop`` flipped (SIGINT drain): in-flight runs are allowed to
     finish (their timeouts still enforced), queued ones are returned
     untouched so the journal/caller can account for them.
+
+    ``on_outcome`` is called with each outcome the moment its run
+    concludes, while other runs may still be executing, so a caller can
+    cache and journal it before a later crash of the supervisor itself
+    loses it; the returned ``outcomes`` list holds the same objects.
     """
     queue: List[Tuple[RunSpec, int, float]] = [
         (spec, 1, 0.0) for spec in pending]  # (spec, attempt, not_before)
@@ -183,6 +195,8 @@ def run_supervised(pending: Sequence[RunSpec], *, jobs: int,
         entry.conn.close()
         entry.process.join(timeout=TERMINATE_GRACE_S)
         outcomes.append(outcome)
+        if on_outcome is not None:
+            on_outcome(outcome)
 
     def _retry_or_fail(entry: _Active, error_type: str, message: str,
                        tb: str) -> None:
@@ -261,6 +275,10 @@ def run_supervised(pending: Sequence[RunSpec], *, jobs: int,
                     "")
 
         if not progressed and (active or queue):
-            time.sleep(POLL_INTERVAL_S)
+            # Sleep until a child reports or exits; wake anyway after the
+            # poll interval to enforce deadlines, backoff and a drain.
+            wait([entry.conn for entry in active]
+                 + [entry.process.sentinel for entry in active],
+                 timeout=POLL_INTERVAL_S)
 
     return outcomes, skipped

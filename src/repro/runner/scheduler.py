@@ -48,7 +48,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 from ..obs import MetricsRegistry
 from .cache import ResultCache
 from .journal import RunJournal, default_journal_path
-from .pool import classify_failure, run_supervised
+from .pool import PoolOutcome, classify_failure, run_supervised
 from .registry import get_experiment, resolve_names
 from .schema import ExperimentReport, ExperimentSpec, RunResult, RunSpec
 
@@ -364,10 +364,10 @@ def execute(specs: Sequence[ExperimentSpec], *, jobs: int = 1,
         else:
             workers = min(max(1, jobs), max(1, len(pending)))
             worker = f"supervised-{workers}"
-            pool_outcomes, _skipped = run_supervised(
-                pending, jobs=workers, timeout_s=timeout_s,
-                retries=retries, should_stop=stop_event.is_set)
-            for outcome in pool_outcomes:
+
+            def _record_outcome(outcome: PoolOutcome) -> None:
+                # Called as each run ends, so it is cached and journaled
+                # before the runs still in flight finish.
                 if outcome.ok:
                     _finish(outcome.spec, outcome.payload, outcome.wall_s,
                             worker=worker)
@@ -380,6 +380,10 @@ def execute(specs: Sequence[ExperimentSpec], *, jobs: int = 1,
                         traceback=outcome.traceback,
                         worker=worker,
                         failure_kind=outcome.failure_kind), outcome.spec)
+
+            run_supervised(pending, jobs=workers, timeout_s=timeout_s,
+                           retries=retries, should_stop=stop_event.is_set,
+                           on_outcome=_record_outcome)
     except KeyboardInterrupt:
         stop_event.set()
     finally:

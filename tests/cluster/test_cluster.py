@@ -115,7 +115,10 @@ class TestRebalanceTrigger:
 
 class TestShardEdgeCases:
     def test_empty_shard_returns_zero_result(self):
-        result = run_shard(0, [])  # a shard the balancer routed nothing to
+        # A shard the balancer routed nothing to.
+        result = run_shard(0, [], sockets=1, backend="software",
+                           table_capacity=1 << 10, cache_policy=None,
+                           cache_entries=1024)
         assert result.lookups == 0
         assert result.elapsed_cycles == 0.0
         assert result.latency.count == 0

@@ -132,8 +132,13 @@ QUOTED_REPORTS = {
     "## Figure 10 ": "fig10_latency_breakdown.txt",
 }
 
-#: A quoted measurement: a number directly followed by ``×`` or ``%``.
-QUOTED_FIGURE = re.compile(r"(?<![\d.])(\d+(?:\.\d+)?)([×%])")
+#: A number in a measured cell, with its unit (``×``, ``%`` or none);
+#: ``2^N`` is read as the power of two it names.
+QUOTED_NUMBER = re.compile(r"(?<![\d.^])(\d+(?:\.\d+)?)(?:\^(\d+))?([×%]?)")
+
+#: The left end of a ``a–b×`` or ``a → b%`` range, which takes the unit
+#: written after the right end.
+RANGE_START = re.compile(r"(\d+(?:\.\d+)?)(\s*[–→]\s*\d+(?:\.\d+)?([×%]))")
 
 
 def _section(text, heading):
@@ -142,11 +147,19 @@ def _section(text, heading):
     return text[start:] if end == -1 else text[start:end]
 
 
+def _quoted_in(figure, report):
+    """Whether ``figure`` (a number with an optional ``x``/``%`` unit)
+    appears in ``report`` as a whole number, not inside a longer one."""
+    tail = "" if figure[-1] in "x%" else r"(?!\.?\d)"
+    return re.search(r"(?<![\d.])" + re.escape(figure) + tail, report)
+
+
 @pytest.mark.parametrize("heading", sorted(QUOTED_REPORTS))
 def test_experiments_md_quotes_the_committed_report(heading):
-    """Each ×/% figure in the measured column of EXPERIMENTS.md's Figure
-    3, 9 and 10 tables appears in that figure's committed report
-    (reading × as x), and each line of the section's report excerpt is a
+    """Every number in the measured column of EXPERIMENTS.md's Figure 3,
+    9 and 10 tables appears in that figure's committed report (reading ×
+    as x, 2^N as its value, and the left end of a range with the unit of
+    its right end), and each line of the section's report excerpt is a
     line of the report, so hand-copied numbers cannot drift."""
     section = _section((ROOT / "EXPERIMENTS.md").read_text(), heading)
     report = (ROOT / "benchmarks" / "reports"
@@ -155,12 +168,14 @@ def test_experiments_md_quotes_the_committed_report(heading):
     measured = [row.strip().strip("|").split("|")[-1]
                 for row in section.splitlines()
                 if row.startswith("|") and not row.startswith("|---")]
-    figures = [number + ("x" if unit == "×" else "%")
+    figures = [(str(2 ** int(power)) if power else number)
+               + unit.replace("×", "x")
                for cell in measured
-               for number, unit in QUOTED_FIGURE.findall(cell)]
-    assert figures, f"{heading.strip()}: no measured ×/% figures found"
+               for number, power, unit in QUOTED_NUMBER.findall(
+                   RANGE_START.sub(r"\1\3\2", cell))]
+    assert figures, f"{heading.strip()}: no measured numbers found"
     missing = [figure for figure in figures
-               if not re.search(r"(?<![\d.])" + re.escape(figure), report)]
+               if not _quoted_in(figure, report)]
     assert not missing, (f"{heading.strip()}: {missing} not in "
                          f"{QUOTED_REPORTS[heading]}")
 

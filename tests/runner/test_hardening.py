@@ -8,8 +8,11 @@ journaled runs never re-execute under ``--resume``, and SIGINT drains
 instead of aborting.
 """
 
+import json
 import os
+import pathlib
 import signal
+import time
 
 from repro.runner import (
     BenchSummary,
@@ -21,7 +24,8 @@ from repro.runner import (
 )
 from repro.runner.journal import RunJournal
 from repro.runner.pool import RunTimeoutError
-from repro.runner.schema import ExperimentSpec, GridPoint
+from repro.runner.scheduler import derive_seed
+from repro.runner.schema import ExperimentSpec, GridPoint, RunSpec
 
 FAKE_NAME = "hardeningtest"
 
@@ -29,11 +33,12 @@ FAKE_NAME = "hardeningtest"
 def _fake_run(label, params, seed):
     if "kill_rate" in params:
         return _cluster_chaos_run(label, params, seed)
+    if "peer_journal" in params:
+        return _await_peer(params)
     if "log" in params:
         with open(params["log"], "a", encoding="utf-8") as handle:
             handle.write(f"{label}\n")
     if params.get("hang"):
-        import time
         time.sleep(30.0)
     if params.get("interrupt"):
         # Deterministic stand-in for the operator's Ctrl-C: deliver a
@@ -41,6 +46,30 @@ def _fake_run(label, params, seed):
         # drain (finish this run, start no more), not abort.
         os.kill(os.getpid(), signal.SIGINT)
     return f"payload:{label}"
+
+
+def _journaled_ok(path, run_id):
+    for line in path.read_text().splitlines() if path.exists() else ():
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue  # a line still being written
+        if record.get("run_id") == run_id and record.get("status") == "ok":
+            return True
+    return False
+
+
+def _await_peer(params):
+    """Poll, for up to 10 s, until the peer run is journaled ``ok`` and
+    its cache entry exists; report which of the two were seen."""
+    journal = pathlib.Path(params["peer_journal"])
+    entry = pathlib.Path(params["peer_cache"])
+    deadline = time.monotonic() + 10.0
+    while True:
+        journaled = _journaled_ok(journal, params["peer"])
+        if (journaled and entry.exists()) or time.monotonic() > deadline:
+            return {"journaled": journaled, "cached": entry.exists()}
+        time.sleep(0.01)
 
 
 def _fake_report(payloads):
@@ -78,6 +107,28 @@ def test_supervised_timeout_is_a_failure_not_an_abort(monkeypatch):
     survivors = {result.run_id for result in summary.results}
     assert f"{FAKE_NAME}/quick" in survivors
     assert summary.metrics["runner.runs.failed"] == 1
+
+
+def test_supervised_runs_are_journaled_and_cached_as_they_finish(
+        monkeypatch, tmp_path):
+    """A run the pool finishes is cached and journaled while its sibling
+    is still executing, so a supervisor killed mid-campaign keeps it."""
+    cache = ResultCache(tmp_path / "cache")
+    journal_path = tmp_path / "campaign.jsonl"
+    fast = RunSpec(experiment=FAKE_NAME, label="fast", params={},
+                   seed=derive_seed(FAKE_NAME, "fast"))
+    spec = _install_fake(monkeypatch, [
+        ("fast", {}),
+        ("slow", {"peer": fast.run_id, "peer_journal": str(journal_path),
+                  "peer_cache": str(cache.path_for(fast))})])
+
+    with RunJournal(journal_path).open_for(cache.fingerprint) as journal:
+        summary = execute([spec], jobs=2, cache=cache, use_cache=False,
+                          journal=journal)
+    assert summary.ok
+    payloads = {result.label: result.payload for result in summary.results}
+    # The slow run saw its finished sibling on disk before it returned.
+    assert payloads["slow"] == {"journaled": True, "cached": True}
 
 
 def test_resume_serves_journaled_runs_without_reexecution(monkeypatch,

@@ -118,6 +118,25 @@ def test_worker_crash_is_distinguished_from_exception(monkeypatch):
     assert "exited with code 3" in outcome.message
 
 
+def test_on_outcome_reports_each_run_as_it_concludes(monkeypatch,
+                                                     tmp_path):
+    """Each final outcome reaches ``on_outcome`` once, when its run ends
+    rather than when the pool returns; a retried attempt is not one."""
+    grid = [("flaky", {"marker": str(tmp_path / "flaky.marker")}),
+            ("hang", {"sleep_s": 1.0})]
+    _install_fake(monkeypatch, grid)
+    seen = []
+    outcomes, _ = run_supervised(
+        _runs(grid), jobs=2, retries=1, backoff_s=0.01,
+        on_outcome=lambda outcome: seen.append((outcome, time.monotonic())))
+    returned = time.monotonic()
+    assert [outcome for outcome, _at in seen] == outcomes
+    assert [outcome.spec.label for outcome in outcomes] == ["flaky", "hang"]
+    assert outcomes[0].ok and outcomes[0].attempts == 2
+    # Reported while its sibling still had most of a second to sleep.
+    assert returned - seen[0][1] > 0.5
+
+
 def test_should_stop_drains_in_flight_and_returns_queue(monkeypatch,
                                                         tmp_path):
     """SIGINT drain contract: once the stop flag flips, in-flight runs
