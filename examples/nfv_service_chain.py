@@ -66,8 +66,8 @@ def main() -> None:
     print(f"\nchain speedup with HALO: "
           f"{results['software'] / results['HALO']:.2f}x.")
     print("chained VNFs keep each other's tables L2-warm, so the gain is\n"
-          "Amdahl-limited below the paper's isolated-NF 2.3-2.7x "
-          "(bench_fig13 reproduces that configuration).")
+          "Amdahl-limited below the paper's isolated-NF 2.3-2.7x\n"
+          "(`python -m repro run fig13` reproduces that configuration).")
 
 
 if __name__ == "__main__":

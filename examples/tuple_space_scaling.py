@@ -27,7 +27,7 @@ def main() -> None:
     print("\nblocking mode serialises per-tuple lookups and flatlines;\n"
           "non-blocking mode scales with tuple count (paper: up to 23.4x\n"
           "at 20 tuples); TCAM holds all wildcards in one search but costs\n"
-          "~48x more energy per query (see bench_tab04_power_area).")
+          "~48x more energy per query (see `python -m repro run tab04`).")
 
 
 if __name__ == "__main__":

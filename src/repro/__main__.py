@@ -14,7 +14,7 @@ Usage::
     python -m repro report [--quick] [--json metrics.json]
 
 ``run`` executes experiments serially and prints the same
-paper-vs-measured report the benchmark harness archives; ``--quick``
+paper-vs-measured report ``bench --reports`` archives; ``--quick``
 shrinks workloads for a fast look.
 
 ``bench`` drives the full experiment registry through
@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Callable, Dict, Tuple
 
@@ -189,6 +190,15 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
+def _reports_dir(text: str) -> str:
+    """An argparse ``type``: a directory to write reports into, which
+    may not exist yet but must not be an existing file."""
+    if os.path.exists(text) and not os.path.isdir(text):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} exists and is not a directory")
+    return text
+
+
 def _bench(args) -> int:
     only = [name for chunk in (args.only or [])
             for name in chunk.split(",") if name]
@@ -270,7 +280,8 @@ def main(argv=None) -> int:
     bench_parser.add_argument("--json", metavar="PATH", default=None,
                               help="write run metadata + report digests + "
                                    "runner metrics as JSON")
-    bench_parser.add_argument("--reports", metavar="DIR", default=None,
+    bench_parser.add_argument("--reports", type=_reports_dir,
+                              metavar="DIR", default=None,
                               help="archive each experiment report as "
                                    "DIR/<slug>.txt (use benchmarks/reports "
                                    "to regenerate the checked-in set)")

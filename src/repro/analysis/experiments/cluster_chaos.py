@@ -199,7 +199,11 @@ def report(points: List[ChaosPoint]) -> str:
             f"rates {[p.kill_rate for p in kill_points]} "
             f"({[p.failed_shards for p in kill_points]} shard deaths)",
             holds=(all(p.lost_flows == 0 for p in kill_points)
-                   and any(p.failed_shards > 0 for p in kill_points))))
+                   and any(p.failed_shards > 0 for p in kill_points)
+                   and all(lo.failed_shards < hi.failed_shards
+                           for lo, hi in zip(kill_points, kill_points[1:]))
+                   and all(p.recovery_lookups > 0
+                           for p in kill_points if p.failed_shards))))
         degradations = [p.p99_cycles for p in kill_points]
         bounded = all(
             p.p99_cycles <= (p.failed_shards * p.detection_cycles

@@ -191,7 +191,8 @@ def report(points: List[DegradationPoint]) -> str:
                    f"adaptive {base.cells['adaptive'].lookups_per_kcycle:.2f}"
                    f" -> {last.cells['adaptive'].lookups_per_kcycle:.2f} "
                    f"lookups/kcyc",
-                   holds=(last.cells["adaptive"].lookups_per_kcycle
+                   holds=(base.intensity == 0.0
+                          and last.cells["adaptive"].lookups_per_kcycle
                           < base.cells["adaptive"].lookups_per_kcycle)),
     ]
     return table + "\n\n" + render_checks("degradation sweep", checks)

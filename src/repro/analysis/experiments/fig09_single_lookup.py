@@ -11,7 +11,7 @@ stay within ~5% of each other on a single table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -103,7 +103,8 @@ def run_occupancy_sweep(table_entries: int = 2 ** 15,
 
 
 def report(size_points: List[Fig9Point],
-           occupancy_points: List[Fig9Point] = ()) -> str:
+           occupancy_points: List[Fig9Point] = (),
+           dram_point: Optional[Fig9Point] = None) -> str:
     rows = []
     for point in size_points:
         normalized = point.normalized_throughput()
@@ -130,19 +131,27 @@ def report(size_points: List[Fig9Point],
         PaperCheck("HALO speedup, LLC-resident table", "up to 3.3x",
                    f"{largest['halo-b']:.2f}x (B) / "
                    f"{largest['halo-nb']:.2f}x (NB)",
-                   holds=2.3 <= max(largest["halo-b"],
-                                    largest["halo-nb"]) <= 4.3),
+                   holds=2.3 <= largest["halo-b"] <= 4.3
+                   and largest["halo-nb"] <= 4.3),
         PaperCheck("software at tiny tables", "best (L1-resident)",
                    f"HALO-B {smallest['halo-b']:.2f}x",
                    holds=smallest["halo-b"] <= 1.1),
         PaperCheck("TCAM", "always fastest",
                    f"{largest['tcam']:.1f}x at the largest size",
-                   holds=largest["tcam"] > largest["halo-b"]),
+                   holds=largest["tcam"] > max(largest["halo-b"],
+                                               largest["halo-nb"])),
         PaperCheck("B vs NB on one table", "within ~5%",
                    f"{abs(largest['halo-nb'] / largest['halo-b'] - 1) * 100:.0f}% apart",
                    holds=abs(largest["halo-nb"] / largest["halo-b"] - 1)
                    < 0.25),
     ]
+    if dram_point is not None:
+        # Only the full grid has the DRAM-resident point.
+        dram = dram_point.normalized_throughput()
+        checks.append(PaperCheck(
+            "HALO speedup, beyond-LLC table", "~2.1x average",
+            f"{dram['halo-b']:.2f}x (B) / {dram['halo-nb']:.2f}x (NB)",
+            holds=1.3 <= dram["halo-b"] <= 3.0))
     sections.append(render_checks("Figure 9", checks))
     footer = _traceable_footer(size_points[-1])
     if footer:
@@ -213,14 +222,5 @@ def bench_run(label, params, seed):
 def bench_report(payloads):
     size_points = [payload for label, payload in payloads.items()
                    if label.startswith("size_")]
-    occupancy_points = payloads.get("occupancy_sweep", [])
-    sections = [report(size_points, occupancy_points)]
-    dram = payloads.get("dram_point")
-    if dram is not None:
-        normalized = dram.normalized_throughput()
-        sections.append(
-            f"Figure 9 (DRAM-resident table): HALO-B "
-            f"{normalized['halo-b']:.2f}x, HALO-NB "
-            f"{normalized['halo-nb']:.2f}x vs software "
-            f"(paper: ~2.1x average beyond LLC)")
-    return "\n\n".join(sections)
+    return report(size_points, payloads.get("occupancy_sweep", []),
+                  payloads.get("dram_point"))

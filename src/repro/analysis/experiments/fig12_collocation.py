@@ -67,7 +67,7 @@ def report(results: List[CollocationResult]) -> str:
     checks = [
         PaperCheck("software-switch NF drop", "17-26%",
                    f"up to {max_sw_drop*100:.1f}%",
-                   holds=0.08 <= max_sw_drop <= 0.35),
+                   holds=0.08 < max_sw_drop <= 0.35),
         PaperCheck("HALO-switch NF drop", "< 3.2%",
                    f"up to {max_halo_drop*100:.1f}%",
                    holds=max_halo_drop < 0.05),

@@ -92,7 +92,7 @@ def report(rows: List[Fig13Row]) -> str:
                              for row in largest.values())),
         PaperCheck("HALO helps every NF/size", "uniform gains",
                    f"min {min(r.speedup for r in rows):.2f}x",
-                   holds=min(r.speedup for r in rows) > 1.2),
+                   holds=min(r.speedup for r in rows) > 1.3),
     ]
     return table + "\n\n" + render_checks("Figure 13", checks)
 

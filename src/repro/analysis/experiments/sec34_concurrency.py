@@ -145,7 +145,7 @@ def report(result: ConcurrencyResult) -> str:
         PaperCheck("HALO reader largely immune",
                    "hardware lock bits, LLC-side access",
                    f"{halo_overhead:+.1%}",
-                   holds=halo_overhead < software_overhead),
+                   holds=halo_overhead < software_overhead / 2),
     ]
     return table + "\n\n" + render_checks("§3.4 concurrency", checks)
 

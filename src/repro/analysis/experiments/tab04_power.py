@@ -66,7 +66,7 @@ def report(result: Tab4Result) -> str:
                    holds=result.halo.area_tiles == 0.012),
         PaperCheck("HALO vs TCAM energy efficiency", "up to 48.2x",
                    f"{result.efficiency_vs_1mb_tcam:.1f}x",
-                   holds=abs(result.efficiency_vs_1mb_tcam - 48.2) < 1.0),
+                   holds=abs(result.efficiency_vs_1mb_tcam - 48.2) < 0.1),
     ]
     return table + "\n\n" + render_checks("Table 4", checks)
 

@@ -1,9 +1,10 @@
 """Plain-text reporting: aligned tables and paper-vs-measured rows.
 
-Every benchmark prints its figure/table through these helpers so the
-regenerated rows line up with what the paper reports.  The table formatter
-itself lives in :mod:`repro.obs.tables` (the bottom layer) and is
-re-exported here for the benchmarks' convenience.
+Every experiment prints its figure/table through these helpers so the
+regenerated rows line up with what the paper reports; its paper claims
+are :class:`PaperCheck` lines.  The table formatter itself lives in
+:mod:`repro.obs.tables` (the bottom layer) and is re-exported here for
+the experiments' convenience.
 """
 
 from __future__ import annotations

@@ -27,9 +27,10 @@ that structure into an orchestration subsystem:
 * :mod:`repro.runner.schema` defines the grid/run/result dataclasses
   shared by all of the above.
 
-Entry points: ``python -m repro bench`` (the CLI) and
-:func:`run_benchmarks` / :func:`run_for_bench` (the library API the
-``benchmarks/bench_*.py`` thin wrappers use).  Runner-level metrics
+Entry points: ``python -m repro bench`` (the CLI, backed by
+:func:`run_benchmarks`) and ``python -m repro run`` (one experiment at a
+time, backed by :func:`run_for_bench`).  Each experiment's paper claims
+live in its report, as ``PaperCheck`` lines.  Runner-level metrics
 (cache hits/misses, per-run wall time) are published through a
 :class:`repro.obs.MetricsRegistry`.  The simulator's own host speed is
 measured outside the package, by ``benchmarks/e2e``.  See
@@ -54,9 +55,7 @@ from .scheduler import (
     BenchFailedError,
     BenchSummary,
     RunFailure,
-    archive_report,
     default_jobs,
-    default_reports_dir,
     derive_seed,
     execute,
     plan_runs,
@@ -82,13 +81,11 @@ __all__ = [
     "RunTimeoutError",
     "UnknownExperimentError",
     "WorkerCrashedError",
-    "archive_report",
     "campaign_id",
     "classify_failure",
     "code_fingerprint",
     "default_jobs",
     "default_journal_path",
-    "default_reports_dir",
     "derive_seed",
     "discover",
     "execute",

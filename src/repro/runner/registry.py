@@ -2,7 +2,7 @@
 
 The registry is the single source of truth for which paper artifacts
 (HALO Figures 3-13, Tables 1/4, and the §3.4/§4.7 studies) the repo
-reproduces; the CLI, the benchmark harness, and the docs catalog all
+reproduces; ``repro run``, ``repro bench`` and the docs catalog all
 read from it.
 
 Every module listed in ``repro.analysis.experiments.__all__`` that

@@ -480,54 +480,34 @@ def run_for_bench(name: str, quick: bool = False):
     """Execute one experiment serially, uncached; return
     ``({label: payload}, report_text)``.
 
-    This is what the ``benchmarks/bench_*.py`` thin wrappers call: they
-    need real (timed) execution and direct access to the payloads for
-    their shape assertions.
+    ``repro run`` prints the report; the parity pins and the ablation
+    shape tests assert on the payloads.  All of them want real
+    execution, never a cache hit.
     """
     spec = get_experiment(name)
     summary = execute([spec], jobs=1, quick=quick, cache=None,
                       use_cache=False)
     if summary.failures:
-        # Benchmark wrappers want the old strict contract: a crashing
-        # experiment raises instead of returning partial payloads.
+        # A crashing experiment raises instead of returning partial
+        # payloads: callers read every grid point's payload.
         raise BenchFailedError(summary.failures)
     payloads = {result.label: result.payload
                 for result in summary.results}
     return payloads, summary.reports[0].text
 
 
-def default_reports_dir() -> pathlib.Path:
-    """The checked-in report archive (``benchmarks/reports``).
-
-    Resolved relative to the repository root (two levels above the
-    ``repro`` package) so the benchmark wrappers and ``--reports`` agree
-    on one location regardless of the current working directory.
-    """
-    package_root = pathlib.Path(__file__).resolve().parent.parent
-    return package_root.parent.parent / "benchmarks" / "reports"
-
-
-def archive_report(slug: str, text: str,
-                   directory: os.PathLike) -> pathlib.Path:
-    """Write one rendered report as ``<directory>/<slug>.txt``.
-
-    The single report-path code path: ``write_reports`` (the ``--reports``
-    CLI flag) and ``benchmarks/_common.record_report`` (the pytest
-    wrappers) both land here, so the two can never disagree about
-    naming or layout.
-    """
-    out_dir = pathlib.Path(directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{slug}.txt"
-    path.write_text(text + "\n")
-    return path
-
-
 def write_reports(summary: BenchSummary,
                   directory: os.PathLike) -> List[pathlib.Path]:
-    """Archive each experiment's rendered report as ``<slug>.txt``."""
-    return [archive_report(report.slug, report.text, directory)
-            for report in summary.reports]
+    """Archive each experiment's rendered report as
+    ``<directory>/<slug>.txt`` (``repro bench --reports``)."""
+    out_dir = pathlib.Path(directory)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for report in summary.reports:
+        path = out_dir / f"{report.slug}.txt"
+        path.write_text(report.text + "\n")
+        paths.append(path)
+    return paths
 
 
 def default_jobs() -> int:

@@ -108,3 +108,19 @@ def test_bench_rejects_out_of_range_numbers(tmp_path, capsys, flag, value,
     assert f"argument {flag}: must be" in err
     assert allowed in err
     assert not cache.exists()
+
+
+def test_bench_reports_rejects_an_existing_file(tmp_path, capsys):
+    # Checked at parse time: the campaign never runs, and the error
+    # names the path instead of ending the run in a mkdir traceback.
+    not_a_dir = tmp_path / "reports.txt"
+    not_a_dir.write_text("")
+    cache = tmp_path / "cache"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--only", "tab04", "--quick",
+              "--cache-dir", str(cache), "--reports", str(not_a_dir)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --reports:" in err
+    assert str(not_a_dir) in err
+    assert not cache.exists()

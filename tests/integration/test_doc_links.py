@@ -14,7 +14,8 @@ ROOT = pathlib.Path(repro.__file__).resolve().parents[2]
 #: ``[text](target)`` — the same inline-link shape the CI job checks.
 LINK = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
 
-DOC_FILES = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+DOC_FILES = [ROOT / "README.md", ROOT / "EXPERIMENTS.md", ROOT / "DESIGN.md",
+             *sorted((ROOT / "docs").glob("*.md"))]
 
 
 def _relative_targets(path):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.experiments import (
+    cluster_chaos,
     fig03_breakdown,
     fig04_hash,
     fig08_flow_register,
@@ -46,16 +47,20 @@ def test_fig04_runs():
         assert c_row.utilisation > s_row.utilisation * 2
 
 
-def _fig04_rows(flow_counts, sfh_llc_mpkl):
+def _fig04_rows(flow_counts, sfh_llc_mpkl, sfh_stall=0.9):
     return [fig04_hash.Fig4Row(kind, count, 0.5, 1.0,
                                sfh_llc_mpkl if kind == "sfh" else 0.1,
-                               0.5, 200.0)
+                               sfh_stall if kind == "sfh" else 0.8, 200.0)
             for count in flow_counts for kind in ("cuckoo", "sfh")]
 
 
-def _sfh_cliff_line(text):
+def _check_line(text, label):
     return next(line for line in text.splitlines()
-                if "SFH LLC misses from 100K flows" in line)
+                if line.startswith(f"  {label}: paper"))
+
+
+def _sfh_cliff_line(text):
+    return _check_line(text, "SFH LLC misses from 100K flows")
 
 
 def test_fig04_quick_grid_does_not_judge_the_100k_cliff():
@@ -71,6 +76,18 @@ def test_fig04_full_grid_judges_the_100k_row():
     line = _sfh_cliff_line(fig04_hash.report(
         _fig04_rows((10_000, 100_000, 400_000), sfh_llc_mpkl=12.0)))
     assert line.endswith("measured 12.0 MPKL  [shape holds]")
+
+
+@pytest.mark.parametrize("sfh_stall, status", [
+    (0.9, "[shape holds]"),
+    (0.7, "[DIVERGES]"),
+], ids=["sfh-stalls-more", "cuckoo-stalls-more"])
+def test_fig04_judges_stalls_at_the_largest_row(sfh_stall, status):
+    # Judged on the quick grid too: its largest row is 10K flows.
+    line = _check_line(fig04_hash.report(
+        _fig04_rows((1_000, 10_000), sfh_llc_mpkl=0.0, sfh_stall=sfh_stall)),
+        "SFH stalls more than cuckoo at max flows")
+    assert line.endswith(status)
 
 
 def test_fig04_achievable_occupancy():
@@ -100,6 +117,66 @@ def test_fig09_point():
     assert normalized["tcam"] > normalized["halo-b"]
     text = fig09_single_lookup.report([point])
     assert "Figure 9" in text
+
+
+def _fig09_point(entries, halo_b, halo_nb):
+    software = 300.0
+    return fig09_single_lookup.Fig9Point(entries, 0.5, cycles_per_lookup={
+        "software": software, "halo-b": software / halo_b,
+        "halo-nb": software / halo_nb, "tcam": 7.0, "sram-tcam": 12.5})
+
+
+def _fig09_text(dram_point):
+    return fig09_single_lookup.report(
+        [_fig09_point(8, 0.9, 1.0), _fig09_point(1 << 18, 3.0, 3.4)],
+        dram_point=dram_point)
+
+
+def test_fig09_quick_grid_has_no_beyond_llc_check():
+    text = _fig09_text(dram_point=None)
+    assert "beyond-LLC" not in text
+    assert "DIVERGES" not in text
+
+
+@pytest.mark.parametrize("halo_b, status", [
+    (1.6, "[shape holds]"),
+    (1.2, "[DIVERGES]"),
+    (3.1, "[DIVERGES]"),
+], ids=["in-range", "below-1.3", "above-3.0"])
+def test_fig09_judges_the_dram_point(halo_b, status):
+    text = _fig09_text(_fig09_point(1 << 16, halo_b, 1.64))
+    line = _check_line(text, "HALO speedup, beyond-LLC table")
+    assert f"measured {halo_b:.2f}x (B) / 1.64x (NB)" in line
+    assert line.endswith(status)
+    assert text.count("[DIVERGES]") == (status == "[DIVERGES]")
+
+
+def _chaos_points(failed_shards, recovery_lookups):
+    return [cluster_chaos.ChaosPoint(
+        label=label, shards=4, kill_rate=rate, failover=True,
+        cache_policy=None, total_lookups=1000, lost_flows=0,
+        failed_shards=failed, resteered_entries=32 * failed,
+        recovery_lookups=recovered, p50_cycles=300.0,
+        p99_cycles=300.0 + 12_000.0 * failed, makespan_cycles=30_000.0,
+        throughput_per_kcycle=30.0, detection_cycles=12_288.0)
+        for label, rate, failed, recovered in zip(
+            ("kill_00", "kill_02", "kill_04", "kill_07"),
+            (0.0, 0.2, 0.4, 0.7), failed_shards, recovery_lookups)]
+
+
+@pytest.mark.parametrize("failed_shards, recovery_lookups, status", [
+    ((0, 1, 2, 3), (0, 38, 75, 274), "[shape holds]"),
+    ((0, 1, 1, 3), (0, 38, 75, 274), "[DIVERGES]"),
+    ((0, 1, 2, 3), (0, 38, 0, 274), "[DIVERGES]"),
+], ids=["holds", "deaths-stall", "dead-shard-not-recovered"])
+def test_cluster_chaos_zero_lost_flows_needs_growing_deaths_and_recovery(
+        failed_shards, recovery_lookups, status):
+    text = cluster_chaos.report(_chaos_points(failed_shards,
+                                              recovery_lookups))
+    line = _check_line(text, "zero lost flows")
+    assert "lost flows [0, 0, 0, 0]" in line
+    assert line.endswith(status)
+    assert text.count("[DIVERGES]") == (status == "[DIVERGES]")
 
 
 def test_fig10_runs():
