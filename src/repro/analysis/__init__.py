@@ -4,9 +4,6 @@ per-figure experiment runners."""
 from .breakdown import (
     FIG3_STAGES,
     FIG10_COMPONENTS,
-    classification_share,
-    merge_all,
-    ordered_parts,
     per_packet,
     render_stacked,
 )
@@ -22,10 +19,7 @@ __all__ = [
     "FIG10_COMPONENTS",
     "FIG3_STAGES",
     "PaperCheck",
-    "classification_share",
     "format_table",
-    "merge_all",
-    "ordered_parts",
     "per_packet",
     "percent_str",
     "ratio_str",

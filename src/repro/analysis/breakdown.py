@@ -1,4 +1,4 @@
-"""Breakdown analysis helpers: stage ordering, merging, and rendering.
+"""Breakdown analysis helpers: stage order, per-packet scaling, rendering.
 
 Used by the Figure 3 (per-packet pipeline) and Figure 10 (per-lookup
 latency) reproductions.
@@ -6,7 +6,7 @@ latency) reproductions.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Sequence
 
 from ..sim.stats import Breakdown
 
@@ -18,31 +18,11 @@ FIG3_STAGES = ["packet_io", "preprocess", "emc_lookup", "megaflow_lookup",
 FIG10_COMPONENTS = ["compute", "memory", "locking"]
 
 
-def ordered_parts(breakdown: Breakdown,
-                  order: Sequence[str]) -> List[tuple]:
-    """(name, value) pairs in canonical order, including zero stages."""
-    return [(name, breakdown[name]) for name in order]
-
-
 def per_packet(breakdown: Breakdown, packets: int) -> Breakdown:
     """Scale an accumulated breakdown to per-packet averages."""
     if packets <= 0:
         return Breakdown()
     return breakdown.scaled(1.0 / packets)
-
-
-def classification_share(breakdown: Breakdown) -> float:
-    """Fraction of the total spent in flow classification."""
-    total = breakdown.total or 1.0
-    return (breakdown["emc_lookup"] + breakdown["megaflow_lookup"]
-            + breakdown["openflow_lookup"]) / total
-
-
-def merge_all(breakdowns: Iterable[Breakdown]) -> Breakdown:
-    merged = Breakdown()
-    for item in breakdowns:
-        merged = merged.merged(item)
-    return merged
 
 
 def render_stacked(rows: Dict[str, Breakdown], order: Sequence[str],

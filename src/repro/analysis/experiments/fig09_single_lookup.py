@@ -16,8 +16,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ...core.halo_system import HaloSystem
-from ...tcam.sram_tcam import SRAM_TCAM_SEARCH_CYCLES
-from ...tcam.tcam import TCAM_SEARCH_CYCLES
+from ...tcam.tcam import SRAM_TCAM_SEARCH_CYCLES, TCAM_SEARCH_CYCLES
 from ...traffic.generator import random_keys
 from ..reporting import PaperCheck, format_table, render_checks
 

@@ -1,13 +1,14 @@
-"""Pluggable cache-management policies for the EMC and MegaFlow layers.
+"""Pluggable cache-management policies for the EMC.
 
 OVS's datapath caches lose their value under churn: when flow arrival
 rates approach the cache capacity per eviction interval, every install
 evicts a still-hot entry and the miss rate collapses (the regime Flow
 Correlator targets).  Which entries *enter* the cache (admission) and
 which leave (victim selection) then matter more than raw capacity.  This
-module factors both decisions out of :class:`ExactMatchCache` and
-:class:`TupleSpaceSearch` behind one small protocol so workload
-experiments can sweep strategies without touching the cache structure.
+module factors both decisions out of :class:`ExactMatchCache` behind one
+small protocol so workload experiments can sweep strategies without
+touching the cache structure.  The MegaFlow tier takes no policy: its
+installs are best-effort (:mod:`repro.classifier.tuple_space`).
 
 Public contract: :class:`CachePolicy` is the stable seam — ``admit()``
 gates installs, ``victim()`` picks the entry to evict from the candidate

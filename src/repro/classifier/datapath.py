@@ -78,15 +78,13 @@ class OvsDatapath:
                  megaflow_tuple_capacity: int = 1024,
                  emc_enabled: bool = True,
                  emc_policy: Union[str, CachePolicy, None] = None,
-                 megaflow_policy: Optional[CachePolicy] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.emc = ExactMatchCache(emc_entries, allocator=allocator,
                                    tracer=tracer, policy=emc_policy,
                                    metrics=metrics)
         self.megaflow = TupleSpaceSearch(
             allocator=allocator, tracer=tracer,
-            tuple_capacity=megaflow_tuple_capacity, name="megaflow",
-            policy=megaflow_policy, metrics=metrics)
+            tuple_capacity=megaflow_tuple_capacity, name="megaflow")
         self.openflow = OpenFlowLayer(allocator=allocator, tracer=tracer)
         self.emc_enabled = emc_enabled
         self.stats = DatapathStats()

@@ -71,7 +71,3 @@ class OpenFlowLayer:
             return None
         self.stats.hits += 1
         return max(matches, key=lambda rule: (rule.priority, -rule.rule_id))
-
-    def tuples_searched_per_classification(self) -> int:
-        """OpenFlow always searches every tuple."""
-        return self.tss.num_tuples

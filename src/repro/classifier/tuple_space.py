@@ -7,24 +7,19 @@ table.  The MegaFlow layer returns on the *first* match (tuples are
 unordered caches of disjoint megaflows); the OpenFlow layer — built on the
 same structure — must search all tuples and take the highest priority.
 
-When used as a megaflow *cache* an optional
-:class:`~repro.classifier.cache_policy.CachePolicy` governs admission and
-eviction per tuple: a failed insert (tuple at capacity) evicts a policy-
-chosen victim from the new key's candidate buckets and retries once.
-With ``policy=None`` (the default, and always for the OpenFlow rule set)
-installs behave exactly as before: best-effort, no eviction.
+Installs are best-effort: a rule whose tuple is at capacity is not
+cached, and nothing is evicted.  Only the EMC takes a
+:class:`~repro.classifier.cache_policy.CachePolicy`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..hashtable.cuckoo import CuckooHashTable
-from ..obs.metrics import MetricsRegistry, NULL_COUNTER
 from ..sim.memory import AddressAllocator
 from ..sim.trace import Tracer, NULL_TRACER
-from .cache_policy import CachePolicy
 from .flow import FiveTuple, FlowMask
 from .rules import Rule
 
@@ -36,14 +31,6 @@ class TupleSpaceStats:
     classifications: int = 0
     hits: int = 0
     tuple_lookups: int = 0
-    evictions: int = 0
-    admission_rejects: int = 0
-
-    @property
-    def lookups_per_classification(self) -> float:
-        if not self.classifications:
-            return 0.0
-        return self.tuple_lookups / self.classifications
 
 
 class TupleEntry:
@@ -68,23 +55,14 @@ class TupleSpaceSearch:
     def __init__(self, allocator: Optional[AddressAllocator] = None,
                  tracer: Tracer = NULL_TRACER,
                  tuple_capacity: int = DEFAULT_TUPLE_CAPACITY,
-                 name: str = "tss",
-                 policy: Optional[CachePolicy] = None,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 name: str = "tss") -> None:
         self.allocator = allocator
         self.tracer = tracer
         self.tuple_capacity = tuple_capacity
         self.name = name
-        self.policy = policy
         self._tuples: Dict[FlowMask, TupleEntry] = {}
         self._order: List[FlowMask] = []   # insertion order = search order
         self.stats = TupleSpaceStats()
-        if metrics is None:
-            self._m_evictions = NULL_COUNTER
-            self._m_rejects = NULL_COUNTER
-        else:
-            self._m_evictions = metrics.counter(f"{name}.evictions")
-            self._m_rejects = metrics.counter(f"{name}.admission_rejects")
 
     # -- structure ---------------------------------------------------------------
     @property
@@ -111,68 +89,32 @@ class TupleSpaceSearch:
     def install(self, rule: Rule) -> bool:
         """Add a rule; creates the tuple for its mask on first use.
 
-        With a cache policy attached, admission is consulted for new
-        keys, and a full tuple evicts one policy-chosen victim from the
-        key's candidate buckets before retrying the insert once.
+        Returns False, evicting nothing, when the rule's tuple is full.
         """
-        entry = self.tuple_for(rule.mask)
-        if self.policy is None:
-            return entry.table.insert(rule.key, rule)
-        key = rule.key
-        plan = entry.table.probe(key)
-        if plan.found:
-            entry.table.insert(key, rule)   # refresh the cached megaflow
-            self.policy.on_hit(key)
-            return True
-        if not self.policy.admit(key):
-            self.stats.admission_rejects += 1
-            self._m_rejects.inc()
-            return False
-        if entry.table.insert(key, rule):
-            self.policy.on_install(key)
-            return True
-        victim = self.policy.victim(
-            entry.table, (plan.primary_index, plan.secondary_index))
-        if victim is None:
-            return False
-        entry.table.delete(victim)
-        self.policy.on_evict(victim)
-        self.stats.evictions += 1
-        self._m_evictions.inc()
-        if entry.table.insert(key, rule):
-            self.policy.on_install(key)
-            return True
-        return False
+        return self.tuple_for(rule.mask).table.insert(rule.key, rule)
 
     def remove(self, rule: Rule) -> bool:
         entry = self._tuples.get(rule.mask)
         if entry is None:
             return False
-        deleted = entry.table.delete(rule.key)
-        if deleted and self.policy is not None:
-            self.policy.on_evict(rule.key)
-        return deleted
+        return entry.table.delete(rule.key)
 
     def __len__(self) -> int:
         return sum(len(entry) for entry in self._tuples.values())
 
     # -- classification -----------------------------------------------------------
-    def record(self, searched: int, hit: bool,
-               key: Optional[bytes] = None) -> None:
+    def record(self, searched: int, hit: bool) -> None:
         """Book one classification that probed ``searched`` tuples.
 
         The one place search stats are counted: :meth:`classify`, the
         OpenFlow layer and the virtual switch's traced and HALO searches
-        all book here, so they agree.  A first-match ``hit`` passes the
-        masked ``key`` it matched, which refreshes the cache policy.
+        all book here, so they agree.
         """
         stats = self.stats
         stats.classifications += 1
         stats.tuple_lookups += searched
         if hit:
             stats.hits += 1
-            if key is not None and self.policy is not None:
-                self.policy.on_hit(key)
 
     def classify(self, flow: FiveTuple) -> Tuple[Optional[Rule], int]:
         """MegaFlow semantics: first match wins.
@@ -185,7 +127,7 @@ class TupleSpaceSearch:
             key = entry.mask.key_of(flow)
             rule = entry.table.lookup(key)
             if rule is not None:
-                self.record(searched, True, key)
+                self.record(searched, True)
                 return rule, searched
         self.record(searched, False)
         return None, searched

@@ -43,8 +43,6 @@ class QueryDistributor:
         self.stats = DistributorStats()
         self.obs = hierarchy.obs
         registry = self.obs.metrics
-        self._m_dispatched = registry.counter("halo.distributor.dispatched")
-        self._m_held = registry.counter("halo.distributor.held_for_busy")
         #: End-to-end query latency (issue to reply), the Figure 10 quantity.
         self._m_latency = registry.histogram("halo.query.latency_cycles")
         registry.register_source("halo.distributor", self.stats.as_dict)
@@ -64,7 +62,6 @@ class QueryDistributor:
         slice_id = self.target_slice(query)
         accelerator = self.accelerators[slice_id]
         self.stats.dispatched += 1
-        self._m_dispatched.inc()
         self.stats.per_slice[slice_id] = self.stats.per_slice.get(slice_id, 0) + 1
         query.span = self.obs.trace.root(
             "query", self.engine.now, query_id=query.query_id,
@@ -87,7 +84,6 @@ class QueryDistributor:
             # The accelerator's busy bit is raised: the distributor holds
             # the query until a scoreboard slot frees (paper §4.3).
             self.stats.held_for_busy += 1
-            self._m_held.inc()
             stage.note(held_for_busy=True)
         stage.finish(self.engine.now)
         result: QueryResult = yield self.engine.process(

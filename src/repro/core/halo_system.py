@@ -241,8 +241,7 @@ class HaloSystem:
         lines = [
             f"HaloSystem: {self.machine.cores} cores, "
             f"{self.machine.llc_slices} LLC slices "
-            f"({self.machine.llc_total_bytes >> 20} MB, "
-            f"{self.machine.interconnect}), "
+            f"({self.machine.llc_total_bytes >> 20} MB, ring), "
             f"engine @ {self.engine.now:.0f} cycles",
         ]
         l1_stats = [cache.stats for cache in hierarchy.l1]

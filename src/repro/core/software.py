@@ -13,22 +13,12 @@ other's in-flight traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Tuple
 
 from ..hashtable.locking import READ_SIDE_CYCLES
 from ..sim.core import CoreModel, ExecutionResult
 from ..sim.hierarchy import MemoryHierarchy
-from ..sim.stats import Breakdown, RunningStats
 from ..sim.trace import Tracer, capture
-
-
-@dataclass
-class SoftwareRunStats:
-    lookups: int = 0
-    hits: int = 0
-    cycles: RunningStats = field(default_factory=RunningStats)
-    breakdown: Breakdown = field(default_factory=Breakdown)
 
 
 class SoftwareLookupEngine:
@@ -39,7 +29,6 @@ class SoftwareLookupEngine:
         self.hierarchy = hierarchy
         self.core = CoreModel(core_id, hierarchy)
         self.with_locking = with_locking
-        self.stats = SoftwareRunStats()
 
     def lookup(self, table, key: bytes,
                key_addr: Optional[int] = None) -> Tuple[Any, ExecutionResult]:
@@ -48,23 +37,16 @@ class SoftwareLookupEngine:
         value, trace = capture(tracer, self.core.core_id,
                                table.lookup, key, key_addr=key_addr)
         lock_cycles = READ_SIDE_CYCLES if self.with_locking else 0.0
-        result = self.core.execute(trace, lock_cycles=lock_cycles)
-        self.stats.lookups += 1
-        if value is not None:
-            self.stats.hits += 1
-        self.stats.cycles.record(result.cycles)
-        self.stats.breakdown = self.stats.breakdown.merged(result.breakdown)
-        return value, result
+        return value, self.core.execute(trace, lock_cycles=lock_cycles)
 
     def capture_lookups(self, table,
                         keys: Iterable[bytes]) -> Tuple[list, list]:
         """Functionally run a key stream, capturing one trace per lookup.
 
-        Pure capture — nothing is priced and no stats are recorded; pair
-        with :meth:`record_lookups` once the traces have been replayed
-        (:class:`~repro.sim.replay.TraceReplay`).  Table
-        lookups are functional reads, so running them all before pricing
-        leaves the simulated cache state untouched.
+        Pure capture — nothing is priced; the traces are replayed by
+        :class:`~repro.sim.replay.TraceReplay`.  Table lookups are
+        functional reads, so running them all before pricing leaves the
+        simulated cache state untouched.
         """
         tracer = self.table_tracer(table)
         values: list = []
@@ -102,53 +84,6 @@ class SoftwareLookupEngine:
             tracer.restore(token)
         return values, traces
 
-    def record_lookups(self, values: list, results: list) -> None:
-        """Fold a priced batch into the run stats in one pass.
-
-        Float math is the same left-fold :meth:`lookup` performs per
-        lookup (the Welford stream sees each cycle count in order, the
-        breakdown parts accumulate left to right), so a replayed stream's
-        stats equal the serial run's exactly.
-        """
-        stats = self.stats
-        parts = dict(stats.breakdown.parts)
-        parts_get = parts.get
-        hits = 0
-        # Welford fold inlined on locals — identical op sequence to
-        # RunningStats.record, written back once at the end.
-        cycle_stats = stats.cycles
-        count = cycle_stats.count
-        mean = cycle_stats.mean
-        m2 = cycle_stats._m2
-        minimum = cycle_stats.minimum
-        maximum = cycle_stats.maximum
-        for value, result in zip(values, results):
-            if value is not None:
-                hits += 1
-            cycles = result.cycles
-            count += 1
-            delta = cycles - mean
-            mean += delta / count
-            m2 += delta * (cycles - mean)
-            minimum = min(minimum, cycles)
-            maximum = max(maximum, cycles)
-            for name, amount in result.breakdown.parts.items():
-                parts[name] = parts_get(name, 0.0) + amount
-        cycle_stats.count = count
-        cycle_stats.mean = mean
-        cycle_stats._m2 = m2
-        cycle_stats.minimum = minimum
-        cycle_stats.maximum = maximum
-        stats.lookups += len(results)
-        stats.hits += hits
-        stats.breakdown = Breakdown(parts)
-
-    def lookup_stream(self, table, keys: Iterable[bytes]) -> SoftwareRunStats:
-        """Run a key stream; returns the accumulated statistics."""
-        for key in keys:
-            self.lookup(table, key)
-        return self.stats
-
     def lookup_bulk(self, table, keys: Iterable[bytes],
                     batch: int = 8) -> Tuple[list, float]:
         """DPDK ``rte_hash_lookup_bulk``: prefetch-pipelined batches.
@@ -176,16 +111,6 @@ class SoftwareLookupEngine:
             result = self.core.execute_prefetch_batch(
                 traces, lock_cycles_each=lock_cycles)
             total_cycles += result.cycles
-            self.stats.lookups += len(chunk)
-            # Amortise the batch cost across its lookups so per-lookup
-            # statistics (mean_cycles_per_lookup) stay meaningful after
-            # bulk runs, with count matching ``stats.lookups``.
-            per_lookup = result.cycles / len(chunk)
-            for _ in chunk:
-                self.stats.cycles.record(per_lookup)
-            self.stats.breakdown = self.stats.breakdown.merged(
-                result.breakdown)
-        self.stats.hits += sum(1 for value in values if value is not None)
         return values, total_cycles
 
     @staticmethod
@@ -203,7 +128,3 @@ class SoftwareLookupEngine:
         lock_cycles = (table.lock.write_overhead_cycles()
                        if self.with_locking else 0.0)
         return self.core.execute(trace, lock_cycles=lock_cycles)
-
-    @property
-    def mean_cycles_per_lookup(self) -> float:
-        return self.stats.cycles.mean

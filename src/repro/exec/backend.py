@@ -275,7 +275,6 @@ class SoftwareBackend(LookupBackend):
         lock_cycles = READ_SIDE_CYCLES if software.with_locking else 0.0
         results = yield from self.replay.replay(
             traces, lock_cycles_each=lock_cycles, mode=mode)
-        software.record_lookups(values, results)
         outcome_cls = LookupOutcome
         return [outcome_cls(value=value, found=value is not None,
                             cycles=result.cycles)

@@ -23,6 +23,12 @@ from ..sim.interconnect import mix64
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
+#: :meth:`FaultPlan.degradation` magnitudes at intensity 1: accelerator
+#: stall cycles, extra DRAM cycles and NoC drop probability.
+DEGRADATION_STALL_CYCLES = 400.0
+DEGRADATION_DRAM_EXTRA = 300.0
+DEGRADATION_NOC_DROP_PROBABILITY = 0.05
+
 
 class SplitMix64:
     """A tiny, dependency-free deterministic RNG (SplitMix64).
@@ -194,10 +200,7 @@ class FaultPlan:
     @classmethod
     def degradation(cls, intensity: float, seed: int = 0xFA17,
                     start: float = 0.0, end: float = 10_000_000.0,
-                    period: float = 4096.0,
-                    stall_cycles: float = 400.0,
-                    dram_extra: float = 300.0,
-                    noc_drop_probability: float = 0.05) -> "FaultPlan":
+                    period: float = 4096.0) -> "FaultPlan":
         """A machine-wide fault mix whose coverage scales with ``intensity``.
 
         ``intensity`` in [0, 1]: 0 → an empty plan (healthy machine); 1 →
@@ -214,12 +217,13 @@ class FaultPlan:
             return cls(windows=(), seed=seed)
         windows = (
             FaultWindow(kind=FaultKind.ACCEL_STALL, start=start, end=end,
-                        magnitude=stall_cycles * intensity,
+                        magnitude=DEGRADATION_STALL_CYCLES * intensity,
                         period=period, duty=intensity),
             FaultWindow(kind=FaultKind.DRAM_SPIKE, start=start, end=end,
-                        magnitude=dram_extra * intensity,
+                        magnitude=DEGRADATION_DRAM_EXTRA * intensity,
                         period=period, duty=intensity),
             FaultWindow(kind=FaultKind.NOC_DROP, start=start, end=end,
-                        probability=noc_drop_probability * intensity),
+                        probability=DEGRADATION_NOC_DROP_PROBABILITY
+                        * intensity),
         )
         return cls(windows=windows, seed=seed)

@@ -263,10 +263,14 @@ class ShardFaultPlan:
     def chaos(cls, kill_rate: float, seed: int = 0x5AD0,
               protected: Tuple[int, ...] = (0,),
               straggle_cycles: float = 48.0) -> "ShardFaultPlan":
-        """The ``cluster_chaos`` mix: permanent kills at ``kill_rate``,
+        """All three fault kinds: permanent kills at ``kill_rate``,
         first-attempt flaps at half that, and stragglers (fixed extra
         per-lookup cycles) at the same rate as the kills.  Window order is
         fixed, so the affected sets nest monotonically in ``kill_rate``.
+
+        No experiment runs this preset: ``cluster_chaos`` schedules kills
+        only (:meth:`kills`), and no experiment runs a flap or straggler
+        window.
         """
         if kill_rate == 0.0:
             return cls(windows=(), seed=seed, protected=protected)

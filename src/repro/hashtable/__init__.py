@@ -7,7 +7,7 @@ from .cuckoo import (
     LookupPlan,
     TableFull,
 )
-from .hashing import hash_bytes, hash32, mix64, secondary_index, signature_of
+from .hashing import hash_bytes, mix64, secondary_index, signature_of
 from .layout import (
     StandaloneAllocator,
     TableLayout,
@@ -30,7 +30,6 @@ __all__ = [
     "TableLayout",
     "WRITE_SIDE_CYCLES",
     "allocate_table",
-    "hash32",
     "hash_bytes",
     "mix64",
     "next_power_of_two",

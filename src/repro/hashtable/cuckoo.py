@@ -49,6 +49,8 @@ DELETE_MIX = InstructionMix(loads=70, stores=30, arithmetic=40, others=55)
 DEFAULT_ASSOC = 8
 DEFAULT_KEY_BYTES = 16
 MAX_BFS_NODES = 1024
+#: Longest displacement path an insert tries before giving up.
+MAX_KICK_DEPTH = 100
 
 #: A bucket entry is one int: the key-value slot above the 16-bit signature.
 _SLOT_SHIFT = 16
@@ -114,7 +116,6 @@ class CuckooHashTable:
         tracer: Tracer = NULL_TRACER,
         seed: int = 0x5EED,
         name: str = "cuckoo",
-        max_kick_depth: int = 100,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
@@ -122,7 +123,6 @@ class CuckooHashTable:
         self.assoc = assoc
         self.seed = seed
         self.name = name
-        self.max_kick_depth = max_kick_depth
         self.tracer = tracer
         #: 8-byte hash/compare lanes beyond the 16-byte (2-lane) baseline.
         self.extra_key_lanes = max(0, -(-key_bytes // 8) - 2)
@@ -422,7 +422,7 @@ class CuckooHashTable:
         while queue and nodes < MAX_BFS_NODES:
             bucket_index, path = queue.popleft()
             nodes += 1
-            if len(path) - 1 > self.max_kick_depth:
+            if len(path) - 1 > MAX_KICK_DEPTH:
                 continue
             bucket = self._buckets[bucket_index]
             if len(bucket) < self.assoc:

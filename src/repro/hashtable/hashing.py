@@ -13,7 +13,6 @@ import struct
 from ..sim.interconnect import mix64
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
-MASK32 = 0xFFFFFFFF
 
 
 def hash_bytes(data: bytes, seed: int = 0) -> int:
@@ -34,10 +33,6 @@ def hash_bytes(data: bytes, seed: int = 0) -> int:
         (lane,) = struct.unpack_from("<Q", tail, 0)
         acc = (acc ^ mix64(lane)) * 0x165667B19E3779F9 & MASK64
     return mix64(acc)
-
-
-def hash32(data: bytes, seed: int = 0) -> int:
-    return hash_bytes(data, seed) & MASK32
 
 
 def signature_of(hash_value: int) -> int:

@@ -21,6 +21,8 @@ from ..sim.params import CACHE_LINE_BYTES
 
 #: Bytes per {signature, pointer} pair inside a bucket.
 ENTRY_PAIR_BYTES = 8
+#: Bytes of data stored beside each key in a key-value slot.
+VALUE_BYTES = 8
 
 
 def _round_up(value: int, multiple: int) -> int:
@@ -76,8 +78,7 @@ class TableLayout:
 
 
 def allocate_table(allocator: AddressAllocator, name: str, num_buckets: int,
-                   assoc: int, key_bytes: int,
-                   value_bytes: int = 8) -> TableLayout:
+                   assoc: int, key_bytes: int) -> TableLayout:
     """Carve a table's three regions out of simulated physical memory."""
     if num_buckets & (num_buckets - 1):
         raise ValueError("num_buckets must be a power of two")
@@ -86,14 +87,14 @@ def allocate_table(allocator: AddressAllocator, name: str, num_buckets: int,
             f"{assoc} entries do not fit one {CACHE_LINE_BYTES}B bucket line")
     metadata = allocator.alloc(CACHE_LINE_BYTES, f"{name}.meta")
     buckets = allocator.alloc(num_buckets * CACHE_LINE_BYTES, f"{name}.buckets")
-    slot_bytes = _round_up(key_bytes + value_bytes, 16)
+    slot_bytes = _round_up(key_bytes + VALUE_BYTES, 16)
     key_values = allocator.alloc(num_buckets * assoc * slot_bytes, f"{name}.kv")
     return TableLayout(
         name=name,
         num_buckets=num_buckets,
         assoc=assoc,
         key_bytes=key_bytes,
-        value_bytes=value_bytes,
+        value_bytes=VALUE_BYTES,
         metadata=metadata,
         buckets=buckets,
         key_values=key_values,

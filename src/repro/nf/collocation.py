@@ -19,7 +19,7 @@ not packet order — differs between the phases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable
 
 from ..classifier.flow import FiveTuple
 from ..core.halo_system import HaloSystem
@@ -28,6 +28,10 @@ from ..traffic.generator import PacketStream
 from ..traffic.profiles import TrafficProfile
 from ..vswitch.switch import SwitchMode, VirtualSwitch
 from .base import NetworkFunction
+
+#: Switch packets processed between consecutive NF packets when
+#: collocated (SMT siblings make roughly equal forward progress).
+INTERLEAVE = 1
 
 
 @dataclass
@@ -71,17 +75,11 @@ def run_collocation(
     num_flows: int,
     switch_mode: SwitchMode,
     packets: int = 600,
-    interleave: int = 1,
     warmup: int = 200,
     num_rules: int = 10,
     seed: int = 31,
 ) -> CollocationResult:
-    """Measure one Figure 12 cell.
-
-    ``interleave`` switch packets are processed between consecutive NF
-    packets in the collocated phase (hyper-threaded siblings make roughly
-    equal forward progress).
-    """
+    """Measure one Figure 12 cell."""
     system = HaloSystem()
     nf = nf_factory(system)
     core_id = nf.core.core_id
@@ -116,7 +114,7 @@ def run_collocation(
     def _measure_collocated() -> tuple:
         # Switch PMD loop and NF inner loop as two concurrent engine
         # processes, turn-taking through a Store so each round keeps the
-        # solo phase's packet order (``interleave`` switch packets, then
+        # solo phase's packet order (``INTERLEAVE`` switch packets, then
         # one NF packet) while both genuinely share the engine timeline.
         engine = system.engine
         switch_turn = Store(engine)
@@ -126,7 +124,7 @@ def run_collocation(
         def switch_prog():
             for _ in nf_flows:
                 yield switch_turn.get()
-                for switch_flow in switch_stream.take(interleave):
+                for switch_flow in switch_stream.take(INTERLEAVE):
                     yield from switch.packet_program(switch_flow)
                 nf_turn.put(None)
 
@@ -175,16 +173,3 @@ def run_collocation(
         colocated_l1_miss_ratio=coloc_miss_ratio,
     )
 
-
-def collocation_sweep(nf_factories: List[Callable[[HaloSystem], NetworkFunction]],
-                      flow_counts: List[int],
-                      modes: List[SwitchMode],
-                      **kwargs) -> List[CollocationResult]:
-    """The full Figure 12 grid."""
-    results = []
-    for factory in nf_factories:
-        for flows in flow_counts:
-            for mode in modes:
-                results.append(run_collocation(factory, flows, mode,
-                                               **kwargs))
-    return results

@@ -107,24 +107,21 @@ class HashTableNetworkFunction(NetworkFunction):
         return fixed.cycles + extra
 
     # -- the Figure 13 measurement -----------------------------------------------------
-    def measure_speedup(self, flows,
-                        shared_core: bool = True) -> Tuple[NfStats, NfStats,
-                                                           float]:
+    def measure_speedup(self, flows) -> Tuple[NfStats, NfStats, float]:
         """Run the same stream in software and HALO mode; return both stats
         and the throughput speedup HALO/software.
 
-        ``shared_core`` models the deployed condition (paper §5.2): the NF
-        shares its core with other per-packet work, so its table lines do
-        not linger in the private caches between packets — each phase
-        flushes L1/L2 between packets, leaving the tables LLC-resident.
+        Models the deployed condition (paper §5.2): the NF shares its core
+        with other per-packet work, so its table lines do not linger in
+        the private caches between packets — each phase flushes L1/L2
+        between packets, leaving the tables LLC-resident.
         """
         flows = list(flows)
 
         def run_phase() -> NfStats:
             self.stats = NfStats()
             for flow in flows:
-                if shared_core:
-                    self.hierarchy.flush_private(self.core.core_id)
+                self.hierarchy.flush_private(self.core.core_id)
                 self.process(flow)
             return self.stats
 

@@ -97,11 +97,11 @@ class IdsFunction(NetworkFunction):
     INDEPENDENT_TOUCHES = 2
 
     def __init__(self, hierarchy: MemoryHierarchy, core_id: int = 0,
-                 patterns: List[bytes] = None, seed: int = 202) -> None:
+                 seed: int = 202) -> None:
         super().__init__(hierarchy, core_id=core_id,
                          working_set_bytes=512 * 1024, name="snort",
                          seed=seed)
-        self.automaton = PatternAutomaton(patterns or DEFAULT_PATTERNS)
+        self.automaton = PatternAutomaton(DEFAULT_PATTERNS)
         self._rng = np.random.default_rng(seed)
         self.alerts = 0
 

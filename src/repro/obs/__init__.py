@@ -54,13 +54,12 @@ def default_enabled() -> bool:
 class Observability:
     """Metrics + tracing for one simulated machine."""
 
-    def __init__(self, enabled: Optional[bool] = None,
-                 trace_capacity: int = 4096) -> None:
+    def __init__(self, enabled: Optional[bool] = None) -> None:
         if enabled is None:
             enabled = default_enabled()
         self.enabled = enabled
         self.metrics = MetricsRegistry(enabled=enabled)
-        self.trace = TraceRecorder(enabled=enabled, capacity=trace_capacity)
+        self.trace = TraceRecorder(enabled=enabled)
 
     def export(self) -> Dict[str, object]:
         """The full observable state: metrics snapshot + span trees."""

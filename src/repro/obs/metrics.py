@@ -327,7 +327,9 @@ class MetricsRegistry:
         """All metrics as one flat ``{dotted_name: value}`` mapping.
 
         Counters/gauges map to numbers, histograms to summary dicts, and
-        each pull source's entries are inlined under its name prefix.
+        each pull source's entries are inlined under its name prefix.  A
+        source entry whose dotted name is already taken raises
+        ``ValueError``: each name has one publisher.
         """
         out: Dict[str, object] = {}
         for name, counter in self._counters.items():
@@ -338,7 +340,12 @@ class MetricsRegistry:
             out[name] = histogram.to_dict()
         for name, fn in self._sources.items():
             for key, value in fn().items():
-                out[f"{name}.{key}"] = value
+                dotted = f"{name}.{key}"
+                if dotted in out:
+                    raise ValueError(
+                        f"metric {dotted!r} of pull source {name!r} is "
+                        "already published under that name")
+                out[dotted] = value
         return dict(sorted(out.items()))
 
     def to_json(self, indent: int = 2) -> str:

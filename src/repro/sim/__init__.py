@@ -16,7 +16,7 @@ from .calendar import BucketCalendar
 from .core import CoreModel, ExecutionResult
 from .engine import Engine, Event, Process, Resource, SimulationError, Store
 from .hierarchy import AccessResult, MemoryHierarchy
-from .interconnect import Interconnect, MeshInterconnect, build_interconnect
+from .interconnect import Interconnect
 from .memory import AddressAllocator, Dram, OutOfSimulatedMemory, Region
 from .replay import TraceReplay
 from .params import (
@@ -32,7 +32,7 @@ from .params import (
     Topology,
 )
 from .tlb import Tlb, TlbParams, TlbStats
-from .stats import Breakdown, RunningStats, geometric_mean, mpkl, throughput_mops
+from .stats import Breakdown, RunningStats, mpkl, throughput_mops
 from .trace import (
     CoreTracerRouter,
     InstructionMix,
@@ -64,7 +64,6 @@ __all__ = [
     "HaloParams",
     "InstructionMix",
     "Interconnect",
-    "MeshInterconnect",
     "LatencyParams",
     "MachineParams",
     "MemOp",
@@ -89,9 +88,7 @@ __all__ = [
     "TlbStats",
     "TraceReplay",
     "Tracer",
-    "build_interconnect",
     "capture",
-    "geometric_mean",
     "mpkl",
     "throughput_mops",
 ]

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from ..obs import Observability
 from .cache import Cache, CacheStats
 from .coherence import SnoopFilter
-from .interconnect import build_interconnect
+from .interconnect import Interconnect
 from .memory import AddressAllocator, Dram
 from .tlb import Tlb
 from .params import MachineParams
@@ -74,9 +74,8 @@ class MemoryHierarchy:
                    for i in range(self.machine.cores)]
         self.llc = [Cache(f"LLC.{s}", self.machine.llc_slice)
                     for s in range(self.machine.llc_slices)]
-        self.interconnect = build_interconnect(
-            self.machine.interconnect, self.machine.llc_slices, lat,
-            self.topology)
+        self.interconnect = Interconnect(self.machine.llc_slices, lat,
+                                         self.topology)
         self.snoop_filter = SnoopFilter(self.machine.cores,
                                         self.machine.llc_slices)
         self.dram = Dram(lat.dram)

@@ -1,6 +1,6 @@
 """On-chip (and inter-socket) interconnect: slice hashing and hop latency.
 
-Models the ring/mesh that connects cores, LLC slices/CHAs, and the memory
+Models the ring that connects cores, LLC slices/CHAs, and the memory
 controller.  Two responsibilities:
 
 * **Slice hashing** — the address-to-slice hash that distributes lines (and
@@ -11,10 +11,10 @@ controller.  Two responsibilities:
 * **Hop latency** — distance-dependent latency between stops, the NUCA in
   "Non-Uniform Cache Access".  With a multi-socket
   :class:`~repro.sim.params.Topology`, each socket keeps its own local
-  ring/mesh of ``slices_per_socket`` stops and sockets are bridged by a
+  ring of ``slices_per_socket`` stops and sockets are bridged by a
   fully-connected UPI-like link: a cross-socket message walks its local
-  fabric to the socket's link stop (stop 0), pays ``link_latency`` for the
-  crossing, then walks the destination socket's fabric.  With one socket
+  ring to the socket's link stop (stop 0), pays ``link_latency`` for the
+  crossing, then walks the destination socket's ring.  With one socket
   every formula reduces exactly to the original single-ring arithmetic.
 """
 
@@ -114,14 +114,14 @@ class Interconnect:
         return (stop % self.stops) // self.local_stops
 
     def _local_distance(self, src_local: int, dst_local: int) -> int:
-        """Hop count between two stops of one socket's local fabric."""
+        """Hop count between two stops of one socket's local ring."""
         distance = abs(src_local - dst_local) % self.local_stops
         return min(distance, self.local_stops - distance)
 
     def hops(self, src_stop: int, dst_stop: int) -> int:
-        """Shortest-path *fabric* hop count between two stops.
+        """Shortest-path *ring* hop count between two stops.
 
-        Same socket: the local ring/mesh distance.  Cross socket: local
+        Same socket: the local ring distance.  Cross socket: local
         hops to the source socket's link stop (local stop 0) plus local
         hops from the destination socket's link stop — the link crossing
         itself is charged separately (:meth:`link_crossings`).
@@ -166,42 +166,3 @@ class Interconnect:
         if not self.stats.messages:
             return 0.0
         return self.stats.total_hops / self.stats.messages
-
-
-class MeshInterconnect(Interconnect):
-    """A 2D mesh with XY routing (the Skylake-SP successor topology).
-
-    Each socket's ``local_stops`` tiles are laid out row-major on the
-    smallest near-square grid holding them; hop distance is the Manhattan
-    distance (cross-socket paths route via each socket's tile 0, as in the
-    ring).  Compared with the ring, worst-case distances shrink (O(√n) vs
-    O(n/2)), which mostly matters for the NUCA spread and HALO dispatch
-    latency on large chips.
-    """
-
-    def __init__(self, stops: int, latency: LatencyParams,
-                 topology: Optional[Topology] = None) -> None:
-        super().__init__(stops, latency, topology)
-        columns = 1
-        while columns * columns < self.local_stops:
-            columns += 1
-        self.columns = columns
-
-    def _coords(self, stop: int) -> tuple:
-        return divmod(stop, self.columns)
-
-    def _local_distance(self, src_local: int, dst_local: int) -> int:
-        src_row, src_col = self._coords(src_local)
-        dst_row, dst_col = self._coords(dst_local)
-        return abs(src_row - dst_row) + abs(src_col - dst_col)
-
-
-def build_interconnect(topology: str, stops: int, latency: LatencyParams,
-                       socket_topology: Optional[Topology] = None
-                       ) -> Interconnect:
-    """Factory: ``"ring"`` (default) or ``"mesh"``, optionally multi-socket."""
-    if topology == "ring":
-        return Interconnect(stops, latency, socket_topology)
-    if topology == "mesh":
-        return MeshInterconnect(stops, latency, socket_topology)
-    raise ValueError(f"unknown interconnect topology {topology!r}")

@@ -189,8 +189,6 @@ class MachineParams:
     core: CoreParams = field(default_factory=CoreParams)
     halo: HaloParams = field(default_factory=HaloParams)
     dram_bytes: int = 32 * 1024 * MB
-    #: On-chip interconnect topology: "ring" or "mesh".
-    interconnect: str = "ring"
     #: D-TLB model; None = perfect translation (the DPDK-hugepage steady
     #: state the paper measures).  Use TlbParams.small_pages() to expose
     #: 4 KB-page walk costs (see docs/MODELING.md).

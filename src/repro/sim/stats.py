@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Dict
 
 
 class Breakdown:
@@ -103,21 +103,3 @@ def throughput_mops(operations: int, cycles: float,
 def mpkl(misses: int, loads: int) -> float:
     """Misses per thousand retired loads (Figure 4's metric)."""
     return 1000.0 * misses / loads if loads else 0.0
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    values = [v for v in values if v > 0]
-    if not values:
-        return 0.0
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def speedup_table(baseline: Dict[str, float],
-                  improved: Dict[str, float]) -> Dict[str, float]:
-    """Per-key speedup of ``improved`` over ``baseline`` (higher = faster)."""
-    table = {}
-    for key, base in baseline.items():
-        new = improved.get(key)
-        if new:
-            table[key] = base / new
-    return table

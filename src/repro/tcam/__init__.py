@@ -1,4 +1,5 @@
-"""TCAM and SRAM-TCAM comparator models with Table-4 power/area figures."""
+"""The functional TCAM comparator, TCAM and SRAM-TCAM search latencies,
+and their Table-4 power/area figures."""
 
 from .power import (
     BYTES_PER_5TUPLE_RULE,
@@ -8,8 +9,8 @@ from .power import (
     sram_tcam_envelope,
     tcam_envelope,
 )
-from .sram_tcam import SRAM_TCAM_SEARCH_CYCLES, SramTcam
 from .tcam import (
+    SRAM_TCAM_SEARCH_CYCLES,
     TCAM_SEARCH_CYCLES,
     Tcam,
     TcamMatch,
@@ -20,7 +21,6 @@ from .tcam import (
 __all__ = [
     "BYTES_PER_5TUPLE_RULE",
     "SRAM_TCAM_SEARCH_CYCLES",
-    "SramTcam",
     "TCAM_SEARCH_CYCLES",
     "TCAM_TABLE4",
     "Tcam",

@@ -19,6 +19,11 @@ from typing import Any, List, Optional
 #: a few clock cycles" (paper §1, [58]).
 TCAM_SEARCH_CYCLES = 4
 
+#: SRAM-based TCAM emulation (Z-TCAM-style, paper refs [75-77]) partitions
+#: the table into SRAM blocks with match logic; the partitioned match
+#: pipeline adds a couple of stages over native TCAM.
+SRAM_TCAM_SEARCH_CYCLES = 7
+
 #: Per-displaced-entry cost of a priority-preserving update (paper: updates
 #: are expensive and inflexible [67]).
 TCAM_UPDATE_CYCLES_PER_MOVE = 8

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Generator, Iterable, List, Optional, Union
+from typing import Generator, Iterable, List
 
-from ..classifier.cache_policy import CachePolicy
 from ..classifier.datapath import Classification, HitLayer
-from ..classifier.emc import DEFAULT_EMC_ENTRIES, ExactMatchCache
+from ..classifier.emc import ExactMatchCache
 from ..classifier.flow import FiveTuple
 from ..classifier.openflow import OpenFlowLayer
 from ..classifier.rules import Rule, megaflow_entry
@@ -87,11 +86,8 @@ class VirtualSwitch:
     def __init__(self, system: HaloSystem,
                  mode: SwitchMode = SwitchMode.SOFTWARE,
                  core_id: int = 0,
-                 emc_entries: int = DEFAULT_EMC_ENTRIES,
                  megaflow_tuple_capacity: int = 4096,
-                 emc_enabled: bool = True,
-                 emc_policy: Union[str, CachePolicy, None] = None,
-                 megaflow_policy: Optional[CachePolicy] = None) -> None:
+                 emc_enabled: bool = True) -> None:
         self.system = system
         self.mode = mode
         self.core_id = core_id
@@ -100,13 +96,11 @@ class VirtualSwitch:
         allocator = system.hierarchy.allocator
         tracer = system.tracer
         metrics = system.obs.metrics  # null objects when obs is disabled
-        self.emc = ExactMatchCache(emc_entries, allocator=allocator,
-                                   tracer=tracer, policy=emc_policy,
+        self.emc = ExactMatchCache(allocator=allocator, tracer=tracer,
                                    metrics=metrics)
         self.megaflow = TupleSpaceSearch(
             allocator=allocator, tracer=tracer,
-            tuple_capacity=megaflow_tuple_capacity, name="megaflow",
-            policy=megaflow_policy, metrics=metrics)
+            tuple_capacity=megaflow_tuple_capacity, name="megaflow")
         self.openflow = OpenFlowLayer(allocator=allocator, tracer=tracer)
         self.pktio = PacketIo(system.hierarchy, core_id)
         # A burst-sized mbuf ring: headers recycle through a bounded set of
@@ -204,7 +198,7 @@ class VirtualSwitch:
             rule = yield from self._traced_op(breakdown, "megaflow_lookup",
                                               entry.table.lookup, key)
             if rule is not None:
-                self.megaflow.record(searched, True, key)
+                self.megaflow.record(searched, True)
                 yield from self._fill_caches(flow, rule, breakdown)
                 return Classification(flow, rule, HitLayer.MEGAFLOW,
                                       tuples_searched=searched)
@@ -259,7 +253,7 @@ class VirtualSwitch:
         # hit when blocking, every tuple when batched.
         for index, outcome in enumerate(outcomes):
             if outcome.found:
-                self.megaflow.record(len(outcomes), True, queries[index][1])
+                self.megaflow.record(len(outcomes), True)
                 return Classification(
                     flow, outcome.value, HitLayer.MEGAFLOW,
                     tuples_searched=index + 1)

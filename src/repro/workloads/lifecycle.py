@@ -22,6 +22,10 @@ import bisect
 import random
 from typing import List, Sequence
 
+#: :class:`ZipfSelector` rebuilds its rank CDF once the population has
+#: drifted past this fraction of the cached size.
+REBUILD_SLACK = 0.25
+
 
 def fork_rng(seed: int, tag: str) -> random.Random:
     """A child RNG stream deterministically derived from (seed, tag)."""
@@ -119,19 +123,17 @@ class ZipfSelector:
 
     ``pick(n)`` returns a rank in ``[0, n)`` with P(r) ∝ (r+1)**-s.  The
     rank CDF is cached and rebuilt only when the population has drifted
-    past ``rebuild_slack`` of the cached size, keeping selection O(log n)
+    past :data:`REBUILD_SLACK` of the cached size, keeping selection O(log n)
     per packet while the live-flow set churns.  Ranks beyond the cached
     table clamp to the tail, so correctness never depends on the rebuild
     heuristic.
     """
 
-    def __init__(self, s: float, rng: random.Random,
-                 rebuild_slack: float = 0.25) -> None:
+    def __init__(self, s: float, rng: random.Random) -> None:
         if s < 0:
             raise ValueError("skew must be >= 0")
         self.s = s
         self._rng = rng
-        self._slack = rebuild_slack
         self._cdf: List[float] = []
 
     def _rebuild(self, n: int) -> None:
@@ -149,7 +151,7 @@ class ZipfSelector:
         if self.s == 0:
             return self._rng.randrange(n)
         cached = len(self._cdf)
-        if cached == 0 or abs(n - cached) > self._slack * cached:
+        if cached == 0 or abs(n - cached) > REBUILD_SLACK * cached:
             self._rebuild(n)
         rank = bisect.bisect_left(self._cdf, self._rng.random())
         return min(rank, n - 1)

@@ -50,7 +50,8 @@ def test_tuples_searched_is_all():
                                 MASK_A))
     layer.install(rule_for_flow(make_flow(0, group=2), Action.output(2),
                                 MASK_B))
-    assert layer.tuples_searched_per_classification() == 2
+    layer.classify(make_flow(0, group=1))
+    assert layer.tss.stats.tuple_lookups == 2
 
 
 def test_remove():

@@ -96,7 +96,8 @@ def test_lookups_per_classification_stat():
     tss.install(rule_for_flow(make_flow(0, group=2), Action.output(2), MASK_B))
     tss.classify(make_flow(1, group=1))
     tss.classify(make_flow(1, group=999))
-    assert tss.stats.lookups_per_classification >= 1.0
+    assert tss.stats.classifications == 2
+    assert tss.stats.tuple_lookups >= 2
 
 
 def test_many_rules_same_tuple():

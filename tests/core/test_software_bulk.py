@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import HaloSystem
-from repro.sim import MeshInterconnect, SKYLAKE_SP_16C
 from repro.traffic import random_keys
 
 
@@ -70,38 +69,8 @@ def test_bulk_respects_lock_overhead(loaded):
     assert locked > unlocked
 
 
-def test_bulk_records_per_lookup_cycles_into_stats():
-    """Regression: lookup_bulk used to leave ``stats.cycles`` empty, so
-    ``mean_cycles_per_lookup`` read 0 after bulk-only workloads."""
-    system = HaloSystem()
-    table = system.create_table(1 << 12, name="bulk_stats")
-    keys = random_keys(500, seed=7)
-    for index, key in enumerate(keys):
-        table.insert(key, index)
-    system.warm_table(table)
-    engine = system.software_engine()
-    _values, cycles = engine.lookup_bulk(table, keys[:120], batch=8)
-    assert engine.stats.lookups == 120
-    assert engine.stats.cycles.count == 120
-    assert engine.stats.cycles.mean * 120 == pytest.approx(cycles, rel=1e-9)
-    assert engine.mean_cycles_per_lookup > 0
-
-
 def test_empty_batch(loaded):
     system, table, _keys = loaded
     engine = system.software_engine()
     values, cycles = engine.lookup_bulk(table, [])
     assert values == [] and cycles == 0.0
-
-
-def test_mesh_machine_system_works_end_to_end():
-    """HALO on the mesh-interconnect machine variant."""
-    system = HaloSystem(SKYLAKE_SP_16C.scaled(interconnect="mesh"))
-    assert isinstance(system.hierarchy.interconnect, MeshInterconnect)
-    table = system.create_table(1024, name="mesh")
-    keys = random_keys(500, seed=3)
-    for index, key in enumerate(keys):
-        table.insert(key, index)
-    system.warm_table(table)
-    episode = system.run_blocking_lookups(table, keys[:30])
-    assert [r.value for r in episode.results] == list(range(30))

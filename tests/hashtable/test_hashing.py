@@ -4,7 +4,7 @@ import collections
 
 import pytest
 
-from repro.hashtable import hash32, hash_bytes, mix64, secondary_index, signature_of
+from repro.hashtable import hash_bytes, mix64, secondary_index, signature_of
 
 
 def test_hash_deterministic():
@@ -24,10 +24,6 @@ def test_hash_data_sensitivity():
 def test_hash_is_64bit():
     for data in (b"", b"a", b"x" * 100):
         assert 0 <= hash_bytes(data) < (1 << 64)
-
-
-def test_hash32_range():
-    assert 0 <= hash32(b"data") < (1 << 32)
 
 
 def test_hash_distribution_over_buckets():

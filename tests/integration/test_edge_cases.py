@@ -119,18 +119,3 @@ def test_kvstore_get_many_software_mode(system):
     values, cycles = kv.get_many([b"k%02d" % index for index in range(20)])
     assert values == list(range(20))
     assert cycles > 0
-
-
-# -- collocation sweep helper ----------------------------------------------------------------
-def test_collocation_sweep_grid():
-    from repro.nf import AclFunction
-    from repro.nf.collocation import collocation_sweep
-    from repro.vswitch import SwitchMode
-    results = collocation_sweep(
-        [lambda system: AclFunction(system.hierarchy)],
-        flow_counts=[1_000],
-        modes=[SwitchMode.SOFTWARE, SwitchMode.HALO_NONBLOCKING],
-        packets=60, warmup=60)
-    assert len(results) == 2
-    assert {r.switch_mode for r in results} == {
-        SwitchMode.SOFTWARE, SwitchMode.HALO_NONBLOCKING}

@@ -157,6 +157,14 @@ def test_snapshot_inlines_sources_and_sorts():
     assert list(snapshot) == sorted(snapshot)
 
 
+def test_snapshot_rejects_a_source_key_shadowing_a_metric():
+    registry = MetricsRegistry()
+    registry.counter("a.b").inc()
+    registry.register_source("a", lambda: {"b": 1})
+    with pytest.raises(ValueError, match=r"'a\.b'.*source 'a'"):
+        registry.snapshot()
+
+
 def test_snapshot_histogram_is_summary_dict():
     registry = MetricsRegistry()
     registry.histogram("h.latency").observe(4.0)

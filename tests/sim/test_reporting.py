@@ -1,14 +1,9 @@
 """Analysis reporting and breakdown helpers."""
 
-import pytest
-
 from repro.analysis import (
     FIG3_STAGES,
     PaperCheck,
-    classification_share,
     format_table,
-    merge_all,
-    ordered_parts,
     per_packet,
     percent_str,
     ratio_str,
@@ -51,31 +46,11 @@ def test_ratio_and_percent_strings():
     assert percent_str(0.481) == "48.1%"
 
 
-def test_ordered_parts_includes_zeros():
-    breakdown = Breakdown({"emc_lookup": 5.0})
-    parts = dict(ordered_parts(breakdown, FIG3_STAGES))
-    assert parts["emc_lookup"] == 5.0
-    assert parts["packet_io"] == 0.0
-    assert list(parts) == list(FIG3_STAGES)
-
-
 def test_per_packet_scaling():
     breakdown = Breakdown({"a": 100.0})
     scaled = per_packet(breakdown, 10)
     assert scaled["a"] == 10.0
     assert per_packet(breakdown, 0).total == 0.0
-
-
-def test_classification_share():
-    breakdown = Breakdown({"emc_lookup": 20, "megaflow_lookup": 30,
-                           "packet_io": 50})
-    assert classification_share(breakdown) == pytest.approx(0.5)
-
-
-def test_merge_all():
-    merged = merge_all([Breakdown({"a": 1.0}), Breakdown({"a": 2.0,
-                                                          "b": 3.0})])
-    assert merged["a"] == 3.0 and merged["b"] == 3.0
 
 
 def test_render_stacked_totals():

@@ -4,8 +4,7 @@ import math
 
 import pytest
 
-from repro.sim import Breakdown, RunningStats, geometric_mean, mpkl, throughput_mops
-from repro.sim.stats import speedup_table
+from repro.sim import Breakdown, RunningStats, mpkl, throughput_mops
 
 
 def test_breakdown_add_and_total():
@@ -66,18 +65,6 @@ def test_throughput_mops():
 def test_mpkl():
     assert mpkl(5, 1000) == pytest.approx(5.0)
     assert mpkl(5, 0) == 0.0
-
-
-def test_geometric_mean():
-    assert geometric_mean([1, 100]) == pytest.approx(10.0)
-    assert geometric_mean([]) == 0.0
-    assert geometric_mean([0, -3]) == 0.0
-
-
-def test_speedup_table():
-    table = speedup_table({"a": 100.0, "b": 50.0}, {"a": 25.0, "b": 50.0})
-    assert table["a"] == pytest.approx(4.0)
-    assert table["b"] == pytest.approx(1.0)
 
 
 def test_breakdown_zero_total_fraction_and_fractions_agree():

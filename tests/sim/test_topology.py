@@ -9,11 +9,7 @@ import pytest
 
 from repro.core import HaloSystem
 from repro.sim.hierarchy import MemoryHierarchy
-from repro.sim.interconnect import (
-    Interconnect,
-    MeshInterconnect,
-    build_interconnect,
-)
+from repro.sim.interconnect import Interconnect
 from repro.sim.params import (
     SKYLAKE_SP_16C,
     TINY_MACHINE,
@@ -189,23 +185,6 @@ class TestInterconnectTopology:
         topo = Topology(sockets=2, socket=SocketParams(16, 16))
         with pytest.raises(ValueError, match="do not tile"):
             Interconnect(31, LAT, topo)
-
-    def test_mesh_uses_per_socket_grids(self):
-        topo = Topology(sockets=2, socket=SocketParams(16, 16))
-        mesh = MeshInterconnect(32, LAT, topo)
-        assert mesh.columns == 4                # 16 local tiles -> 4x4
-        # Local Manhattan distance: tile 0 -> tile 5 = (1,1) away.
-        assert mesh.hops(16, 21) == 2
-        # Cross socket: local 5 -> tile 0 (2 hops) + 0 -> local 0 (0 hops).
-        assert mesh.hops(5, 16) == 2
-        assert mesh.link_crossings(5, 16) == 1
-
-    def test_build_interconnect_passes_topology(self):
-        topo = Topology(sockets=2, socket=SocketParams(16, 16))
-        ring = build_interconnect("ring", 32, LAT, topo)
-        assert ring.sockets == 2
-        mesh = build_interconnect("mesh", 32, LAT, topo)
-        assert isinstance(mesh, MeshInterconnect)
 
     def test_slice_hash_is_global_across_sockets(self):
         """One shared NUCA address space: the hash spreads lines over all

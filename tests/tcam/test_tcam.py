@@ -3,7 +3,8 @@
 import pytest
 
 from repro.classifier import FlowMask, make_flow
-from repro.tcam import TCAM_SEARCH_CYCLES, Tcam, TernaryRule, exact_rule
+from repro.tcam import (SRAM_TCAM_SEARCH_CYCLES, TCAM_SEARCH_CYCLES, Tcam,
+                        TernaryRule, exact_rule)
 
 
 def test_exact_match():
@@ -94,3 +95,7 @@ def test_stats():
     tcam.search(0)
     assert tcam.stats.searches == 2
     assert tcam.stats.hits == 1
+
+
+def test_sram_tcam_search_slower_than_tcam():
+    assert SRAM_TCAM_SEARCH_CYCLES > TCAM_SEARCH_CYCLES

@@ -6,8 +6,10 @@ import pytest
 
 from repro.classifier import HitLayer, OvsDatapath, make_flow
 from repro.core import HaloSystem
+from repro.sim.stats import Breakdown
 from repro.traffic import FlowSet, PacketStream, TrafficProfile
 from repro.vswitch import SwitchMode, VirtualSwitch
+from repro.vswitch.switch import SwitchRunStats
 
 
 @pytest.fixture
@@ -73,6 +75,12 @@ def test_stats_accumulate(workload):
     assert stats.cycles_per_packet > 0
     assert 0.0 < stats.classification_fraction() < 1.0
     assert sum(stats.layer_hits.values()) == 60
+
+
+def test_classification_fraction_counts_the_three_lookup_stages():
+    stats = SwitchRunStats(breakdown=Breakdown(
+        {"emc_lookup": 20, "megaflow_lookup": 30, "packet_io": 50}))
+    assert stats.classification_fraction() == pytest.approx(0.5)
 
 
 def test_halo_modes_classify_identically(workload):
@@ -159,3 +167,33 @@ def test_classifier_stats_match_the_datapath(workload, mode):
     assert switch.openflow.tss.stats == datapath.openflow.tss.stats
     assert expected.classifications == 2 * len(flows)
     assert datapath.openflow.stats.controller_punts == 2
+
+
+def test_classifier_stats_match_the_datapath_with_the_emc_on(workload):
+    # The EMC at its defaults, as every experiment runs the switch: packet
+    # by packet the software pipeline classifies like OvsDatapath, and
+    # all three layers book the same stats.
+    profile, flow_set, rules = workload
+    rules = rules[:-1]                  # drop the catch-all: punts happen
+    stream = PacketStream(flow_set, zipf_s=profile.zipf_s, seed=7)
+    flows = ([*flow_set.flows[:40], make_flow(0, group=77)] * 2
+             + stream.take(400))
+    switch = VirtualSwitch(HaloSystem(), SwitchMode.SOFTWARE,
+                           megaflow_tuple_capacity=1 << 14)
+    switch.install_rules(rules)
+    datapath = OvsDatapath(megaflow_tuple_capacity=1 << 14)
+    for rule in rules:
+        datapath.install_rule(rule)
+    for flow in flows:
+        got = switch.process_flow(flow).classification
+        want = datapath.classify(flow)
+        assert got.layer is want.layer
+        assert (got.rule and (got.rule.mask, got.rule.match)) == \
+            (want.rule and (want.rule.mask, want.rule.match))
+
+    assert switch.emc.stats == datapath.emc.stats
+    assert switch.megaflow.stats == datapath.megaflow.stats
+    assert switch.openflow.stats == datapath.openflow.stats
+    assert switch.openflow.tss.stats == datapath.openflow.tss.stats
+    assert datapath.stats.emc_hits > 0
+    assert datapath.stats.misses > 0
