@@ -18,6 +18,11 @@ KEY_BYTES = 16
 PROTO_TCP = 6
 PROTO_UDP = 17
 
+#: Each :class:`FlowMask` field and its width in bits.
+_MASK_BITS = (("src_ip_mask", 32), ("dst_ip_mask", 32),
+              ("src_port_mask", 16), ("dst_port_mask", 16),
+              ("proto_mask", 8))
+
 
 @dataclass(frozen=True, order=True)
 class FiveTuple:
@@ -76,6 +81,15 @@ class FlowMask:
     src_port_mask: int = 0xFFFF
     dst_port_mask: int = 0xFFFF
     proto_mask: int = 0xFF
+
+    def __post_init__(self) -> None:
+        # A wider mask would spill into the neighbouring field of
+        # :meth:`as_int_mask`, which must agree with :meth:`apply`.
+        for name, bits in _MASK_BITS:
+            value = getattr(self, name)
+            if not 0 <= value < 1 << bits:
+                raise ValueError(
+                    f"{name} must be a {bits}-bit mask, got {value:#x}")
 
     def apply(self, flow: FiveTuple) -> FiveTuple:
         """The masked flow — rules and packets compare under this."""

@@ -14,7 +14,7 @@ from typing import List, Optional
 from ..sim.memory import AddressAllocator
 from ..sim.trace import Tracer, NULL_TRACER
 from .flow import FiveTuple
-from .rules import Rule
+from .rules import Rule, rule_rank
 from .tuple_space import TupleSpaceSearch
 
 
@@ -70,4 +70,4 @@ class OpenFlowLayer:
             self.stats.controller_punts += 1
             return None
         self.stats.hits += 1
-        return max(matches, key=lambda rule: (rule.priority, -rule.rule_id))
+        return max(matches, key=rule_rank)

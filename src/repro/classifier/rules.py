@@ -8,10 +8,11 @@ OpenFlow layer.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 from .flow import FiveTuple, FlowMask
 
@@ -65,6 +66,12 @@ class Rule:
         return self.match.pack()
 
 
+def rule_rank(rule: Rule) -> Tuple[int, int]:
+    """The order rule resolution picks by: highest priority, then the lower
+    ``rule_id`` (first installed), as OVS resolves deterministically."""
+    return rule.priority, -rule.rule_id
+
+
 def rule_for_flow(flow: FiveTuple, action: Action, mask: Optional[FlowMask] = None,
                   priority: int = 0) -> Rule:
     """Build a rule matching ``flow`` under ``mask`` (exact by default)."""
@@ -73,6 +80,7 @@ def rule_for_flow(flow: FiveTuple, action: Action, mask: Optional[FlowMask] = No
                 priority=priority)
 
 
+@functools.lru_cache(maxsize=1024)
 def megaflow_mask_for(rule_mask: FlowMask) -> FlowMask:
     """The mask a megaflow entry is installed under.
 
@@ -83,6 +91,10 @@ def megaflow_mask_for(rule_mask: FlowMask) -> FlowMask:
     megaflow per client/destination pair.  This gives the MegaFlow layer
     its realistic population (entries scale with the flow count, which is
     exactly why the paper's many-flow scenarios are LLC-bound).
+
+    Memoised: a pure function of a frozen mask, so every megaflow refined
+    from one rule mask shares one mask object and the per-upcall install
+    builds no new mask.
     """
     # How far the source refines depends on how much the rule consulted:
     # fully-wild sources refine to /16, prefix rules to /24 — keeping rule

@@ -89,8 +89,8 @@ class HaloSystem:
         self.isa = HaloIsa(self.engine, self.hierarchy, self.distributor)
         # One router shared by every table: recording lands in the tracer of
         # whichever core is active, so concurrent cores never clobber each
-        # other's in-flight traces.  Outside a capture it records nothing,
-        # so filling tables keeps no trace ops.
+        # other's in-flight traces.  Outside a capture it is disabled, so
+        # filling tables skips the trace API and keeps no trace ops.
         self.tracer = CoreTracerRouter()
         self.hybrid = HybridController(
             [acc.flow_register for acc in self.accelerators])

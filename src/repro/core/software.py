@@ -18,7 +18,7 @@ from typing import Any, Iterable, Optional, Tuple
 from ..hashtable.locking import READ_SIDE_CYCLES
 from ..sim.core import CoreModel, ExecutionResult
 from ..sim.hierarchy import MemoryHierarchy
-from ..sim.trace import Tracer, capture
+from ..sim.trace import NullTracer, Tracer, capture
 
 
 class SoftwareLookupEngine:
@@ -115,8 +115,10 @@ class SoftwareLookupEngine:
 
     @staticmethod
     def table_tracer(table) -> Tracer:
+        # Not ``tracer.enabled``: an idle router is disabled until the
+        # capture this check precedes opens.
         tracer = table.tracer
-        if not isinstance(tracer, Tracer) or not tracer.enabled:
+        if not isinstance(tracer, Tracer) or isinstance(tracer, NullTracer):
             raise ValueError(
                 "software execution needs a table built with an enabled Tracer")
         return tracer

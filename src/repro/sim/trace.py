@@ -304,11 +304,14 @@ class CoreTracerRouter(Tracer):
     currently *active* one; :func:`capture` (or :meth:`activate`/
     :meth:`restore`) brackets each functional call with the issuing core.
 
-    While no core is active the router records nothing, so functional
-    calls made outside any bracket (filling a table, installing rules)
-    leave no ops behind.  A bare :meth:`begin` opens a core-0 recording
-    that the next :meth:`take` closes, which keeps the single-core idiom
-    ``begin(); call(); take()`` working unchanged.
+    While no core is active the router is disabled (``enabled`` is
+    False), so functional calls made outside any bracket (filling a table,
+    installing rules) skip the trace API entirely and leave no ops
+    behind.  A bare :meth:`begin` opens a core-0 recording that the next
+    :meth:`take` closes, which keeps the single-core idiom
+    ``begin(); call(); take()`` working unchanged.  ``enabled`` is True
+    exactly while a recording is open: between :meth:`activate` and
+    :meth:`restore`, or between a bare :meth:`begin` and its :meth:`take`.
     """
 
     __slots__ = ("_tracers", "_active", "_depth")
@@ -321,6 +324,7 @@ class CoreTracerRouter(Tracer):
         #: Open :meth:`activate` brackets; a bare begin's recording is the
         #: one that ``take`` closes at depth zero.
         self._depth = 0
+        self.enabled = False
 
     def tracer_for(self, core_id: int) -> Tracer:
         """The (lazily created) tracer owned by ``core_id``."""
@@ -335,17 +339,20 @@ class CoreTracerRouter(Tracer):
         previous = self._active
         self._active = self.tracer_for(core_id)
         self._depth += 1
+        self.enabled = True
         return previous
 
     def restore(self, token: Optional[Tracer]) -> None:
         if token is not None:
             self._active = token
             self._depth -= 1
+            self.enabled = token is not NULL_TRACER
 
     # -- delegated recording interface ----------------------------------------
     def begin(self) -> None:
         if self._active is NULL_TRACER:
             self._active = self.tracer_for(0)
+            self.enabled = True
         self._active.begin()
 
     def barrier(self) -> None:
@@ -371,6 +378,7 @@ class CoreTracerRouter(Tracer):
         trace = active.take()
         if not self._depth:
             self._active = NULL_TRACER
+            self.enabled = False
         return trace
 
 

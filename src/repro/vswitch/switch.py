@@ -26,13 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Generator, Iterable, List
+from typing import Dict, Generator, Iterable, List
 
 from ..classifier.datapath import Classification, HitLayer
 from ..classifier.emc import ExactMatchCache
 from ..classifier.flow import FiveTuple
 from ..classifier.openflow import OpenFlowLayer
-from ..classifier.rules import Rule, megaflow_entry
+from ..classifier.rules import (Rule, megaflow_entry, megaflow_mask_for,
+                                rule_rank)
 from ..classifier.tuple_space import TupleSpaceSearch
 from ..core.halo_system import HaloSystem
 from ..exec.backend import HaloNonblockingBackend, SoftwareBackend
@@ -92,7 +93,7 @@ class VirtualSwitch:
         self.mode = mode
         self.core_id = core_id
         self.emc_enabled = emc_enabled
-        self._rules: List[Rule] = []
+        self._rules_by_mask: Dict[int, Dict[int, Rule]] = {}
         allocator = system.hierarchy.allocator
         tracer = system.tracer
         metrics = system.obs.metrics  # null objects when obs is disabled
@@ -131,30 +132,54 @@ class VirtualSwitch:
 
     # -- rule management ----------------------------------------------------------
     def install_rules(self, rules: Iterable[Rule]) -> None:
-        self._rules = list(rules)
-        for rule in self._rules:
+        """Install ``rules`` into the OpenFlow layer and index them by mask
+        for :meth:`prewarm_megaflows`.
+
+        The index maps ``mask.as_int_mask()`` to ``{match.as_int(): rule}``;
+        of rules sharing a mask and a match it keeps the one
+        :func:`~repro.classifier.rules.rule_rank` puts first.  Each call
+        replaces the index, while the OpenFlow layer keeps every rule.
+        """
+        by_mask: Dict[int, Dict[int, Rule]] = {}
+        for rule in rules:
             self.openflow.install(rule)
+            by_match = by_mask.setdefault(rule.mask.as_int_mask(), {})
+            match = rule.match.as_int()
+            held = by_match.get(match)
+            if held is None or rule_rank(rule) > rule_rank(held):
+                by_match[match] = rule
+        self._rules_by_mask = by_mask
 
     def prewarm_megaflows(self, flows: Iterable[FiveTuple]) -> int:
         """Pre-install the megaflows the given flows would create.
 
         Models the steady state the paper measures: the MegaFlow layer is
         populated, so the OpenFlow layer is "seldom accessed in practice"
-        (§3.1).  Returns the number of megaflow entries installed.
+        (§3.1).  Each flow costs one dict probe per distinct rule mask on
+        its packed int, as tuple space search does; an entry is built only
+        when its (megaflow mask, masked flow) signature is new.  Returns the
+        number of megaflow entries installed.
         """
+        groups = list(self._rules_by_mask.items())
         seen = set()
         installed = 0
         for flow in flows:
-            matches = [r for r in self._rules if r.matches(flow)]
-            if not matches:
+            packed = flow.as_int()
+            best = None
+            for mask, by_match in groups:
+                rule = by_match.get(packed & mask)
+                if rule is None:
+                    continue
+                if best is None or rule_rank(rule) > rule_rank(best):
+                    best = rule
+            if best is None:
                 continue
-            best = max(matches, key=lambda r: (r.priority, -r.rule_id))
-            entry = megaflow_entry(best, flow)
-            signature = (entry.mask, entry.match)
+            megaflow_mask = megaflow_mask_for(best.mask).as_int_mask()
+            signature = (megaflow_mask, packed & megaflow_mask)
             if signature in seen:
                 continue
             seen.add(signature)
-            if self.megaflow.install(entry):
+            if self.megaflow.install(megaflow_entry(best, flow)):
                 installed += 1
         return installed
 

@@ -62,6 +62,20 @@ def test_invalid_prefix_rejected():
         FlowMask.prefixes(src_prefix=33)
 
 
+@pytest.mark.parametrize("field, bits", [
+    ("src_ip_mask", 32), ("dst_ip_mask", 32), ("src_port_mask", 16),
+    ("dst_port_mask", 16), ("proto_mask", 8)])
+def test_mask_wider_than_its_field_rejected(field, bits):
+    # A wider mask would spill into the neighbouring field of as_int_mask
+    # (a 0x1FFFF source-port mask keeps a bit of the destination address),
+    # and a negative one would make as_int_mask negative.
+    for value in (1 << bits, (2 << bits) - 1, -1):
+        with pytest.raises(ValueError, match=field):
+            FlowMask(**{field: value})
+    full = (1 << bits) - 1
+    assert getattr(FlowMask(**{field: full}), field) == full
+
+
 def test_mask_apply_idempotent():
     mask = FlowMask.prefixes(src_prefix=12, dst_prefix=20, src_port=False)
     flow = make_flow(99)

@@ -23,6 +23,16 @@ masks = st.builds(
     proto=st.booleans(),
 )
 
+#: Any in-width bit pattern per field, not only prefixes.
+field_masks = st.builds(
+    FlowMask,
+    src_ip_mask=st.integers(0, 0xFFFFFFFF),
+    dst_ip_mask=st.integers(0, 0xFFFFFFFF),
+    src_port_mask=st.integers(0, 0xFFFF),
+    dst_port_mask=st.integers(0, 0xFFFF),
+    proto_mask=st.integers(0, 0xFF),
+)
+
 
 @settings(max_examples=200, deadline=None)
 @given(flows)
@@ -38,7 +48,7 @@ def test_mask_apply_idempotent(flow, mask):
 
 
 @settings(max_examples=200, deadline=None)
-@given(flows, masks)
+@given(flows, st.one_of(masks, field_masks))
 def test_int_mask_consistency(flow, mask):
     assert (flow.as_int() & mask.as_int_mask()
             == mask.apply(flow).as_int())

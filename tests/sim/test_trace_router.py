@@ -78,17 +78,24 @@ class TestCoreTracerRouter:
 
     def test_nested_activation_restores_outer_core(self):
         router = CoreTracerRouter()
+        assert not router.enabled
         token_outer = router.activate(1)
+        assert router.enabled
         router.begin()
         router.load(0x1)
         token_inner = router.activate(2)
+        assert router.enabled
         router.begin()
         router.load(0x2)
         inner = router.take()
+        assert router.enabled               # take inside a bracket
         router.restore(token_inner)
+        assert router.enabled               # the outer bracket is open
         router.load(0x11)  # back on core 1's in-progress trace
         outer = router.take()
+        assert router.enabled
         router.restore(token_outer)
+        assert not router.enabled
         assert [op.addr for op in inner] == [0x2]
         assert [op.addr for op in outer] == [0x1, 0x11]
 
@@ -100,15 +107,76 @@ class TestCoreTracerRouter:
 
         with pytest.raises(RuntimeError):
             capture(router, 5, boom)
+        assert not router.enabled
         # Active target fell back to the pre-capture one (core 0).
         router.begin()
+        assert router.enabled
         router.load(0xC0)
         assert [op.addr for op in router.tracer_for(0).trace] == [0xC0]
         assert len(router.tracer_for(5).trace) == 0
 
 
+class CountingRouter(CoreTracerRouter):
+    """A router that counts the recording calls it receives."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def load(self, addr, size=8):
+        self.calls += 1
+        super().load(addr, size)
+
+    def store(self, addr, size=8):
+        self.calls += 1
+        super().store(addr, size)
+
+    def barrier(self):
+        self.calls += 1
+        super().barrier()
+
+    def count(self, loads=0, stores=0, arithmetic=0, others=0):
+        self.calls += 1
+        super().count(loads, stores, arithmetic, others)
+
+    def emit_trace(self, ops, dep_advance, mix):
+        self.calls += 1
+        super().emit_trace(ops, dep_advance, mix)
+
+
 class TestIdleRouter:
-    """Outside a capture the router records nothing."""
+    """Outside a capture the router is disabled and records nothing."""
+
+    def test_table_build_outside_capture_makes_no_recording_calls(self):
+        system = HaloSystem()
+        system.tracer = router = CountingRouter()
+        table = system.create_table(1024)
+        keys = make_keys(600, seed=3)
+        for index, key in enumerate(keys):
+            assert table.insert(key, index)
+        assert table.stats.kicks > 0
+        assert table.delete(keys[0])
+        for key in keys[1:50] + make_keys(5, seed=4):
+            table.lookup(key)
+        assert not router.enabled
+        assert router.calls == 0
+        # A capture still records through the same router.
+        value, trace = capture(router, 0, table.lookup, keys[1])
+        assert value == 1 and len(trace) > 0 and router.calls == 1
+        assert not router.enabled
+
+    def test_software_engine_accepts_an_idle_router_not_a_null_tracer(self):
+        system = HaloSystem()
+        table = system.create_table(64)
+        key = make_keys(1, seed=5)[0]
+        table.insert(key, 7)
+        assert not system.tracer.enabled
+        engine = system.software_engine()
+        assert engine.table_tracer(table) is system.tracer
+        value, result = engine.lookup(table, key)
+        assert value == 7 and result.cycles > 0
+        with pytest.raises(ValueError, match="Tracer"):
+            engine.table_tracer(CuckooHashTable(64, tracer=NULL_TRACER))
 
     def test_table_inserts_outside_capture_leave_core_zero_empty(self):
         system = HaloSystem()
@@ -122,24 +190,36 @@ class TestIdleRouter:
 
     def test_bare_begin_records_until_take(self):
         router = CoreTracerRouter()
+        assert not router.enabled
         router.load(0x10)                      # idle: dropped
         router.begin()
+        assert router.enabled
         router.load(0x40)
         router.count(loads=1)
         trace = router.take()
+        assert not router.enabled
         router.load(0x80)                      # idle again: dropped
         assert [op.addr for op in trace] == [0x40]
         assert trace.mix.loads == 1
         assert len(router.tracer_for(0).trace) == 0
         assert len(router.take()) == 0
+        assert not router.enabled              # a take with no begin
 
     def test_capture_inside_bare_begin_keeps_the_outer_recording(self):
         router = CoreTracerRouter()
         router.begin()
+        assert router.enabled
         router.load(0x1)
-        _, inner = capture(router, 2, lambda: router.load(0x2))
+
+        def inner_load():
+            assert router.enabled
+            router.load(0x2)
+
+        _, inner = capture(router, 2, inner_load)
+        assert router.enabled                  # the bare begin is open
         router.load(0x3)
         outer = router.take()
+        assert not router.enabled
         assert [op.addr for op in inner] == [0x2]
         assert [op.addr for op in outer] == [0x1, 0x3]
 
