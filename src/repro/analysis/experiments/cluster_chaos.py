@@ -4,10 +4,10 @@ The paper's hybrid mode degrades gracefully when the flow register
 overflows (§4.4); this experiment asks the scale-out version of that
 question.  A sharded vswitch cluster (:mod:`repro.cluster`) serves a
 Zipf key stream while a :class:`~repro.faults.shard_plan.ShardFaultPlan`
-kills shards on schedule; ``run_cluster(failover=True)`` marks each
-shard that dies on every attempt as failed, re-steers the victim's RSS
-indirection-table entries across survivors, and replays its flow
-substream in a recovery round.
+kills a seeded set of shards; ``run_cluster(failover=True)`` marks each
+killed shard as failed, re-steers the victim's RSS indirection-table
+entries across survivors, and replays its flow substream in a recovery
+round.
 
 Swept axes: kill rate (nested kill sets — same per-shard draw compared
 against a rising threshold), with fixed shard count, plus an admission-
@@ -89,8 +89,8 @@ def _miss_rate(results, degraded: bool) -> float:
 
 def _config(params: Dict, seed: int) -> ClusterConfig:
     kill_rate = params.get("kill_rate", 0.0)
-    plan = ShardFaultPlan.kills(kill_rate,
-                                seed=params.get("fault_seed", FAULT_SEED))
+    plan = ShardFaultPlan(kill_rate,
+                          seed=params.get("fault_seed", FAULT_SEED))
     return ClusterConfig(
         shards=params.get("shards", 4),
         flows=params["flows"],
@@ -100,7 +100,6 @@ def _config(params: Dict, seed: int) -> ClusterConfig:
         # that form a controlled pair (the cold-refill policy A/B) pin
         # their stream seed so both sides serve the identical workload.
         seed=params.get("stream_seed", seed),
-        retries=params.get("retries", 1),
         failover=params.get("failover", False),
         detection_cycles=params.get("detection_cycles"),
         shard_faults=plan,

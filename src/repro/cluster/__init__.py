@@ -17,9 +17,9 @@ HALO-equipped sockets stop paying and sharding the flow table across
   and routes a key stream, optionally rebalances, splits the stream by
   shard, runs every shard in the calling process, and merges the
   shards' latency histograms and ``repro.obs`` counters.  With
-  ``failover=True`` a shard that a scheduled fault kills on every
-  attempt is marked dead and its keys are replayed through the
-  survivors — zero lost flows by construction.
+  ``failover=True`` a shard the scheduled kill set names is marked dead
+  and its keys are replayed through the survivors — zero lost flows by
+  construction.
 
 Public contract: :class:`ClusterConfig` / :class:`ClusterResult` /
 :func:`run_cluster`, :class:`RssBalancer` (hash determinism: same seed +

@@ -17,24 +17,22 @@ sums lookup/hit counters, and models cluster throughput as total
 lookups over the *slowest* shard's simulated cycles (shards run
 concurrently on separate machines, so the straggler sets the pace).
 
-Failover (``ClusterConfig.failover=True``): a shard that fails on every
-one of its ``retries + 1`` attempts is marked dead in the balancer
-(``fail_shard`` re-steers its indirection-table entries across
+Scheduled chaos (``ClusterConfig.shard_faults``, a
+:class:`~repro.faults.shard_plan.ShardFaultPlan`) is a kill set:
+``run_cluster`` asks the plan once per shard whether it is ``killed``,
+and a killed shard never runs — a kill is permanent, so there is
+nothing to retry.  Without failover a kill raises.  With failover
+(``ClusterConfig.failover=True``) the killed shard is marked dead in the
+balancer (``fail_shard`` re-steers its indirection-table entries across
 survivors), and its keys are replayed through the survivors in a
 *recovery round*; its latencies wait out one detection/re-steer epoch
 per victim, up to and including its own.  Merged results mark the
-degraded epochs; zero flows are lost by construction.  Scheduled chaos
-(``ClusterConfig.shard_faults``, a
-:class:`~repro.faults.shard_plan.ShardFaultPlan`) is resolved attempt by
-attempt, with one ``decide`` call per (shard, attempt): a kill decision
-fails that attempt (recorded as a ``"crash"``), so a flap recovers on a
-later attempt and a permanent kill exhausts the budget; the surviving
-attempt's straggler cycles are passed to the shard.
+degraded epochs; zero flows are lost by construction.
 
 Public contract: :class:`ClusterConfig`, :class:`ClusterResult`, and
 :func:`run_cluster` are stable API — ``repro.analysis`` experiments and
-external harnesses build on them.  The attempt loop and the way the
-stream is split across shards may change without notice.
+external harnesses build on them.  The way the stream is split across
+shards may change without notice.
 """
 
 from __future__ import annotations
@@ -66,9 +64,6 @@ class ClusterConfig:
     table_capacity: int = 1 << 10
     table_size: int = 128
     seed: int = 1234
-    #: Extra attempts a shard gets after a scheduled kill (a flap window
-    #: needs at least one to recover).
-    retries: int = 0
     #: Detect shard failures and re-steer + replay their flows through
     #: the survivors instead of aborting the run.
     failover: bool = False
@@ -78,8 +73,7 @@ class ClusterConfig:
     #: their own.  ``None`` models reactive detection at the end of the
     #: primary round: one epoch = the surviving shards' makespan.
     detection_cycles: Optional[float] = None
-    #: Scheduled shard kills/flaps/stragglers; ``None`` = healthy
-    #: cluster.
+    #: Scheduled shard kills; ``None`` = healthy cluster.
     shard_faults: Optional[ShardFaultPlan] = None
     #: Stream each shard's served keys through an EMC under this policy
     #: and report refill miss rates (``None`` = skip the measurement).
@@ -99,9 +93,6 @@ class ClusterConfig:
         if self.lookups < 1:
             raise ValueError(
                 f"ClusterConfig.lookups must be >= 1 (got {self.lookups})")
-        if self.retries < 0:
-            raise ValueError(
-                f"ClusterConfig.retries must be >= 0 (got {self.retries})")
         if (self.detection_cycles is not None
                 and not self.detection_cycles >= 0):
             raise ValueError(
@@ -142,14 +133,10 @@ class ClusterResult:
     #: Largest shard's share of the stream (1/shards = perfectly even).
     max_shard_fraction: float = 0.0
     link_crossings: int = 0
-    #: Shards that failed on every attempt of their retry budget.
+    #: Shards the fault plan killed.
     failed_shards: List[int] = field(default_factory=list)
     #: Failed shard -> balancer epoch at which its entries were re-steered.
     degraded_epochs: Dict[int, int] = field(default_factory=dict)
-    #: Shard -> per-attempt failure history ({"attempt", "kind"} dicts);
-    #: includes flaps that later recovered, not just terminal failures.
-    shard_attempt_failures: Dict[int, List[Dict[str, Any]]] = field(
-        default_factory=dict)
     #: Configured lookups minus lookups actually served (0 under
     #: failover by construction; the `cluster_chaos` PaperCheck pins it).
     lost_flows: int = 0
@@ -204,43 +191,25 @@ def run_cluster(config: ClusterConfig,
     for key in keys:
         routed[balancer.shard_of(key)].append(key)
 
-    def serve(shard: int, shard_keys: List[bytes], **faults) -> ShardResult:
+    def serve(shard: int, shard_keys: List[bytes], **recovery) -> ShardResult:
         return run_shard(shard, shard_keys, sockets=config.sockets,
                          backend=config.backend,
                          table_capacity=config.table_capacity,
                          cache_policy=config.cache_policy,
-                         cache_entries=config.cache_entries, **faults)
+                         cache_entries=config.cache_entries, **recovery)
 
     plan = config.shard_faults
     shard_results: List[ShardResult] = []
     failed: List[int] = []
-    histories: Dict[int, List[Dict[str, Any]]] = {}
-    attempts = config.retries + 1
     for shard in range(config.shards):
-        history: List[Dict[str, Any]] = []
-        shard_result: Optional[ShardResult] = None
-        for attempt in range(1, attempts + 1):
-            straggle = 0.0
-            if plan is not None:
-                decision = plan.decide(shard, attempt)
-                if decision.kill:
-                    history.append({"attempt": attempt, "kind": "crash"})
-                    continue
-                straggle = decision.straggle_cycles
-            shard_result = serve(shard, routed[shard],
-                                 straggle_cycles=straggle)
-            break
-        if history:
-            histories[shard] = history
-        if shard_result is not None:
-            shard_results.append(shard_result)
-        else:
+        if plan is not None and plan.killed(shard):
             failed.append(shard)
             if not config.failover:
                 raise RuntimeError(
-                    f"shard {shard} failed (crash: scheduled kill on "
-                    f"all {attempts} attempt(s)) and failover is "
-                    f"disabled")
+                    f"shard {shard} failed (crash: scheduled kill) and "
+                    f"failover is disabled")
+            continue
+        shard_results.append(serve(shard, routed[shard]))
 
     # -- failover: re-steer dead shards' entries, replay their flows ------
     degraded_epochs: Dict[int, int] = {}
@@ -294,7 +263,6 @@ def run_cluster(config: ClusterConfig,
         else 0,
         rebalanced=rebalance_result is not None,
         failed_shards=sorted(failed), degraded_epochs=degraded_epochs,
-        shard_attempt_failures=histories,
         resteered_entries=resteered, recovery_lookups=recovery_lookups)
 
     merged = result.merged_latency()

@@ -18,23 +18,21 @@ alone.  ``cache_policy`` names an
 :class:`~repro.classifier.emc.ExactMatchCache` admission policy to
 stream the served keys through, reporting the cold-start miss rate (the
 post-failover refill signal ``cluster_chaos`` compares across
-policies); ``None`` skips it.  Failover and chaos arrive as keyword
-arguments defaulting to the healthy path:
+policies); ``None`` skips it.  A shard knows nothing of faults:
+:func:`~repro.cluster.cluster.run_cluster` resolves the kill set before
+calling it, and a killed shard never runs.  Failover arrives as two
+keyword arguments defaulting to the primary round:
 
 * ``latency_offset`` — extra cycles added to every observed latency,
   modelling the detection + re-steer delay a recovered flow experienced;
-* ``straggle_cycles`` — extra cycles per lookup from the scheduled
-  straggler decision of the attempt
-  :func:`~repro.cluster.cluster.run_cluster` survived to (it resolves
-  kill decisions before calling the shard);
 * ``degraded`` — marks a recovery-round result (the keys were
   re-steered here after their home shard failed).
 
 Public contract: :func:`run_shard`'s ``(shard, keys, *, sockets,
-backend, table_capacity, latency_offset, straggle_cycles, degraded,
-cache_policy, cache_entries)`` signature and :class:`ShardResult`'s
-fields are stable — the cluster orchestrator and any harness that runs
-one shard on its own depend on them not drifting.
+backend, table_capacity, latency_offset, degraded, cache_policy,
+cache_entries)`` signature and :class:`ShardResult`'s fields are
+stable — the cluster orchestrator and any harness that runs one shard
+on its own depend on them not drifting.
 """
 
 from __future__ import annotations
@@ -62,8 +60,6 @@ class ShardResult:
     #: True when this result came from a recovery round (the keys were
     #: re-steered here after their home shard failed).
     degraded: bool = False
-    #: Extra per-lookup cycles a straggler fault imposed (0 = healthy).
-    straggle_cycles: float = 0.0
     #: Cache-refill measurement (policy, lookups, misses, miss_rate) when
     #: ``cache_policy`` was requested; empty otherwise.
     cache: Dict[str, Any] = field(default_factory=dict)
@@ -86,8 +82,8 @@ def shard_machine(sockets: int):
 
 def run_shard(shard: int, keys: Sequence[bytes], *, sockets: int,
               backend: str, table_capacity: int,
-              latency_offset: float = 0.0, straggle_cycles: float = 0.0,
-              degraded: bool = False, cache_policy: Optional[str],
+              latency_offset: float = 0.0, degraded: bool = False,
+              cache_policy: Optional[str],
               cache_entries: int) -> ShardResult:
     """Run one shard end to end over ``keys``, in the order given.
 
@@ -101,11 +97,10 @@ def run_shard(shard: int, keys: Sequence[bytes], *, sockets: int,
     if not keys:
         return ShardResult(shard=shard, lookups=0, found=0,
                            distinct_flows=0, elapsed_cycles=0.0,
-                           degraded=degraded,
-                           straggle_cycles=straggle_cycles)
+                           degraded=degraded)
 
     distinct = sorted(set(keys))
-    extra_cycles = float(latency_offset) + straggle_cycles
+    extra_cycles = float(latency_offset)
 
     machine = shard_machine(sockets)
     system = HaloSystem(machine=machine, observability=True)
@@ -166,5 +161,4 @@ def run_shard(shard: int, keys: Sequence[bytes], *, sockets: int,
     return ShardResult(shard=shard, lookups=len(keys), found=found,
                        distinct_flows=len(distinct),
                        elapsed_cycles=run.elapsed, latency=hist, mem=mem,
-                       degraded=degraded, straggle_cycles=straggle_cycles,
-                       cache=cache_info)
+                       degraded=degraded, cache=cache_info)

@@ -23,14 +23,12 @@ class HardwareLockStats:
     lock_operations: int = 0
     unlock_operations: int = 0
     rejected_invalidations: int = 0
-    fault_holds: int = 0
 
     def as_dict(self) -> dict:
         """Flat scalar view for the metrics registry (pull source)."""
         return {"lock_operations": self.lock_operations,
                 "unlock_operations": self.unlock_operations,
                 "rejected_invalidations": self.rejected_invalidations,
-                "fault_holds": self.fault_holds,
                 "held": self.lock_operations - self.unlock_operations}
 
 
@@ -68,7 +66,6 @@ class HardwareLockManager:
         self.hierarchy = hierarchy
         self.enabled = enabled
         self.stats = HardwareLockStats()
-        self._fault_held: List[int] = []
         hierarchy.obs.metrics.register_source("halo.locks",
                                               self.stats.as_dict)
 
@@ -84,34 +81,3 @@ class HardwareLockManager:
 
     def note_rejected_invalidation(self) -> None:
         self.stats.rejected_invalidations += 1
-
-    # -- fault seam (``repro.faults``) ------------------------------------
-    def hold(self, addr: int) -> bool:
-        """Set a line's lock bit outside any query lease (livelock fault).
-
-        Cores storing to the line spin through the snoop-retry path until
-        :meth:`release_hold` clears the bit.  The line is installed into
-        the LLC first if absent (lock bits only exist on resident lines).
-        """
-        if not self.enabled:
-            return False
-        if self.hierarchy.line_locked(addr):
-            return False  # a live query lease already holds the bit
-        if not self.hierarchy.lock_line(addr):
-            # Absent from the LLC: install the line, then set the bit.
-            self.hierarchy.warm_llc(addr, 1)
-            if not self.hierarchy.lock_line(addr):
-                return False
-        self.stats.lock_operations += 1
-        self.stats.fault_holds += 1
-        self._fault_held.append(addr)
-        return True
-
-    def release_hold(self, addr: int) -> bool:
-        """Clear a fault hold placed by :meth:`hold`."""
-        if addr not in self._fault_held:
-            return False
-        self._fault_held.remove(addr)
-        self.hierarchy.unlock_line(addr)
-        self.stats.unlock_operations += 1
-        return True

@@ -75,11 +75,11 @@ class ResiliencePolicy:
 
     * each ``SNAPSHOT_READ`` poll loop gets a ``poll_budget`` — once spent,
       the wait is retried ``max_retries`` times with exponential backoff
-      (``backoff_base * backoff_factor**attempt`` cycles between polls);
-    * when every retry times out and ``fallback`` is set, the lookup is
-      answered by the software path instead (zero lost lookups — the
-      abandoned accelerator query keeps draining in the background) and
-      the target slice is marked unhealthy;
+      (``backoff_base * 2**attempt`` cycles between polls);
+    * when every retry times out, the lookup is answered by the software
+      path instead (zero lost lookups — the abandoned accelerator query
+      keeps draining in the background) and the target slice is marked
+      unhealthy;
     * an unhealthy slice serves from software, but every
       ``probe_interval``-th lookup probes the accelerator again;
       ``recovery_successes`` consecutive probe successes flip it back to
@@ -89,8 +89,6 @@ class ResiliencePolicy:
     poll_budget: int = 2048
     max_retries: int = 2
     backoff_base: float = 32.0
-    backoff_factor: float = 2.0
-    fallback: bool = True
     probe_interval: int = 32
     recovery_successes: int = 2
 
@@ -106,7 +104,7 @@ class ResiliencePolicy:
 
     def backoff(self, attempt: int) -> float:
         """Cycles to wait before retry number ``attempt`` (0-based)."""
-        return self.backoff_base * (self.backoff_factor ** attempt)
+        return self.backoff_base * 2.0 ** attempt
 
 
 class SliceHealth:
@@ -399,7 +397,6 @@ class HaloNonblockingBackend(LookupBackend):
     # -- the resilient path ------------------------------------------------
     def _resilient_lookup(self, table, key: bytes) -> Generator:
         engine = self.system.engine
-        policy = self.policy
         health = self.health_of(table)
         start = engine.now
         if not health.healthy:
@@ -417,16 +414,6 @@ class HaloNonblockingBackend(LookupBackend):
                                            probing=False)
         if outcome is not None:
             return outcome
-        if not policy.fallback:
-            # Bounded-wait-then-block: no fallback path configured, so
-            # finish the wait unbounded (never loses the lookup).
-            process = yield from self.system.isa.lookup_nb(
-                self.core_id, table, key)
-            results = yield from self.system.isa.snapshot_read_poll(
-                self.core_id, [process])
-            result = results[0]
-            return LookupOutcome(value=result.value, found=result.found,
-                                 cycles=engine.now - start, raw=result)
         self._m_fallbacks.inc()
         if health.healthy:
             self.system.obs.trace.root(

@@ -1,27 +1,27 @@
 """``repro.faults`` — deterministic fault injection for the DES stack.
 
 HALO's evaluation (paper §6) assumes healthy hardware: accelerators always
-answer, lock bits always clear, DRAM stays near its nominal latency.  This
-package asks the production question — *what happens when they don't* —
-without giving up the repo's core property that every run is bit-identical
-for a given seed.
+answer, DRAM stays near its nominal latency, the NoC never loses a
+message.  This package asks the production question — *what happens when
+they don't* — without giving up the repo's core property that every run
+is bit-identical for a given seed.  It models exactly the faults some
+experiment, example or CLI path schedules.
 
 Three pieces:
 
 * :class:`~repro.faults.plan.FaultPlan` — a declarative, immutable schedule
   of :class:`~repro.faults.plan.FaultWindow`\\ s (accelerator stalls and
-  outages, CHA queue saturation, lock-bit holds, DRAM latency spikes,
-  dropped/duplicated NoC messages), plus a seed for the probabilistic
-  faults;
+  outages, DRAM latency spikes, dropped NoC messages), plus a seed for
+  the probabilistic faults;
 * :class:`~repro.faults.injector.FaultInjector` — installs the plan onto a
   live :class:`~repro.core.halo_system.HaloSystem` through the fault seams
   (:meth:`Engine.add_fault_hook`, ``Dram.fault_hook``,
-  ``Interconnect.fault_hook``, ``HardwareLockManager.hold``), and exports
-  ``faults.*`` counters through ``repro.obs``;
+  ``Interconnect.fault_hook``), and exports ``faults.*`` counters
+  through ``repro.obs``;
 * :class:`~repro.faults.shard_plan.ShardFaultPlan` — the cluster-level
-  analogue: which *shard* dies/flaps/straggles on which attempt,
-  resolved attempt by attempt by ``run_cluster`` so ``cluster_chaos``
-  can kill shards deterministically and exercise RSS failover.
+  analogue: the set of shards a seeded draw kills, which ``run_cluster``
+  consults once per shard so ``cluster_chaos`` can kill shards
+  deterministically and exercise RSS failover.
 
 Determinism: all randomness flows through a :class:`SplitMix64` stream
 seeded from the plan, and the DES engine is single-threaded with a total
@@ -39,12 +39,7 @@ from __future__ import annotations
 
 from .plan import FaultKind, FaultPlan, FaultWindow, SplitMix64
 from .injector import FaultInjector, FaultStats
-from .shard_plan import (
-    ShardFaultDecision,
-    ShardFaultKind,
-    ShardFaultPlan,
-    ShardFaultWindow,
-)
+from .shard_plan import ShardFaultPlan
 
 __all__ = [
     "FaultKind",
@@ -53,8 +48,5 @@ __all__ = [
     "SplitMix64",
     "FaultInjector",
     "FaultStats",
-    "ShardFaultDecision",
-    "ShardFaultKind",
     "ShardFaultPlan",
-    "ShardFaultWindow",
 ]

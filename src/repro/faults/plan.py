@@ -16,7 +16,8 @@ faulted at intensity *x* is also faulted at every intensity above *x*.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
 from ..sim.interconnect import mix64
@@ -53,12 +54,6 @@ class SplitMix64:
         """A float in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
-    def randint(self, low: int, high: int) -> int:
-        """An integer in [low, high] (inclusive)."""
-        if high < low:
-            raise ValueError("empty randint range")
-        return low + self.next_u64() % (high - low + 1)
-
     def fork(self, tag: int) -> "SplitMix64":
         """An independent child stream keyed by ``tag`` (order-free)."""
         child = SplitMix64((self.state ^ (tag * 0x9E3779B97F4A7C15)) & _MASK64)
@@ -71,23 +66,26 @@ class FaultKind(enum.Enum):
 
     ACCEL_STALL = "accel_stall"          # extra service delay per query
     ACCEL_OUTAGE = "accel_outage"        # slice answers nothing until window ends
-    QUEUE_SATURATION = "queue_saturation"  # phantom queries occupy scoreboard slots
-    LOCK_HOLD = "lock_hold"              # lock bit stuck on hot lines (livelock)
     DRAM_SPIKE = "dram_spike"            # extra DRAM latency per access
     NOC_DROP = "noc_drop"                # message lost, retransmitted
-    NOC_DUPLICATE = "noc_duplicate"      # message delivered twice
 
 
 @dataclass(frozen=True)
 class FaultWindow:
     """One fault, active over ``[start, end)`` simulated cycles.
 
-    ``slice_id`` targets one LLC slice/CHA (None = machine-wide).
-    ``magnitude`` is extra cycles (stalls/spikes) or slot count
-    (queue saturation).  ``probability`` gates per-event faults (DRAM
-    spikes, NoC drops/duplicates); scheduled faults ignore it.
-    ``period``/``duty`` duty-cycle the window; ``lines`` names the locked
-    addresses for :attr:`FaultKind.LOCK_HOLD`.
+    ``slice_id`` targets one LLC slice/CHA (None = machine-wide; the
+    injector checks it against the machine at install).  ``magnitude``
+    is extra cycles (stalls, spikes, drop retransmits).
+    ``probability`` gates each stall, spike or drop.
+    ``period``/``duty`` duty-cycle the window.
+
+    Malformed input fails here, naming the field: a ``kind`` that is not
+    a :class:`FaultKind` (a string never fires), a NaN ``start``,
+    ``end`` or ``period`` (never active), a negative ``magnitude`` (a
+    negative stall dies mid-run, a negative spike lowers DRAM latency),
+    and any infinite or NaN value the calendar would be asked to wait
+    out (an outage to an infinite ``end`` dies mid-run).
     """
 
     kind: FaultKind
@@ -98,17 +96,33 @@ class FaultWindow:
     probability: float = 1.0
     period: Optional[float] = None
     duty: float = 1.0
-    lines: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, FaultKind):
+            raise TypeError(
+                f"FaultWindow.kind must be a FaultKind (got {self.kind!r})")
+        for name in ("start", "end"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"FaultWindow.{name} must be finite (got {value})")
         if self.end <= self.start:
-            raise ValueError(f"empty fault window [{self.start}, {self.end})")
+            raise ValueError(
+                f"FaultWindow.end must follow start: empty fault window "
+                f"[{self.start}, {self.end})")
         if not 0.0 <= self.probability <= 1.0:
-            raise ValueError(f"probability {self.probability} outside [0, 1]")
-        if self.period is not None and self.period <= 0:
-            raise ValueError("period must be positive")
+            raise ValueError(
+                f"FaultWindow.probability {self.probability} outside [0, 1]")
+        if self.period is not None and not 0 < self.period < math.inf:
+            raise ValueError(
+                f"FaultWindow.period must be positive and finite "
+                f"(got {self.period})")
         if not 0.0 <= self.duty <= 1.0:
-            raise ValueError(f"duty {self.duty} outside [0, 1]")
+            raise ValueError(f"FaultWindow.duty {self.duty} outside [0, 1]")
+        if not 0 <= self.magnitude < math.inf:  # also rejects NaN
+            raise ValueError(
+                f"FaultWindow.magnitude must be >= 0 and finite "
+                f"(got {self.magnitude})")
 
     def covers_slice(self, slice_id: int) -> bool:
         return self.slice_id is None or self.slice_id == slice_id
@@ -145,15 +159,17 @@ class FaultPlan:
         # Accept any iterable of windows but store a tuple (hashable, frozen).
         if not isinstance(self.windows, tuple):
             object.__setattr__(self, "windows", tuple(self.windows))
+        for window in self.windows:
+            if not isinstance(window, FaultWindow):
+                raise TypeError(
+                    f"FaultPlan.windows must hold FaultWindow entries "
+                    f"(got {type(window).__name__})")
 
     def __bool__(self) -> bool:
         return bool(self.windows)
 
     def rng(self) -> SplitMix64:
         return SplitMix64(self.seed)
-
-    def of_kind(self, *kinds: FaultKind) -> Tuple[FaultWindow, ...]:
-        return tuple(w for w in self.windows if w.kind in kinds)
 
     def active(self, kind: FaultKind, now: float,
                slice_id: Optional[int] = None) -> Iterator[FaultWindow]:

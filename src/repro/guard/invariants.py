@@ -143,9 +143,9 @@ def lock_bit_accounting(manager: Any) -> Invariant:
 
 
 def interconnect_conservation(interconnect: Any) -> Invariant:
-    """NoC message accounting stays sane under fault drop/duplicate
-    plans: counts never go negative and hop totals stay within the
-    worst-case path length per message."""
+    """NoC message accounting stays sane under fault drop plans: counts
+    never go negative and hop totals stay within the worst-case path
+    length per message."""
     def predicate() -> Optional[str]:
         stats = interconnect.stats
         if stats.messages < 0 or stats.total_hops < 0:

@@ -9,8 +9,8 @@ invariants over every seam it finds:
 * every accelerator scoreboard's slot conservation (in-use + free ==
   capacity, no waiter starved behind a free slot);
 * hardware lock-bit acquire/release pairing across the LLC;
-* interconnect message/hop conservation (holds under fault
-  drop/duplicate plans too).
+* interconnect message/hop conservation (holds under fault drop plans
+  too).
 
 :func:`attach_standard_guard` bundles them with a watchdog into an
 :class:`~repro.guard.engine_guard.EngineGuard`, attaches it to the

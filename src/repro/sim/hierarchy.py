@@ -32,8 +32,6 @@ ACCESS_LEVELS = ("L1", "L2", "LLC", "PRIV", "DRAM")
 
 #: Extra cycles per retry when a store hits a HALO-locked line (§4.4).
 LOCK_RETRY_CYCLES = 20
-#: Retries before we consider the lock pathological (tests assert we never hit it).
-MAX_LOCK_RETRIES = 64
 
 
 class AccessResult(NamedTuple):
@@ -395,17 +393,14 @@ class MemoryHierarchy:
         extra = 0
         retries = 0
         home = self.interconnect.slice_of_line(line)
-        while self.llc[home].is_locked(line):
-            retries += 1
+        if self.llc[home].is_locked(line):
+            # The lock holder (an accelerator query) completes quickly; in
+            # the synchronous replay model the other agent releases the
+            # lock before the retry, so the store pays one retry and goes
+            # ahead, which models forward progress.
+            retries = 1
             extra += LOCK_RETRY_CYCLES
             self.snoop_filter.invalidate_for_store(line, core_id, locked=True)
-            if retries >= MAX_LOCK_RETRIES:
-                break
-            # The lock holder (an accelerator query) completes quickly; in
-            # the synchronous replay model the lock is released by the other
-            # agent between retries, so re-check once more then give up to
-            # the caller, which models forward progress.
-            break
         remote_sharer = False
         if self._sockets > 1:
             # Snoops travel in parallel (one round trip), but if any

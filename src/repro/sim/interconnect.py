@@ -84,8 +84,8 @@ class Interconnect:
             self.local_stops = stops
             self.link_latency = 0
         #: Fault seam (``repro.faults``): called per message with
-        #: ``(src, dst, hops)``, returns extra cycles (drop → retransmit)
-        #: and may bump ``stats`` itself (duplication).  None = uninstalled.
+        #: ``(src, dst, hops)``, returns extra cycles (drop → retransmit).
+        #: None = uninstalled.
         self.fault_hook = None
         # line -> slice memo: the mapping is a pure stateless hash, and a
         # run touches the same lines over and over, so a dict probe beats

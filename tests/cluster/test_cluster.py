@@ -23,11 +23,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="lookups must be >= 1"):
             ClusterConfig(lookups=0)
 
-    def test_rejects_negative_retries(self):
-        with pytest.raises(ValueError,
-                           match=r"retries must be >= 0 \(got -1\)"):
-            ClusterConfig(shards=2, retries=-1)
-
     def test_rejects_zero_flows(self):
         with pytest.raises(ValueError, match=r"flows must be >= 1 \(got 0\)"):
             ClusterConfig(flows=0)
@@ -51,8 +46,7 @@ class TestConfigValidation:
                            match=r"ClusterConfig\.shard_faults must be a "
                                  r"ShardFaultPlan or None \(got dict\)"):
             ClusterConfig(shard_faults={
-                "seed": 11, "protected": [0],
-                "windows": [{"kind": "kill", "rate": 0.5}]})
+                "kill_rate": 0.5, "seed": 11, "protected": [0]})
 
 
 class TestInlineDispatch:

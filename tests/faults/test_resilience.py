@@ -43,10 +43,10 @@ def test_policy_validation():
 
 
 def test_backoff_is_exponential():
-    policy = ResiliencePolicy(backoff_base=10.0, backoff_factor=3.0)
+    policy = ResiliencePolicy(backoff_base=10.0)
     assert policy.backoff(0) == 10.0
-    assert policy.backoff(1) == 30.0
-    assert policy.backoff(2) == 90.0
+    assert policy.backoff(1) == 20.0
+    assert policy.backoff(2) == 40.0
 
 
 def test_policy_on_healthy_machine_matches_legacy_cycles():
@@ -98,21 +98,6 @@ def test_outage_triggers_fallback_then_recovery():
     spans = [span.name for span in system.obs.trace.roots]
     assert "resilience.degraded" in spans
     assert "resilience.recovered" in spans
-
-
-def test_no_fallback_policy_blocks_until_answered():
-    """fallback=False: bounded-wait-then-block — slower, never degraded."""
-    system, table, inserted = build_system()
-    FaultInjector(system,
-                  outage_plan(system, table, start=0, end=4_000)).install()
-    policy = ResiliencePolicy(poll_budget=8, max_retries=1, fallback=False)
-    backend = system.backend("halo-nb", policy=policy)
-    keys = [key for key, _ in inserted[:5]]
-    outcomes = system.engine.run_process(backend.lookup_stream(table, keys))
-    assert [o.value for o in outcomes] == [v for _, v in inserted[:5]]
-    assert not any(o.degraded for o in outcomes)
-    assert backend.resilience_events == []
-    assert system.engine.now >= 4_000
 
 
 def test_permanent_outage_serves_everything_from_software():

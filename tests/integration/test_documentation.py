@@ -198,3 +198,16 @@ def test_experiments_md_quotes_the_committed_report(heading):
              if line.rstrip() not in report_lines]
     assert not stale, (f"{heading.strip()}: excerpt lines not in "
                        f"{QUOTED_REPORTS[heading]}: {stale}")
+
+
+def test_modeling_fault_table_lists_exactly_the_fault_kinds():
+    """MODELING §8's kind table names every ``FaultKind`` and nothing
+    else, so a kind cannot be added or deleted without the table."""
+    from repro.faults import FaultKind
+
+    text = (ROOT / "docs" / "MODELING.md").read_text()
+    section = text.split("### Fault kinds and their seams", 1)[1]
+    section = section.split("\n### ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
+    assert rows, "MODELING §8 lost its fault kind table"
+    assert sorted(rows) == sorted(kind.value for kind in FaultKind)

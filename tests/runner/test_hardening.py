@@ -213,9 +213,9 @@ def _cluster_chaos_run(label, params, seed):
     from repro.cluster import ClusterConfig, run_cluster
     from repro.faults import ShardFaultPlan
 
-    plan = ShardFaultPlan.kills(params["kill_rate"], seed=11)
+    plan = ShardFaultPlan(params["kill_rate"], seed=11)
     result = run_cluster(ClusterConfig(
-        shards=3, flows=32, lookups=96, seed=seed, retries=1,
+        shards=3, flows=32, lookups=96, seed=seed,
         failover=True, detection_cycles=2048.0,
         shard_faults=plan))
     if "log" in params:
