@@ -2,12 +2,13 @@
 """Enforce public-contract module docstrings on the pinned contract modules.
 
 The supervised pool, the campaign journal, the trace-replay fast path,
-the cluster layer, the churn workload engine, the cache-policy seam,
-and the trace persistence formats are API that external harnesses
-build against.  Each of those modules must open with a module docstring
-that (a) exists, (b) is substantial (not a one-line stub), and (c)
-explicitly states its public contract: a line containing the phrase
-``Public contract`` separating the stable API from internals.
+the cuckoo table's placement and traces, the cluster layer, the churn
+workload engine, the cache-policy seam, and the trace persistence
+formats are API that external harnesses build against.  Each of those
+modules must open with a module docstring that (a) exists, (b) is
+substantial (not a one-line stub), and (c) explicitly states its public
+contract: a line containing the phrase ``Public contract`` separating
+the stable API from internals.
 
 This is deliberately a *lint*, not a style checker: it pins only the
 modules named in ``CONTRACT_MODULES`` and nothing else, so adding a
@@ -31,6 +32,7 @@ CONTRACT_MODULES = (
     "repro/runner/pool.py",
     "repro/runner/journal.py",
     "repro/sim/replay.py",
+    "repro/hashtable/cuckoo.py",
     "repro/cluster/__init__.py",
     "repro/cluster/balancer.py",
     "repro/cluster/cluster.py",

@@ -35,15 +35,13 @@ def candidate_keys(table, buckets: Sequence[int]) -> List[bytes]:
     """Resident keys of the candidate buckets, deduplicated in scan order.
 
     The two cuckoo buckets of a key can coincide; scanning primary first
-    and deduplicating keeps victim selection deterministic.
+    and skipping a repeated bucket keeps victim selection deterministic.
+    A key lives in exactly one bucket, so only a repeated bucket can
+    repeat a key.
     """
     keys: List[bytes] = []
-    seen = set()
-    for bucket in buckets:
-        for key in table.bucket_keys(bucket):
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
+    for bucket in dict.fromkeys(buckets):
+        keys += table.bucket_keys(bucket)
     return keys
 
 

@@ -103,7 +103,8 @@ class OvsDatapath:
         self.stats.packets += 1
 
         if self.emc_enabled:
-            rule = self.emc.lookup(flow)
+            key = flow.pack()
+            rule = self.emc.lookup_key(key)
             if rule is not None:
                 self.stats.emc_hits += 1
                 return Classification(flow, rule, HitLayer.EMC)
@@ -112,7 +113,7 @@ class OvsDatapath:
         if rule is not None:
             self.stats.megaflow_hits += 1
             if self.emc_enabled:
-                self.emc.install(flow, rule)
+                self.emc.install_key(key, rule)
             return Classification(flow, rule, HitLayer.MEGAFLOW,
                                   tuples_searched=searched)
 
@@ -123,7 +124,7 @@ class OvsDatapath:
             # lands in the EMC.
             self.megaflow.install(megaflow_entry(rule, flow))
             if self.emc_enabled:
-                self.emc.install(flow, rule)
+                self.emc.install_key(key, rule)
             return Classification(
                 flow, rule, HitLayer.OPENFLOW,
                 tuples_searched=searched + self.openflow.num_tuples)

@@ -142,8 +142,8 @@ class ExactMatchCache:
             self._m_rejects.inc()
             return
         candidates = (plan.primary_index, plan.secondary_index)
-        if all(len(self.table.bucket_keys(index)) >= self.table.assoc
-               for index in candidates):
+        if (self.table.bucket_is_full(plan.primary_index)
+                and self.table.bucket_is_full(plan.secondary_index)):
             victim = self.policy.victim(self.table, candidates)
             if victim is not None:
                 self.table.delete(victim)

@@ -18,6 +18,9 @@ KEY_BYTES = 16
 PROTO_TCP = 6
 PROTO_UDP = 17
 
+#: The 16-byte hash-table key layout: 13 header bytes + zero pad.
+_KEY_STRUCT = struct.Struct("<IIHHB3x")
+
 #: Each :class:`FlowMask` field and its width in bits.
 _MASK_BITS = (("src_ip_mask", 32), ("dst_ip_mask", 32),
               ("src_port_mask", 16), ("dst_port_mask", 16),
@@ -46,8 +49,8 @@ class FiveTuple:
 
     def pack(self) -> bytes:
         """The 16-byte hash-table key (13 header bytes + zero pad)."""
-        return struct.pack("<IIHHB3x", self.src_ip, self.dst_ip,
-                           self.src_port, self.dst_port, self.proto)
+        return _KEY_STRUCT.pack(self.src_ip, self.dst_ip,
+                                self.src_port, self.dst_port, self.proto)
 
     def as_int(self) -> int:
         """The 104-bit integer used by the TCAM models."""
@@ -56,8 +59,7 @@ class FiveTuple:
 
     @classmethod
     def unpack(cls, key: bytes) -> "FiveTuple":
-        src_ip, dst_ip, src_port, dst_port, proto = struct.unpack(
-            "<IIHHB3x", key)
+        src_ip, dst_ip, src_port, dst_port, proto = _KEY_STRUCT.unpack(key)
         return cls(src_ip, dst_ip, src_port, dst_port, proto)
 
     def __str__(self) -> str:
@@ -102,7 +104,13 @@ class FlowMask:
         )
 
     def key_of(self, flow: FiveTuple) -> bytes:
-        return self.apply(flow).pack()
+        """``apply(flow).pack()``, without building the masked flow: a
+        masked field is never wider than its field."""
+        return _KEY_STRUCT.pack(flow.src_ip & self.src_ip_mask,
+                                flow.dst_ip & self.dst_ip_mask,
+                                flow.src_port & self.src_port_mask,
+                                flow.dst_port & self.dst_port_mask,
+                                flow.proto & self.proto_mask)
 
     def as_int_mask(self) -> int:
         """The 104-bit TCAM mask equivalent."""

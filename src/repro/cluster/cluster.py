@@ -40,6 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set
 
+from ..classifier.cache_policy import POLICY_NAMES
+from ..exec.backend import BackendKind
 from ..faults.shard_plan import ShardFaultPlan
 from ..obs.metrics import Histogram, MetricsRegistry
 from ..obs.tracing import TraceRecorder
@@ -98,6 +100,16 @@ class ClusterConfig:
             raise ValueError(
                 f"ClusterConfig.detection_cycles must be >= 0 or None "
                 f"(got {self.detection_cycles})")
+        backends = tuple(kind.value for kind in BackendKind)
+        if self.backend not in backends:
+            raise ValueError(
+                f"ClusterConfig.backend must be one of {backends} "
+                f"(got {self.backend!r})")
+        if not (self.cache_policy is None
+                or self.cache_policy in POLICY_NAMES):
+            raise ValueError(
+                f"ClusterConfig.cache_policy must be None or one of "
+                f"{POLICY_NAMES} (got {self.cache_policy!r})")
         if self.cache_entries < 1:
             raise ValueError(
                 f"ClusterConfig.cache_entries must be >= 1 "

@@ -28,6 +28,7 @@ workload layer — see ``scripts/check_layering.py``).
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
@@ -97,6 +98,10 @@ class ResiliencePolicy:
             raise ValueError("poll_budget must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if not (math.isfinite(self.backoff_base) and self.backoff_base >= 0):
+            raise ValueError(
+                f"ResiliencePolicy.backoff_base must be a finite number "
+                f">= 0 (got {self.backoff_base!r})")
         if self.probe_interval < 1:
             raise ValueError("probe_interval must be >= 1")
         if self.recovery_successes < 1:
@@ -415,10 +420,9 @@ class HaloNonblockingBackend(LookupBackend):
         if outcome is not None:
             return outcome
         self._m_fallbacks.inc()
-        if health.healthy:
-            self.system.obs.trace.root(
-                "resilience.degraded", engine.now,
-                slice=health.slice_id, core=self.core_id).finish(engine.now)
+        self.system.obs.trace.root(
+            "resilience.degraded", engine.now,
+            slice=health.slice_id, core=self.core_id).finish(engine.now)
         health.mark_degraded(engine.now)
         health.degraded_lookups += 1
         self._m_degraded.inc()

@@ -14,23 +14,29 @@ from ..sim.interconnect import mix64
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
+#: Little-endian unpackers of ``n`` full 8-byte lanes, keyed by ``n``.
+_LANE_STRUCTS: dict = {}
+
 
 def hash_bytes(data: bytes, seed: int = 0) -> int:
     """64-bit hash of an arbitrary byte string (jhash/xxhash-style rounds).
 
     Processes 8-byte lanes with multiply-rotate mixing, then finalises.
+    All full lanes are unpacked in one call; a short tail is zero-padded
+    to a last lane.
     """
-    acc = (seed ^ (len(data) * 0x9E3779B97F4A7C15)) & MASK64
-    view = memoryview(data)
-    offset = 0
-    while offset + 8 <= len(data):
-        (lane,) = struct.unpack_from("<Q", view, offset)
-        acc = (acc ^ mix64(lane)) * 0xC2B2AE3D27D4EB4F & MASK64
-        acc = ((acc << 31) | (acc >> 33)) & MASK64
-        offset += 8
-    if offset < len(data):
-        tail = bytes(view[offset:]) + b"\x00" * (8 - (len(data) - offset))
-        (lane,) = struct.unpack_from("<Q", tail, 0)
+    length = len(data)
+    acc = (seed ^ (length * 0x9E3779B97F4A7C15)) & MASK64
+    full = length >> 3
+    if full:
+        lanes = _LANE_STRUCTS.get(full)
+        if lanes is None:
+            lanes = _LANE_STRUCTS[full] = struct.Struct(f"<{full}Q")
+        for lane in lanes.unpack_from(data):
+            acc = (acc ^ mix64(lane)) * 0xC2B2AE3D27D4EB4F & MASK64
+            acc = ((acc << 31) | (acc >> 33)) & MASK64
+    if length & 7:
+        lane = int.from_bytes(data[full << 3:], "little")
         acc = (acc ^ mix64(lane)) * 0x165667B19E3779F9 & MASK64
     return mix64(acc)
 

@@ -48,6 +48,35 @@ class TestConfigValidation:
             ClusterConfig(shard_faults={
                 "kill_rate": 0.5, "seed": 11, "protected": [0]})
 
+    def test_rejects_unknown_backend(self):
+        # Used to construct fine and fail inside the first run_shard.
+        with pytest.raises(ValueError,
+                           match=r"ClusterConfig\.backend must be one of "
+                                 r"\('software', 'halo-b', 'halo-nb', "
+                                 r"'adaptive'\) \(got 'bogus'\)"):
+            ClusterConfig(backend="bogus")
+
+    @pytest.mark.parametrize("backend",
+                             ["software", "halo-b", "halo-nb", "adaptive"])
+    def test_accepts_every_backend_kind(self, backend):
+        assert ClusterConfig(backend=backend).backend == backend
+
+    @pytest.mark.parametrize("policy", ["bogus", "", "LRU"])
+    def test_rejects_unknown_cache_policy(self, policy):
+        # Used to fail only after a shard's simulation had finished.
+        with pytest.raises(ValueError,
+                           match=r"ClusterConfig\.cache_policy must be None "
+                                 r"or one of \('random', 'lru', "
+                                 r"'second-chance', 'correlator'\) "
+                                 rf"\(got '{policy}'\)"):
+            ClusterConfig(cache_policy=policy)
+
+    @pytest.mark.parametrize("policy",
+                             [None, "random", "lru", "second-chance",
+                              "correlator"])
+    def test_accepts_none_and_every_policy_name(self, policy):
+        assert ClusterConfig(cache_policy=policy).cache_policy == policy
+
 
 class TestInlineDispatch:
     def test_stream_partitions_exactly(self):

@@ -42,6 +42,23 @@ def test_policy_validation():
         ResiliencePolicy(recovery_successes=0)
 
 
+@pytest.mark.parametrize("backoff_base",
+                         [-16.0, -1e-9, float("nan"), float("inf"),
+                          float("-inf")])
+def test_policy_rejects_bad_backoff_base(backoff_base):
+    # A negative base used to construct and then die mid-run in the
+    # engine ("negative timeout") on the first timed-out poll.
+    with pytest.raises(ValueError,
+                       match=r"ResiliencePolicy\.backoff_base must be a "
+                             r"finite number >= 0"):
+        ResiliencePolicy(poll_budget=8, max_retries=1,
+                         backoff_base=backoff_base)
+
+
+def test_policy_accepts_zero_backoff_base():
+    assert ResiliencePolicy(backoff_base=0.0).backoff(3) == 0.0
+
+
 def test_backoff_is_exponential():
     policy = ResiliencePolicy(backoff_base=10.0)
     assert policy.backoff(0) == 10.0

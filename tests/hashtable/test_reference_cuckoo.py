@@ -1,0 +1,224 @@
+"""The live cuckoo table against the frozen reference table.
+
+``reference_cuckoo.py`` is the table as it stood before its hot paths
+were rewritten.  The same operation sequence (inserts until kicks and
+failed inserts happen, updates, deletes, probes, and hits and misses
+under a recording :class:`~repro.sim.trace.Tracer`, repeated so the
+lookup-trace memo answers some of them) drives both tables, and after
+every operation the two must agree on the return value, the bucket and
+key-value arrays, the freed-slot order, the next unused slot, the stats,
+the optimistic lock and the emitted trace.  ``hash_bytes`` is held to the
+reference's over every key length from 1 to 64 bytes.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.hashtable import CuckooHashTable
+from repro.hashtable.hashing import hash_bytes, signature_of
+from repro.sim.trace import NULL_TRACER, Tracer
+
+from . import reference_cuckoo as reference
+
+KEY_SIZES = (8, 16, 32)
+#: 64 slots: eight buckets of eight ways fill within a few dozen inserts.
+CAPACITY = 64
+NUM_BUCKETS = CAPACITY // 8
+#: Keys per pool: more than twice the table, so inserts fail.
+POOL_SIZE = 160
+#: Pairs of keys sharing both buckets and the signature per pool, so
+#: probes chase key-value slots that hold another key.
+COLLIDING_PAIRS = 24
+
+
+@functools.lru_cache(maxsize=None)
+def key_pool(key_bytes):
+    """``POOL_SIZE`` keys of one size, ``COLLIDING_PAIRS`` pairs among
+    them, in a seeded order."""
+    rng = random.Random(key_bytes)
+    seed = CuckooHashTable(CAPACITY, key_bytes=key_bytes).seed
+    by_geometry = {}
+    colliding = []
+    while len(colliding) < 2 * COLLIDING_PAIRS:
+        key = rng.randbytes(key_bytes)
+        primary_hash = reference.hash_bytes(key, seed)
+        geometry = (primary_hash % NUM_BUCKETS, signature_of(primary_hash))
+        other = by_geometry.pop(geometry, None)
+        if other is None:
+            by_geometry[geometry] = key
+        elif other != key:
+            colliding += [other, key]
+    pool = colliding + [rng.randbytes(key_bytes)
+                        for _ in range(POOL_SIZE - len(colliding))]
+    rng.shuffle(pool)
+    return pool
+
+
+key_index = st.integers(0, POOL_SIZE - 1)
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), key_index, st.integers(0, 99)),
+        st.tuples(st.just("fill"),
+                  st.lists(key_index, min_size=1, max_size=32)),
+        st.tuples(st.just("delete"), key_index),
+        st.tuples(st.just("lookups"),
+                  st.lists(key_index, min_size=1, max_size=8)),
+        st.tuples(st.just("lookup_at"), key_index),
+        st.tuples(st.just("probe"), key_index),
+    ),
+    max_size=60)
+
+
+class Pair:
+    """A live and a reference table fed the same operations."""
+
+    def __init__(self, key_bytes, traced=True):
+        self.keys = key_pool(key_bytes)
+        self.tracers = ((Tracer(), Tracer()) if traced
+                        else (NULL_TRACER, NULL_TRACER))
+        self.live = CuckooHashTable(CAPACITY, key_bytes=key_bytes,
+                                    tracer=self.tracers[0])
+        self.reference = reference.CuckooHashTable(
+            CAPACITY, key_bytes=key_bytes, tracer=self.tracers[1])
+        self.memo_hits = 0
+        self.updates = 0
+        self.slot_reuses = 0
+
+    def _both(self, call):
+        """``call(table)`` on both tables; both results and traces."""
+        results = []
+        for table, tracer in zip((self.live, self.reference), self.tracers):
+            tracer.begin()
+            value = call(table)
+            trace = tracer.take()
+            results.append((value, list(trace.ops), trace.mix))
+        return results
+
+    def check(self, call):
+        live, ref = self._both(call)
+        assert live == ref
+        self.assert_same_state()
+        return live[0]
+
+    def assert_same_state(self):
+        live, ref = self.live, self.reference
+        assert live._buckets == ref._buckets
+        assert live._kv == ref._kv
+        assert live._freed_slots == ref._freed_slots
+        assert live._next_slot == ref._next_slot
+        assert len(live) == len(ref)
+        assert (dataclasses.astuple(live.stats)
+                == dataclasses.astuple(ref.stats))
+        assert live.lock.counter == ref.lock.counter
+        assert live.lock.stats == ref.lock.stats
+
+    def insert(self, key, value):
+        size, freed = len(self.live), len(self.live._freed_slots)
+        if self.check(lambda table: table.insert(key, value)):
+            self.updates += len(self.live) == size
+            self.slot_reuses += len(self.live._freed_slots) < freed
+
+    def lookup(self, key):
+        cached = self.live._trace_memo.get(key)
+        if cached is not None and cached[0] == self.live._mutations:
+            self.memo_hits += 1
+        return self.check(lambda table: table.lookup(key))
+
+    def run(self, ops):
+        keys = self.keys
+        for op in ops:
+            kind = op[0]
+            if kind == "insert":
+                self.insert(keys[op[1]], op[2])
+            elif kind == "fill":
+                for index in op[1]:
+                    self.insert(keys[index], index)
+            elif kind == "delete":
+                key = keys[op[1]]
+                self.check(lambda table: table.delete(key))
+            elif kind == "lookups":
+                # Twice: the second pass can answer from the trace memo.
+                for index in op[1] + op[1]:
+                    self.lookup(keys[index])
+            elif kind == "lookup_at":
+                key = keys[op[1]]
+                self.check(lambda table: table.lookup(key, key_addr=0x7000))
+            else:
+                key = keys[op[1]]
+                live, ref = (table.probe(key)
+                             for table in (self.live, self.reference))
+                assert (dataclasses.astuple(live)
+                        == dataclasses.astuple(ref))
+
+
+@pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
+@pytest.mark.parametrize("key_bytes", KEY_SIZES)
+@settings(max_examples=60, deadline=None)
+@given(ops=operations)
+def test_live_table_matches_reference(key_bytes, traced, ops):
+    Pair(key_bytes, traced).run(ops)
+
+
+@pytest.mark.parametrize("key_bytes", KEY_SIZES)
+def test_fixed_run_reaches_every_path(key_bytes):
+    """A fixed long run shows the property's paths are not vacuous:
+    kicks, failed inserts, updates, signature collisions, slot reuse and
+    memoised lookups all happen."""
+    rng = random.Random(key_bytes)
+    pair = Pair(key_bytes)
+    for _ in range(300):
+        roll = rng.random()
+        if roll < 0.45:
+            op = ("fill", [rng.randrange(POOL_SIZE)
+                           for _ in range(rng.randrange(1, 12))])
+        elif roll < 0.65:
+            op = ("delete", rng.randrange(POOL_SIZE))
+        elif roll < 0.95:
+            op = ("lookups", [rng.randrange(POOL_SIZE) for _ in range(6)])
+        else:
+            op = ("lookup_at", rng.randrange(POOL_SIZE))
+        pair.run([op])
+    stats = pair.live.stats
+    assert stats.kicks > 0
+    assert stats.insert_failures > 0
+    assert stats.sig_collisions > 0
+    assert stats.hits > 0 and stats.hits < stats.lookups
+    assert pair.updates > 0
+    assert pair.slot_reuses > 0
+    assert pair.memo_hits > 0
+
+
+@pytest.mark.parametrize("key_bytes", KEY_SIZES)
+def test_every_entry_point_rejects_a_wrong_length_key(key_bytes):
+    table = CuckooHashTable(CAPACITY, key_bytes=key_bytes, tracer=Tracer())
+    good = key_pool(key_bytes)[0]
+    table.insert(good, 1)
+    table.lookup(good)   # memoises the traced lookup of a valid key
+    for bad in (good[:-1], good + b"\x00"):
+        for call in (table.probe, table.lookup, table.delete,
+                     lambda key: table.insert(key, 2)):
+            with pytest.raises(ValueError, match="key length"):
+                call(bad)
+    assert table.lookup(good) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(min_size=1, max_size=64),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_hash_bytes_matches_reference(data, seed):
+    assert hash_bytes(data, seed) == reference.hash_bytes(data, seed)
+
+
+def test_hash_bytes_matches_reference_at_every_length():
+    rng = random.Random(64)
+    for length in range(1, 65):
+        for _ in range(20):
+            data = rng.randbytes(length)
+            seed = rng.getrandbits(64)
+            assert hash_bytes(data, seed) == reference.hash_bytes(data, seed)
