@@ -131,10 +131,14 @@ class ExactMatchCache:
 
     def install_key(self, key: bytes, rule: Rule) -> None:
         """:meth:`install`, but keyed on the packed 16-byte 5-tuple (the
-        cluster layer's native key representation)."""
-        plan = self.table.probe(key)
+        cluster layer's native key representation).
+
+        The key is probed once: the insert reuses the probe's plan, which
+        evicting a resident victim (never the missing key) leaves true."""
+        table = self.table
+        plan = table.probe(key)
         if plan.found:
-            self.table.insert(key, rule)   # refresh the cached rule
+            table.insert_planned(plan, rule)   # refresh the cached rule
             self.policy.on_hit(key)
             return
         if not self.policy.admit(key):
@@ -142,15 +146,15 @@ class ExactMatchCache:
             self._m_rejects.inc()
             return
         candidates = (plan.primary_index, plan.secondary_index)
-        if (self.table.bucket_is_full(plan.primary_index)
-                and self.table.bucket_is_full(plan.secondary_index)):
-            victim = self.policy.victim(self.table, candidates)
+        if (table.bucket_is_full(plan.primary_index)
+                and table.bucket_is_full(plan.secondary_index)):
+            victim = self.policy.victim(table, candidates)
             if victim is not None:
-                self.table.delete(victim)
+                table.delete(victim)
                 self.policy.on_evict(victim)
                 self.stats.evictions += 1
                 self._m_evictions.inc()
-        if self.table.insert(key, rule):
+        if table.insert_planned(plan, rule):
             self.stats.installs += 1
             self.policy.on_install(key)
         # else: displacement path exhausted; skip caching (OVS behaves the

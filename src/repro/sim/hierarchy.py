@@ -452,8 +452,9 @@ class MemoryHierarchy:
         """Pre-install a region's lines into the LLC; returns line count."""
         first = self.line_of(base)
         last = self.line_of(base + size - 1)
+        slice_of = self.interconnect.slice_of_line_uncached
         for line in range(first, last + 1):
-            self._install_llc(self.interconnect.slice_of_line(line), line)
+            self._install_llc(slice_of(line), line)
         return last - first + 1
 
     def flush_private(self, core_id: int) -> None:
@@ -469,12 +470,13 @@ class MemoryHierarchy:
         """
         first = self.line_of(base)
         last = self.line_of(base + size - 1)
+        slice_of = self.interconnect.slice_of_line_uncached
         for line in range(first, last + 1):
             for core in range(self.machine.cores):
                 self.l1[core].invalidate(line)
                 self.l2[core].invalidate(line)
                 self.snoop_filter.record_eviction(line, core)
-            self.llc[self.interconnect.slice_of_line(line)].invalidate(line)
+            self.llc[slice_of(line)].invalidate(line)
 
     def reset_stats(self) -> None:
         for cache in self.l1 + self.l2 + self.llc:
@@ -486,7 +488,7 @@ class MemoryHierarchy:
         first = self.line_of(base)
         last = self.line_of(base + size - 1)
         total = last - first + 1
-        resident = sum(
-            1 for line in range(first, last + 1)
-            if self.llc[self.interconnect.slice_of_line(line)].contains(line))
+        slice_of = self.interconnect.slice_of_line_uncached
+        resident = sum(1 for line in range(first, last + 1)
+                       if self.llc[slice_of(line)].contains(line))
         return resident / total

@@ -92,13 +92,25 @@ class Interconnect:
         # re-running the mixer on the per-access hot path.
         self._slice_memo: dict = {}
 
+    #: Slice-memo entries kept before the memo resets.  It bounds memory
+    #: on runs whose accesses roam over more lines than this; 48,000
+    #: uniform lookups in a 2^19-entry table touch about 80,000.
+    _SLICE_MEMO_CAP = 1 << 17
+
     def slice_of_line(self, line: int) -> int:
         """The LLC slice (and CHA) owning a cache line."""
         memo = self._slice_memo
         slice_id = memo.get(line)
         if slice_id is None:
+            if len(memo) >= self._SLICE_MEMO_CAP:
+                memo.clear()
             slice_id = memo[line] = mix64(line) % self.stops
         return slice_id
+
+    def slice_of_line_uncached(self, line: int) -> int:
+        """:meth:`slice_of_line` without the memo, for one-pass sweeps over
+        a region (warming, flushing), whose lines would only crowd it."""
+        return mix64(line) % self.stops
 
     def slice_of_table(self, table_base_addr: int) -> int:
         """HALO query-distributor target for a table address (§4.3).

@@ -20,13 +20,42 @@ time exactly like the HALO paths, so a switch PMD loop can be pinned to a
 core with :func:`repro.exec.cores.run_cores` and collocate with NFs or
 other switches on the shared memory hierarchy.  The synchronous
 :meth:`process_flow` wrapper remains the single-core entry point.
+
+Public contract
+===============
+
+A packet's cycles, its :class:`~repro.sim.stats.Breakdown`, the run
+statistics, the metrics and the end time on the engine do not depend on
+how many engine steps the packet takes.  In ``SOFTWARE`` mode a packet
+is **one engine step** — one timeout, ending where the per-stage path
+would end — when both hold as it starts:
+
+* the engine is otherwise idle (:meth:`~repro.sim.engine.Engine.
+  next_event_time` is ``None``), so no other process can run before the
+  packet ends;
+* the switch's software backend would replay windowed
+  (:meth:`~repro.sim.replay.TraceReplay.decide`): no
+  ``serial_replay=True``, fault hook or guard.
+
+Such a packet runs its functional table operations back to back, prices
+their traces in program order with one
+:meth:`~repro.sim.core.CoreModel.execute_window` call and books each
+stage's cycles in serial order.  This is exact for the reasons windowed
+replay is: the memory hierarchy never reads the clock, and functional
+table operations touch only the tracer.  Every other packet **yields
+per stage**, one timeout per stage and per traced table operation, and
+is counted: a fault hook or a guard under ``replay.fallback.faults`` /
+``replay.fallback.guard``, a busy engine under
+``vswitch.fallback.busy`` (created on first use).  ``serial_replay=True``
+is a choice and is not counted, and the HALO modes always yield per
+stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Generator, Iterable, List
+from typing import Dict, Generator, Iterable, List, Optional, Tuple
 
 from ..classifier.datapath import Classification, HitLayer
 from ..classifier.emc import ExactMatchCache
@@ -38,10 +67,23 @@ from ..classifier.tuple_space import TupleSpaceSearch
 from ..core.halo_system import HaloSystem
 from ..exec.backend import HaloNonblockingBackend, SoftwareBackend
 from ..hashtable.locking import READ_SIDE_CYCLES
+from ..obs.metrics import Histogram
+from ..sim.replay import REPLAY_WINDOWED
 from ..sim.stats import Breakdown
+from ..sim.trace import MemTrace, capture
 from .actions import ActionExecutor
 from .packet import Packet, PacketPool
 from .pktio import PacketIo
+
+
+#: Counts software-mode packets that yielded per stage because another
+#: event was pending when they started (see the module docstring).
+METRIC_FALLBACK_BUSY = "vswitch.fallback.busy"
+
+#: A fused packet's accrued stages in serial order: ``(stage, cycles,
+#: trace)``, with ``trace`` None for a fixed cost and ``cycles`` unused
+#: until the trace is priced.
+_Window = List[Tuple[str, float, Optional[MemTrace]]]
 
 
 class SwitchMode(Enum):
@@ -127,6 +169,11 @@ class VirtualSwitch:
         registry = self.obs.metrics
         self._m_packets = registry.counter("vswitch.packets")
         self._m_packet_cycles = registry.histogram("vswitch.packet_cycles")
+        #: stage -> its ``vswitch.stage.<stage>_cycles`` histogram,
+        #: resolved on the stage's first packet.
+        self._m_stage_cycles: Dict[str, Histogram] = {}
+        #: The running packet's open window while it is fused, else None.
+        self._window: Optional[_Window] = None
         registry.register_source("vswitch.layer_hits",
                                  lambda: dict(self.stats.layer_hits))
 
@@ -199,15 +246,65 @@ class VirtualSwitch:
         for entry in self.openflow.tss.tuples():
             yield entry.table
 
-    # -- software-mode stage execution -----------------------------------------------
+    # -- spending stage cycles: per stage, or in one fused window -------------------
+    def _open_window(self) -> Optional[_Window]:
+        """An empty window when this packet may be one engine step, else
+        None; a fallback is counted (module docstring)."""
+        backend = self._software_backend
+        if self.backend is not backend:
+            return None
+        if backend.replay.decide() != REPLAY_WINDOWED:
+            return None
+        if self.system.engine.next_event_time() is not None:
+            self.obs.metrics.counter(METRIC_FALLBACK_BUSY).inc()
+            return None
+        return []
+
+    def _spend(self, breakdown: Breakdown, stage: str,
+               cycles: float) -> Generator:
+        """Program: charge a fixed cost to a stage."""
+        window = self._window
+        if window is not None:
+            window.append((stage, cycles, None))
+            return
+        breakdown.add(stage, cycles)
+        if cycles:
+            yield self.system.engine.timeout(cycles)
+
     def _traced_op(self, breakdown: Breakdown, stage: str, func,
-                   *args, **kwargs) -> Generator:
+                   *args) -> Generator:
         """Program: one traced table operation charged to a stage."""
+        window = self._window
+        if window is not None:
+            value, trace = capture(self.system.tracer, self.core_id, func,
+                                   *args)
+            window.append((stage, 0.0, trace))
+            return value
         value, result = yield from self._software_backend.traced_call(
-            func, *args, lock_cycles=READ_SIDE_CYCLES, **kwargs)
+            func, *args, lock_cycles=READ_SIDE_CYCLES)
         breakdown.add(stage, result.cycles)
         return value
 
+    def _close_window(self, window: _Window,
+                      breakdown: Breakdown) -> Generator:
+        """Program: price a fused packet's traces in one window, book every
+        stage in serial order and spend the packet as one timeout."""
+        priced = iter(self.software.core.execute_batch(
+            [trace for _stage, _cycles, trace in window if trace is not None],
+            READ_SIDE_CYCLES))
+        engine = self.system.engine
+        end = engine.now
+        for stage, cycles, trace in window:
+            if trace is not None:
+                cycles = next(priced).cycles
+            breakdown.add(stage, cycles)
+            # The end time the per-stage timeouts would reach, summed in
+            # their order; cycle values are dyadic, so it is exact.
+            end += cycles
+        if end != engine.now:
+            yield engine.timeout(end - engine.now)
+
+    # -- software-mode stage execution -----------------------------------------------
     def _classify_software(self, flow: FiveTuple,
                            breakdown: Breakdown) -> Generator:
         if self.emc_enabled:
@@ -312,27 +409,30 @@ class VirtualSwitch:
         Fixed-cost stages (packet IO, pre-processing, actions) spend their
         cycles as engine timeouts, and classification runs through the
         mode's backend — so concurrent switch/NF programs interleave on
-        the engine with honest relative timing.  Returns the
-        :class:`PacketRecord`.
+        the engine with honest relative timing.  On an otherwise idle
+        engine a software-mode packet spends them all as one timeout (see
+        the module docstring).  Returns the :class:`PacketRecord`.
         """
-        engine = self.system.engine
         packet = self.pool.wrap(flow)
         breakdown = Breakdown()
-        for stage, cycles in (("packet_io", self.pktio.receive(packet)),
-                              ("preprocess", self.pktio.preprocess(packet))):
-            breakdown.add(stage, cycles)
-            if cycles:
-                yield engine.timeout(cycles)
-        classification = yield from self.classify_program(flow, breakdown)
-        if classification.hit:
-            outcome = self.actions.execute(packet, classification.rule.action)
-            breakdown.add("others", outcome.cycles)
-            if outcome.cycles:
-                yield engine.timeout(outcome.cycles)
-        finish = self.pktio.finish(packet)
-        breakdown.add("others", finish)
-        if finish:
-            yield engine.timeout(finish)
+        window = self._window = self._open_window()
+        try:
+            for stage, cycles in (
+                    ("packet_io", self.pktio.receive(packet)),
+                    ("preprocess", self.pktio.preprocess(packet))):
+                yield from self._spend(breakdown, stage, cycles)
+            classification = yield from self.classify_program(flow,
+                                                              breakdown)
+            if classification.hit:
+                outcome = self.actions.execute(packet,
+                                               classification.rule.action)
+                yield from self._spend(breakdown, "others", outcome.cycles)
+            yield from self._spend(breakdown, "others",
+                                   self.pktio.finish(packet))
+            if window is not None:
+                yield from self._close_window(window, breakdown)
+        finally:
+            self._window = None
 
         self._record(classification, breakdown)
         return PacketRecord(classification=classification,
@@ -348,19 +448,27 @@ class VirtualSwitch:
 
     def _record(self, classification: Classification,
                 breakdown: Breakdown) -> None:
-        self.stats.packets += 1
-        self.stats.breakdown = self.stats.breakdown.merged(breakdown)
+        stats = self.stats
+        stats.packets += 1
+        # Summed in place, in ``Breakdown.merged``'s order.
+        run_parts = stats.breakdown.parts
+        for stage, cycles in breakdown.parts.items():
+            run_parts[stage] = run_parts.get(stage, 0.0) + cycles
         layer = classification.layer.value
-        self.stats.layer_hits[layer] = self.stats.layer_hits.get(layer, 0) + 1
+        stats.layer_hits[layer] = stats.layer_hits.get(layer, 0) + 1
         self._m_packets.inc()
         self._m_packet_cycles.observe(breakdown.total)
         if self.obs.enabled:
             # Per-stage latency histograms, keyed by the Figure 3 stage
             # names (packet_io / preprocess / emc_lookup / ...).
-            registry = self.obs.metrics
-            for stage, cycles in breakdown:
-                registry.histogram(f"vswitch.stage.{stage}_cycles").observe(
-                    cycles)
+            histograms = self._m_stage_cycles
+            for stage, cycles in breakdown.parts.items():
+                histogram = histograms.get(stage)
+                if histogram is None:
+                    histogram = histograms[stage] = (
+                        self.obs.metrics.histogram(
+                            f"vswitch.stage.{stage}_cycles"))
+                histogram.observe(cycles)
 
     def process_flow(self, flow: FiveTuple) -> PacketRecord:
         """Process one packet synchronously (drives the engine internally)."""

@@ -2,9 +2,11 @@
 
 ``reference_cuckoo.py`` is the table as it stood before its hot paths
 were rewritten.  The same operation sequence (inserts until kicks and
-failed inserts happen, updates, deletes, probes, and hits and misses
-under a recording :class:`~repro.sim.trace.Tracer`, repeated so the
-lookup-trace memo answers some of them) drives both tables, and after
+failed inserts happen, updates, deletes, probes, hits and misses under
+a recording :class:`~repro.sim.trace.Tracer`, repeated so the
+lookup-trace memo answers some of them, and the EMC's install: probe a
+key, delete another, then ``insert_planned`` through the probe's plan
+where the reference inserts the key) drives both tables, and after
 every operation the two must agree on the return value, the bucket and
 key-value arrays, the freed-slot order, the next unused slot, the stats,
 the optimistic lock and the emitted trace.  ``hash_bytes`` is held to the
@@ -71,6 +73,8 @@ operations = st.lists(
                   st.lists(key_index, min_size=1, max_size=8)),
         st.tuples(st.just("lookup_at"), key_index),
         st.tuples(st.just("probe"), key_index),
+        st.tuples(st.just("planned"), key_index, key_index,
+                  st.integers(0, 99)),
     ),
     max_size=60)
 
@@ -89,6 +93,7 @@ class Pair:
         self.memo_hits = 0
         self.updates = 0
         self.slot_reuses = 0
+        self.planned_inserts = 0
 
     def _both(self, call):
         """``call(table)`` on both tables; both results and traces."""
@@ -124,6 +129,18 @@ class Pair:
             self.updates += len(self.live) == size
             self.slot_reuses += len(self.live._freed_slots) < freed
 
+    def insert_planned(self, key, other, value):
+        """Probe ``key``, delete ``other`` unless it is ``key``, then
+        insert ``key`` through the probe's plan (the reference probes
+        again)."""
+        plan = self.live.probe(key)
+        if other != key:
+            self.check(lambda table: table.delete(other))
+        self.planned_inserts += 1
+        self.check(lambda table: (table.insert_planned(plan, value)
+                                  if table is self.live
+                                  else table.insert(key, value)))
+
     def lookup(self, key):
         cached = self.live._trace_memo.get(key)
         if cached is not None and cached[0] == self.live._mutations:
@@ -146,6 +163,8 @@ class Pair:
                 # Twice: the second pass can answer from the trace memo.
                 for index in op[1] + op[1]:
                     self.lookup(keys[index])
+            elif kind == "planned":
+                self.insert_planned(keys[op[1]], keys[op[2]], op[3])
             elif kind == "lookup_at":
                 key = keys[op[1]]
                 self.check(lambda table: table.lookup(key, key_addr=0x7000))
@@ -169,7 +188,7 @@ def test_live_table_matches_reference(key_bytes, traced, ops):
 def test_fixed_run_reaches_every_path(key_bytes):
     """A fixed long run shows the property's paths are not vacuous:
     kicks, failed inserts, updates, signature collisions, slot reuse and
-    memoised lookups all happen."""
+    memoised lookups all happen, and planned inserts run."""
     rng = random.Random(key_bytes)
     pair = Pair(key_bytes)
     for _ in range(300):
@@ -179,8 +198,11 @@ def test_fixed_run_reaches_every_path(key_bytes):
                            for _ in range(rng.randrange(1, 12))])
         elif roll < 0.65:
             op = ("delete", rng.randrange(POOL_SIZE))
-        elif roll < 0.95:
+        elif roll < 0.85:
             op = ("lookups", [rng.randrange(POOL_SIZE) for _ in range(6)])
+        elif roll < 0.95:
+            op = ("planned", rng.randrange(POOL_SIZE),
+                  rng.randrange(POOL_SIZE), rng.randrange(100))
         else:
             op = ("lookup_at", rng.randrange(POOL_SIZE))
         pair.run([op])
@@ -192,6 +214,7 @@ def test_fixed_run_reaches_every_path(key_bytes):
     assert pair.updates > 0
     assert pair.slot_reuses > 0
     assert pair.memo_hits > 0
+    assert pair.planned_inserts > 0
 
 
 @pytest.mark.parametrize("key_bytes", KEY_SIZES)

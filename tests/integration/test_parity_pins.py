@@ -21,7 +21,16 @@ and requires every number in every payload to match at ``rel=1e-12``:
   defaults.
 
 Covered experiments: fig09, fig11, multicore scaling, and the
-degradation sweep — the four the speed campaign leans on hardest.
+degradation sweep — the four the speed campaign leans on hardest — and
+the software switch's fused packets (one engine step per packet on an
+idle engine, :mod:`repro.vswitch.switch`).  Serial replay and capped
+horizons force the switch's per-stage path, so fig03 runs under both,
+and fig12, whose collocated switch shares the engine with an NF, under
+the cap.  ``REPRO_GUARD`` reaches only the systems that call
+:func:`repro.guard.maybe_attach_guard` (the degradation sweep), so the
+guarded switch is pinned in ``tests/vswitch/test_switch_programs.py``.
+Each experiment's plain-defaults run is computed once and shared by its
+pins.
 """
 
 from __future__ import annotations
@@ -35,8 +44,13 @@ import pytest
 from repro.exec.backend import SoftwareBackend
 from repro.runner import run_for_bench
 from repro.sim.engine import Engine
+from repro.sim.stats import Breakdown
 
 EXPERIMENTS = ("fig09", "fig11", "multicore", "degradation")
+#: Experiments whose software switch packets are fused on an idle engine.
+SWITCH_EXPERIMENTS = ("fig03",)
+#: fig12 also collocates its switch with an NF process on one engine.
+COLLOCATED_SWITCH_EXPERIMENTS = ("fig12",)
 
 REL_TOL = 1e-12
 
@@ -52,6 +66,9 @@ def _numeric_view(payload, prefix=""):
         for field in dataclasses.fields(payload):
             out.update(_numeric_view(getattr(payload, field.name),
                                      f"{prefix}.{field.name}"))
+    elif isinstance(payload, Breakdown):
+        # Figure 3's per-stage cycles, not only the report's rounding.
+        out.update(_numeric_view(payload.parts, prefix))
     elif isinstance(payload, dict):
         for key, value in payload.items():
             out.update(_numeric_view(value, f"{prefix}[{key!r}]"))
@@ -74,6 +91,19 @@ def _snapshot(name):
     return numbers, text
 
 
+@functools.lru_cache(maxsize=None)
+def _cached_defaults(name):
+    return _snapshot(name)
+
+
+def _defaults(name, monkeypatch):
+    """``name`` under the plain defaults (no guard, observability on),
+    run once per session and shared by every pin."""
+    for var in ("REPRO_GUARD", "REPRO_OBS"):
+        monkeypatch.delenv(var, raising=False)
+    return _cached_defaults(name)
+
+
 def _assert_parity(name, baseline, candidate, toggle):
     base_numbers, base_text = baseline
     cand_numbers, cand_text = candidate
@@ -89,11 +119,10 @@ def _assert_parity(name, baseline, candidate, toggle):
         f"{name}: rendered report drifted under {toggle}")
 
 
-@pytest.mark.parametrize("name", EXPERIMENTS)
+@pytest.mark.parametrize("name", EXPERIMENTS + SWITCH_EXPERIMENTS)
 def test_batched_replay_parity(name, monkeypatch):
     """Windowed replay (the default) vs serial replay everywhere."""
-    monkeypatch.delenv("REPRO_GUARD", raising=False)
-    windowed = _snapshot(name)
+    windowed = _defaults(name, monkeypatch)
     monkeypatch.setattr(SoftwareBackend, "__init__", functools.partialmethod(
         SoftwareBackend.__init__, serial_replay=True))
     serial = _snapshot(name)
@@ -102,18 +131,17 @@ def test_batched_replay_parity(name, monkeypatch):
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_guard_parity(name, monkeypatch):
-    monkeypatch.delenv("REPRO_GUARD", raising=False)
-    baseline = _snapshot(name)
+    baseline = _defaults(name, monkeypatch)
     monkeypatch.setenv("REPRO_GUARD", "1")
     guarded = _snapshot(name)
     _assert_parity(name, baseline, guarded, "REPRO_GUARD=1")
 
 
-@pytest.mark.parametrize("name", EXPERIMENTS)
+@pytest.mark.parametrize(
+    "name", EXPERIMENTS + SWITCH_EXPERIMENTS + COLLOCATED_SWITCH_EXPERIMENTS)
 def test_windowed_replay_parity(name, monkeypatch):
     """Whole-stream windows vs windows bounded at ``WINDOW_CYCLES``."""
-    monkeypatch.delenv("REPRO_GUARD", raising=False)
-    whole = _snapshot(name)
+    whole = _defaults(name, monkeypatch)
     next_event_time = Engine.next_event_time
 
     def capped(engine):
@@ -131,9 +159,7 @@ def test_windowed_replay_parity(name, monkeypatch):
 def test_full_stack_parity(name, monkeypatch):
     """Serial replay, the guard and observability off at once vs the
     plain defaults."""
-    for var in ("REPRO_GUARD", "REPRO_OBS"):
-        monkeypatch.delenv(var, raising=False)
-    baseline = _snapshot(name)
+    baseline = _defaults(name, monkeypatch)
     monkeypatch.setattr(SoftwareBackend, "__init__", functools.partialmethod(
         SoftwareBackend.__init__, serial_replay=True))
     monkeypatch.setenv("REPRO_GUARD", "1")

@@ -90,3 +90,44 @@ def test_splitmix64_matches_published_reference():
     rng = SplitMix64(0)
     assert [rng.next_u64() for _ in range(3)] == [
         0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+def test_region_sweeps_leave_the_slice_memo_alone():
+    """Warming, probing and flushing a table hash its lines without the
+    memo, and place each line in the slice the memoised hash names."""
+    from repro.core import HaloSystem
+    from repro.traffic.generator import random_keys
+
+    system = HaloSystem()
+    table = system.create_table(1 << 12, name="sweep")
+    for index, key in enumerate(random_keys(1 << 11, seed=3)):
+        table.insert(key, index)
+    hierarchy = system.hierarchy
+    ring = hierarchy.interconnect
+    layout = table.layout
+
+    def lines(region):
+        return range(hierarchy.line_of(region.base),
+                     hierarchy.line_of(region.base + region.size - 1) + 1)
+
+    memo = dict(ring._slice_memo)
+    system.warm_table(table)
+    assert hierarchy.llc_resident_fraction(layout.buckets.base,
+                                           layout.buckets.size) == 1.0
+    system.flush_table(table)
+    assert ring._slice_memo == memo
+    for region in (layout.metadata, layout.buckets, layout.key_values):
+        flushed = region is not layout.metadata
+        for line in lines(region):
+            slice_id = ring.slice_of_line(line)
+            assert slice_id == ring.slice_of_line_uncached(line)
+            assert hierarchy.llc[slice_id].contains(line) != flushed
+
+
+def test_slice_memo_never_exceeds_its_cap(ring, monkeypatch):
+    from repro.sim.interconnect import mix64
+
+    monkeypatch.setattr(Interconnect, "_SLICE_MEMO_CAP", 64)
+    for line in list(range(1000)) + list(range(500)):
+        assert ring.slice_of_line(line) == mix64(line) % 16
+        assert len(ring._slice_memo) <= 64
