@@ -17,7 +17,7 @@ Exits zero *iff* the watchdog caught the deadlock.
 
 import sys
 
-from repro.guard import DeadlockError, default_guard
+from repro.guard import DeadlockError, EngineGuard
 from repro.sim.engine import Engine, Resource
 
 
@@ -38,7 +38,7 @@ def main() -> int:
     # Opposite acquisition orders — the inversion CI wants diagnosed.
     engine.process(worker(engine, lock_a, lock_b), name="forward-worker")
     engine.process(worker(engine, lock_b, lock_a), name="reverse-worker")
-    engine.attach_guard(default_guard())
+    engine.attach_guard(EngineGuard())
 
     try:
         engine.run()

@@ -81,7 +81,7 @@ def run_report_demo(quick: bool = False):
     ``cluster.failover.*`` counters), and a virtual-switch packet
     stream.  The standard safety
     net (:mod:`repro.guard`) rides along, so the ``guard.*`` counters
-    show what the watchdog and invariant checker observed.  Returns the
+    show how many events it observed and invariants it checked.  Returns the
     :class:`~repro.core.halo_system.HaloSystem` with its registry loaded.
     """
     from .cluster import RssBalancer

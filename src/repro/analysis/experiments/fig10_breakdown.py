@@ -150,8 +150,6 @@ def report(cells: Dict[str, Fig10Cell]) -> str:
     sections = [table, render_checks("Figure 10", checks)]
     for scenario in ("llc", "dram"):
         cell = cells[f"{scenario}/halo"]
-        if not cell.registry_metrics:
-            continue
         lines = [f"traceable metrics ({scenario} scenario):"]
         for name, summary in sorted(cell.registry_metrics.items()):
             lines.append(

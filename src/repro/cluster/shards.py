@@ -103,7 +103,7 @@ def run_shard(shard: int, keys: Sequence[bytes], *, sockets: int,
     extra_cycles = float(latency_offset)
 
     machine = shard_machine(sockets)
-    system = HaloSystem(machine=machine, observability=True)
+    system = HaloSystem(machine=machine)
     table = system.create_table(table_capacity, name=f"shard{shard}")
     for index, key in enumerate(distinct):
         table.insert(key, index)

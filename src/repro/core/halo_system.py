@@ -62,19 +62,9 @@ def _rate(part: int, whole: int) -> str:
 class HaloSystem:
     """A complete HALO-equipped simulated machine."""
 
-    def __init__(self, machine: Optional[MachineParams] = None,
-                 observability=None) -> None:
-        """``observability`` accepts an :class:`~repro.obs.Observability`,
-        a bool, or ``None`` (the ``REPRO_OBS`` env default, normally on).
-        Disabling it swaps every metric/span handle for a no-op — the
-        simulation's cycle arithmetic is untouched either way."""
+    def __init__(self, machine: Optional[MachineParams] = None) -> None:
         self.machine = machine or SKYLAKE_SP_16C
-        if isinstance(observability, Observability):
-            self.obs = observability
-        elif observability is None:
-            self.obs = Observability()
-        else:
-            self.obs = Observability(enabled=bool(observability))
+        self.obs = Observability()
         self.engine = Engine()
         self.hierarchy = MemoryHierarchy(self.machine, obs=self.obs)
         self.lock_manager = HardwareLockManager(

@@ -1,32 +1,31 @@
 """``repro.guard`` — the simulation safety net.
 
 Two cooperating layers give the harness the discipline real simulators
-have (gem5-style abort budgets, deadlock dumps, checkpoint-friendly
-failure modes):
+have (deadlock dumps, checkpoint-friendly failure modes):
 
-* the **engine watchdog** (:mod:`repro.guard.watchdog`) — configurable
-  cycle/event/wall-clock budgets, livelock detection (no ``now``
-  progress across N events), and true-deadlock detection (calendar empty
-  with processes still blocked), each raising a structured error that
-  names every blocked process and what it is waiting on;
-* the **invariant checker** (:mod:`repro.guard.invariants`) — pluggable,
-  cadence-sampled predicates over fixed model seams (cache occupancy,
-  scoreboard/Resource conservation, lock-bit pairing, NoC message
-  accounting), zero-overhead when not attached.
+* the **engine watchdog** (:mod:`repro.guard.watchdog`) — livelock
+  detection (no ``now`` progress across
+  :data:`~repro.guard.watchdog.STALL_EVENTS` events) and true-deadlock
+  detection (calendar empty with processes still blocked), each raising
+  a structured error that names every blocked process and what it is
+  waiting on;
+* **invariants** (:mod:`repro.guard.invariants`) — predicates over fixed
+  model seams (cache occupancy, scoreboard/Resource conservation,
+  lock-bit pairing, NoC message accounting), sampled every
+  :data:`~repro.guard.engine_guard.CHECK_EVERY` events and at each
+  drain; the first violation raises.
 
-Attach via ``engine.attach_guard(EngineGuard(...))`` or the
-:mod:`repro.guard.presets` helpers (``REPRO_GUARD=1`` opts whole
-campaigns in).  Layering: ``guard`` sits directly above ``obs``; of the
-layers above it only ``sim``, ``runner``, and ``analysis`` may import it
-(enforced by ``scripts/check_layering.py``).
+A guard runs only where code attaches one: ``attach_standard_guard(system)``
+or ``engine.attach_guard(EngineGuard(...))``.  Layering: ``guard`` sits
+directly above ``obs``; of the layers above it only ``sim``, ``runner``,
+and ``analysis`` may import it (enforced by ``scripts/check_layering.py``).
 """
 
 from __future__ import annotations
 
-from .engine_guard import EngineGuard, default_guard
+from .engine_guard import CHECK_EVERY, EngineGuard
 from .errors import (
     BlockedProcess,
-    BudgetExceededError,
     DeadlockError,
     GuardError,
     InvariantViolation,
@@ -36,45 +35,31 @@ from .errors import (
 )
 from .invariants import (
     Invariant,
-    InvariantChecker,
     cache_occupancy,
     interconnect_conservation,
     lock_bit_accounting,
     resource_conservation,
-    store_consistency,
 )
-from .presets import (
-    GUARD_ENV,
-    attach_standard_guard,
-    guard_env_enabled,
-    maybe_attach_guard,
-    standard_invariants,
-)
-from .watchdog import Watchdog, WatchdogConfig
+from .presets import attach_standard_guard, standard_invariants
+from .watchdog import STALL_EVENTS, Watchdog
 
 __all__ = [
     "BlockedProcess",
-    "BudgetExceededError",
+    "CHECK_EVERY",
     "DeadlockError",
     "EngineGuard",
-    "GUARD_ENV",
     "GuardError",
     "Invariant",
-    "InvariantChecker",
     "InvariantViolation",
+    "STALL_EVENTS",
     "StallError",
     "Watchdog",
-    "WatchdogConfig",
     "attach_standard_guard",
     "blocked_dump",
     "cache_occupancy",
-    "default_guard",
     "describe_waitable",
-    "guard_env_enabled",
     "interconnect_conservation",
     "lock_bit_accounting",
-    "maybe_attach_guard",
     "resource_conservation",
     "standard_invariants",
-    "store_consistency",
 ]

@@ -1,90 +1,68 @@
-"""The guard object the engine holds: watchdog + invariant checker.
+"""The guard object the engine holds: a watchdog plus invariant checks.
 
 :class:`EngineGuard` is the single attachment point
-(``engine.attach_guard(guard)``): it multiplexes the engine's two hook
-sites — ``before_event`` on every dispatched event, ``on_drain`` when
-the calendar empties — into the :class:`~repro.guard.watchdog.Watchdog`
-and :class:`~repro.guard.invariants.InvariantChecker`, and publishes
-what it observed as a ``guard.*`` metrics pull source plus a trace span
-per violation (when wired to an :mod:`repro.obs` registry/recorder by
-:func:`repro.guard.presets.attach_standard_guard`).
+(``engine.attach_guard(guard)``): it serves the engine's two hook sites
+— ``before_event`` on every dispatched event, ``on_drain`` when the
+calendar empties.  Every guard runs a
+:class:`~repro.guard.watchdog.Watchdog`; it evaluates its invariants
+every :data:`CHECK_EVERY` events and once more at each drain, and raises
+:class:`~repro.guard.errors.InvariantViolation` at the first broken one.
+:meth:`EngineGuard.as_dict` is the ``guard.*`` metrics pull source
+:func:`repro.guard.presets.attach_standard_guard` registers.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable
 
-from .invariants import Invariant, InvariantChecker
-from .watchdog import Watchdog, WatchdogConfig
+from .errors import InvariantViolation
+from .invariants import Invariant
+from .watchdog import Watchdog
+
+#: Events between two invariant sweeps.
+CHECK_EVERY = 256
 
 
 class EngineGuard:
     """Watchdog + invariant checking bound to one engine."""
 
-    def __init__(self, watchdog: Optional[Watchdog] = None,
-                 invariants: Iterable[Invariant] = (),
-                 cadence: int = 256, strict: bool = True,
-                 trace: Optional[Any] = None) -> None:
-        self.watchdog = watchdog
-        invariants = list(invariants)
-        self.checker = (InvariantChecker(invariants, cadence=cadence,
-                                         strict=strict)
-                        if invariants else None)
-        self.trace = trace
+    def __init__(self, invariants: Iterable[Invariant] = ()) -> None:
+        self.watchdog = Watchdog()
+        self.invariants = list(invariants)
         self.events_observed = 0
-        self._violations_traced = 0
+        self.invariant_checks = 0
+        self._since_check = 0
 
     # -- engine hook protocol ------------------------------------------------
     def on_attach(self, engine: Any) -> None:
-        if self.watchdog is not None:
-            self.watchdog.start(engine)
+        self.watchdog.start(engine)
 
     def before_event(self, engine: Any) -> None:
         self.events_observed += 1
-        if self.watchdog is not None:
-            self.watchdog.check(engine)
-        if self.checker is not None:
-            self.checker.maybe_check(engine)
-            self._trace_new_violations(engine)
+        self.watchdog.check(engine)
+        self._since_check += 1
+        if self._since_check == CHECK_EVERY:
+            self._since_check = 0
+            self.check_now(engine)
 
     def on_drain(self, engine: Any) -> None:
-        if self.checker is not None:
-            # Final sweep so violations between the last cadence sample
-            # and the drain still surface.
-            self.checker.check_now(engine)
-            self._trace_new_violations(engine)
-        if self.watchdog is not None:
-            self.watchdog.on_drain(engine)
+        # Final sweep so violations between the last sample and the
+        # drain still surface.
+        self.check_now(engine)
+        self.watchdog.on_drain(engine)
 
-    def _trace_new_violations(self, engine: Any) -> None:
-        """Record one root span per new (non-strict) violation."""
-        if self.trace is None or self.checker is None:
-            return
-        pending = self.checker.violations[self._violations_traced:]
-        for name, detail, at_cycle in pending:
-            span = self.trace.root("guard.violation", at_cycle,
-                                   invariant=name, detail=detail)
-            span.finish(at_cycle)
-        self._violations_traced = len(self.checker.violations)
+    def check_now(self, engine: Any) -> None:
+        """Evaluate every invariant; raise at the first violation."""
+        for invariant in self.invariants:
+            self.invariant_checks += 1
+            detail = invariant.predicate()
+            if detail is not None:
+                raise InvariantViolation(invariant.name, detail, engine.now,
+                                         engine.events_processed)
 
     # -- metrics pull source -------------------------------------------------
     def as_dict(self) -> Dict[str, float]:
         """Flat scalar view for the metrics registry (``guard.*``)."""
-        out: Dict[str, float] = {"events_observed": self.events_observed}
-        if self.checker is not None:
-            out["invariants"] = len(self.checker.invariants)
-            out["invariant_checks"] = self.checker.checks
-            out["invariant_violations"] = len(self.checker.violations)
-        if self.watchdog is not None:
-            config = self.watchdog.config
-            out["watchdog_deadlock_detection"] = int(config.detect_deadlock)
-            out["watchdog_stall_events"] = config.stall_events or 0
-        return out
-
-
-def default_guard(config: Optional[WatchdogConfig] = None,
-                  invariants: Iterable[Invariant] = (),
-                  cadence: int = 256, strict: bool = True) -> EngineGuard:
-    """A guard with a watchdog always on and optional invariants."""
-    return EngineGuard(watchdog=Watchdog(config), invariants=invariants,
-                       cadence=cadence, strict=strict)
+        return {"events_observed": self.events_observed,
+                "invariants": len(self.invariants),
+                "invariant_checks": self.invariant_checks}

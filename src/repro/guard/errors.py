@@ -106,22 +106,6 @@ class StallError(GuardError):
             self.blocked))
 
 
-class BudgetExceededError(GuardError):
-    """A configured cycle/event/wall-clock budget ran out."""
-
-    def __init__(self, budget: str, limit: float, actual: float,
-                 blocked: Sequence[BlockedProcess], now: float) -> None:
-        self.budget = budget
-        self.limit = limit
-        self.actual = actual
-        self.blocked = list(blocked)
-        self.now = now
-        super().__init__(_render_dump(
-            f"{budget} budget exceeded at cycle {now:g}: "
-            f"{actual:g} > limit {limit:g}",
-            self.blocked))
-
-
 class InvariantViolation(GuardError):
     """A runtime invariant predicate reported a broken model seam."""
 

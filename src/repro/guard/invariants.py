@@ -1,12 +1,11 @@
-"""Runtime invariant checking over fixed model seams.
+"""Runtime invariants over fixed model seams.
 
 An :class:`Invariant` is a named zero-argument predicate returning
 ``None`` when the seam is healthy or a one-line detail string when it is
-not.  The :class:`InvariantChecker` samples every registered predicate on
-a fixed event cadence (and once more when the calendar drains), so the
-cost is ``O(invariants / cadence)`` per event and exactly zero when no
-checker is attached — the same zero-overhead-when-disabled discipline as
-:mod:`repro.obs`.
+not.  :class:`~repro.guard.engine_guard.EngineGuard` evaluates its
+invariants every :data:`~repro.guard.engine_guard.CHECK_EVERY` events
+and once more when the calendar drains; an engine with no guard pays
+nothing.
 
 The built-in factories below cover the seams the model is most likely to
 corrupt silently.  They are deliberately *duck-typed* — each takes the
@@ -17,9 +16,7 @@ one-directional (``guard`` sits just above ``obs``).
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
-
-from .errors import InvariantViolation
+from typing import Any, Callable, Optional
 
 
 class Invariant:
@@ -34,50 +31,6 @@ class Invariant:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Invariant({self.name})"
-
-
-class InvariantChecker:
-    """Cadence-sampled evaluation of a set of invariants.
-
-    ``strict=True`` (default) raises :class:`InvariantViolation` on the
-    first broken predicate; ``strict=False`` records the violation (in
-    ``violations`` and the optional metrics counters) and keeps running —
-    the mode campaign sweeps use so one bad cell doesn't mask the rest.
-    """
-
-    def __init__(self, invariants: Any, cadence: int = 256,
-                 strict: bool = True) -> None:
-        if cadence < 1:
-            raise ValueError("cadence must be >= 1")
-        self.invariants: List[Invariant] = list(invariants)
-        self.cadence = cadence
-        self.strict = strict
-        self.checks = 0
-        self.violations: List[Tuple[str, str, float]] = []
-        self._since_check = 0
-
-    def add(self, invariant: Invariant) -> None:
-        self.invariants.append(invariant)
-
-    def maybe_check(self, engine: Any) -> None:
-        """Per-event hook: run the predicates every ``cadence`` events."""
-        self._since_check += 1
-        if self._since_check < self.cadence:
-            return
-        self._since_check = 0
-        self.check_now(engine)
-
-    def check_now(self, engine: Any) -> None:
-        """Evaluate every invariant immediately (cadence ignored)."""
-        for invariant in self.invariants:
-            self.checks += 1
-            detail = invariant.predicate()
-            if detail is None:
-                continue
-            self.violations.append((invariant.name, detail, engine.now))
-            if self.strict:
-                raise InvariantViolation(invariant.name, detail, engine.now,
-                                         engine.events_processed)
 
 
 # -- built-in invariant factories (duck-typed over live model objects) -------
@@ -108,19 +61,6 @@ def resource_conservation(resource: Any, name: str) -> Invariant:
                         f"while {live} live waiter(s) queued (starvation)")
         return None
     return Invariant(f"resource.{name}.conservation", predicate)
-
-
-def store_consistency(store: Any, name: str) -> Invariant:
-    """A Store never buffers items while live getters are queued."""
-    def predicate() -> Optional[str]:
-        if not store._items:
-            return None
-        live = sum(1 for event in store._getters if not event.abandoned)
-        if live:
-            return (f"{len(store._items)} item(s) buffered while {live} "
-                    f"live getter(s) wait")
-        return None
-    return Invariant(f"store.{name}.consistency", predicate)
 
 
 def lock_bit_accounting(manager: Any) -> Invariant:

@@ -12,18 +12,16 @@ invariants over every seam it finds:
 * interconnect message/hop conservation (holds under fault drop plans
   too).
 
-:func:`attach_standard_guard` bundles them with a watchdog into an
+:func:`attach_standard_guard` puts them in an
 :class:`~repro.guard.engine_guard.EngineGuard`, attaches it to the
 system's engine, and registers the ``guard.*`` metrics pull source so
-``python -m repro report`` shows what the safety net observed.
-:func:`maybe_attach_guard` is the env-gated variant experiment modules
-call (``REPRO_GUARD=1`` turns the net on for a whole campaign).
+``python -m repro report`` shows what the safety net observed.  A guard
+runs only where code attaches one.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, List, Optional
+from typing import Any, List
 
 from .engine_guard import EngineGuard
 from .invariants import (
@@ -33,14 +31,6 @@ from .invariants import (
     lock_bit_accounting,
     resource_conservation,
 )
-from .watchdog import Watchdog, WatchdogConfig
-
-GUARD_ENV = "REPRO_GUARD"
-
-
-def guard_env_enabled() -> bool:
-    """``REPRO_GUARD=1`` (or ``true``/``on``/``yes``) opts a run in."""
-    return os.environ.get(GUARD_ENV, "0").lower() in ("1", "true", "on", "yes")
 
 
 def standard_invariants(system: Any) -> List[Invariant]:
@@ -58,27 +48,10 @@ def standard_invariants(system: Any) -> List[Invariant]:
     return invariants
 
 
-def attach_standard_guard(system: Any,
-                          config: Optional[WatchdogConfig] = None,
-                          cadence: int = 256,
-                          strict: bool = True) -> EngineGuard:
-    """Attach watchdog + standard invariants to ``system`` and register
-    the ``guard`` metrics source; returns the guard."""
-    guard = EngineGuard(watchdog=Watchdog(config),
-                        invariants=standard_invariants(system),
-                        cadence=cadence, strict=strict,
-                        trace=system.obs.trace)
+def attach_standard_guard(system: Any) -> EngineGuard:
+    """Attach a guard with the standard invariants to ``system`` and
+    register the ``guard`` metrics source; returns the guard."""
+    guard = EngineGuard(standard_invariants(system))
     system.engine.attach_guard(guard)
     system.obs.metrics.register_source("guard", guard.as_dict)
     return guard
-
-
-def maybe_attach_guard(system: Any,
-                       config: Optional[WatchdogConfig] = None,
-                       cadence: int = 256,
-                       strict: bool = True) -> Optional[EngineGuard]:
-    """Attach the standard guard when ``REPRO_GUARD`` opts in, else no-op."""
-    if not guard_env_enabled():
-        return None
-    return attach_standard_guard(system, config=config, cadence=cadence,
-                                 strict=strict)

@@ -1,103 +1,58 @@
-"""The engine watchdog: budgets, livelock detection, deadlock dumps.
+"""The engine watchdog: livelock detection and deadlock dumps.
 
-Real simulators (gem5's ``--abort-tick``, SimPy's ``until`` discipline)
-refuse to hang silently; this watchdog gives the DES engine the same
-property.  It observes every dispatched event (via the engine's guard
-hook) and raises a structured :mod:`repro.guard.errors` exception when:
+Real simulators refuse to hang silently; this watchdog gives the DES
+engine the same property.  It observes every dispatched event (via the
+engine's guard hook) and raises a structured :mod:`repro.guard.errors`
+exception when:
 
-* a **cycle / event / wall-clock budget** runs out — runaway configs and
-  host-side hangs die with a dump instead of eating the campaign's time;
-* **no simulated-time progress** happens across ``stall_events``
+* **no simulated-time progress** happens across :data:`STALL_EVENTS`
   consecutive events — the livelock signature of processes ping-ponging
   at one cycle (e.g. a snoop-retry loop against a stuck lock bit);
 * the **calendar drains while processes are still blocked** — true
   deadlock, reported with every blocked process and its waitable.
 
+It sets no budgets: a campaign run's wall-clock bound is
+``repro bench --timeout``, and a cycle bound is ``Engine.run(until=)``.
 The watchdog only reads engine state; simulated time is bit-identical
 with or without it (the guard-parity test pins this).
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
-from .errors import BudgetExceededError, DeadlockError, StallError, blocked_dump
+from .errors import DeadlockError, StallError, blocked_dump
 
-
-@dataclass(frozen=True)
-class WatchdogConfig:
-    """Budgets and detection knobs; ``None`` disables that check.
-
-    ``max_cycles``/``max_events`` are measured from :meth:`Watchdog.start`
-    (guard attachment), not from engine construction, so a watchdog can be
-    attached to a warmed-up engine.  ``wall_check_every`` rate-limits the
-    host-clock reads so the per-event cost stays a couple of integer ops.
-    """
-
-    max_cycles: Optional[float] = None
-    max_events: Optional[int] = None
-    max_wall_seconds: Optional[float] = None
-    stall_events: Optional[int] = 100_000
-    detect_deadlock: bool = True
-    wall_check_every: int = 4096
+#: Events without simulated-time progress that count as a livelock.
+STALL_EVENTS = 100_000
 
 
 class Watchdog:
-    """Budget + deadlock/livelock enforcement over one engine."""
+    """Deadlock/livelock enforcement over one engine."""
 
-    def __init__(self, config: Optional[WatchdogConfig] = None) -> None:
-        self.config = config or WatchdogConfig()
-        self._start_events = 0
-        self._start_cycles = 0.0
-        self._start_wall = 0.0
+    def __init__(self) -> None:
         self._progress_now = 0.0
         self._progress_events = 0
-        self.started = False
 
     def start(self, engine: Any) -> None:
-        """Record baselines; called when the guard is attached."""
-        self._start_events = engine.events_processed
-        self._start_cycles = engine.now
-        self._start_wall = time.monotonic()
+        """Record the progress baseline; called when the guard is attached."""
         self._progress_now = engine.now
         self._progress_events = engine.events_processed
-        self.started = True
 
     # -- per-event check (the hot path) -------------------------------------
     def check(self, engine: Any) -> None:
-        config = self.config
         now = engine.now
         events = engine.events_processed
         if now > self._progress_now:
             self._progress_now = now
             self._progress_events = events
-        elif (config.stall_events is not None
-                and events - self._progress_events >= config.stall_events):
+        elif events - self._progress_events >= STALL_EVENTS:
             raise StallError(blocked_dump(engine), now,
                              events - self._progress_events)
-        if (config.max_cycles is not None
-                and now - self._start_cycles > config.max_cycles):
-            raise BudgetExceededError("cycle", config.max_cycles,
-                                      now - self._start_cycles,
-                                      blocked_dump(engine), now)
-        ran = events - self._start_events
-        if config.max_events is not None and ran > config.max_events:
-            raise BudgetExceededError("event", config.max_events, ran,
-                                      blocked_dump(engine), now)
-        if (config.max_wall_seconds is not None
-                and ran % config.wall_check_every == 0):
-            elapsed = time.monotonic() - self._start_wall
-            if elapsed > config.max_wall_seconds:
-                raise BudgetExceededError("wall-clock", config.max_wall_seconds,
-                                          elapsed, blocked_dump(engine), now)
 
     # -- drain check --------------------------------------------------------
     def on_drain(self, engine: Any) -> None:
         """Calendar empty: any still-blocked process is a deadlock."""
-        if not self.config.detect_deadlock:
-            return
         blocked = blocked_dump(engine)
         if blocked:
             raise DeadlockError(blocked, engine.now, engine.events_processed)

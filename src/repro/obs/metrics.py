@@ -7,10 +7,10 @@ metrics (``halo.accelerator.service_cycles``, ``mem.core_access.cycles``,
 
 * **push** — hot paths hold :class:`Counter`/:class:`Gauge`/
   :class:`Histogram` handles obtained from the registry and update them
-  inline.  With the registry disabled the factories hand out shared
-  null objects whose mutators are no-ops, so the instrumented code runs
-  with no measurable overhead and, crucially, with *identical simulated
-  timing* (observation never feeds back into the model).
+  inline.  Observation never feeds back into the model.  A component
+  built without a registry (an :class:`~repro.classifier.emc.ExactMatchCache`
+  with ``metrics=None``) holds the shared :data:`NULL_COUNTER` and
+  :data:`NULL_HISTOGRAM`, whose mutators are no-ops.
 * **pull** — components with existing stats dataclasses register a
   zero-argument callable (:meth:`MetricsRegistry.register_source`); the
   registry invokes it only at :meth:`snapshot` time, so steady-state cost
@@ -234,7 +234,7 @@ class Histogram:
 
 
 class _NullCounter(Counter):
-    """Shared no-op counter handed out by a disabled registry."""
+    """Shared no-op counter for a component built without a registry."""
 
     __slots__ = ()
 
@@ -242,16 +242,6 @@ class _NullCounter(Counter):
         super().__init__("null")
 
     def inc(self, amount: int = 1) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__("null")
-
-    def set(self, value: float) -> None:
         pass
 
 
@@ -269,7 +259,6 @@ class _NullHistogram(Histogram):
 
 
 NULL_COUNTER = _NullCounter()
-NULL_GAUGE = _NullGauge()
 NULL_HISTOGRAM = _NullHistogram()
 
 
@@ -281,8 +270,7 @@ class MetricsRegistry:
     as the per-component breakdown key.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
@@ -290,8 +278,6 @@ class MetricsRegistry:
 
     # -- factories (get-or-create by name) ------------------------------------
     def counter(self, name: str) -> Counter:
-        if not self.enabled:
-            return NULL_COUNTER
         counter = self._counters.get(name)
         if counter is None:
             counter = self._counters[name] = Counter(name)
@@ -299,8 +285,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str,
               fn: Optional[Callable[[], float]] = None) -> Gauge:
-        if not self.enabled:
-            return NULL_GAUGE
         gauge = self._gauges.get(name)
         if gauge is None:
             gauge = self._gauges[name] = Gauge(name, fn)
@@ -309,8 +293,6 @@ class MetricsRegistry:
     def histogram(self, name: str,
                   bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS
                   ) -> Histogram:
-        if not self.enabled:
-            return NULL_HISTOGRAM
         histogram = self._histograms.get(name)
         if histogram is None:
             histogram = self._histograms[name] = Histogram(name, bounds)
@@ -319,8 +301,7 @@ class MetricsRegistry:
     def register_source(self, name: str, fn: Callable[[], Dict]) -> None:
         """Attach a pull-style source: ``fn`` returns a flat dict of scalars
         and is invoked only when a snapshot is taken."""
-        if self.enabled:
-            self._sources[name] = fn
+        self._sources[name] = fn
 
     # -- export ---------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:

@@ -48,7 +48,7 @@ def render_metrics_report(snapshot: Dict[str, object],
     """An aligned table over every non-empty metric in ``snapshot``."""
     rows = _rows(snapshot)
     if not rows:
-        return f"{title}: no metrics recorded (observability disabled?)"
+        return f"{title}: no metrics recorded"
     return format_table(
         ["component", "metric", "count/value", "mean", "p50", "p95", "p99",
          "max"],

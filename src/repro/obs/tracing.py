@@ -10,9 +10,8 @@ Because DES processes interleave, spans never rely on an ambient
 "current span" stack: the parent is threaded explicitly (each query
 carries its root span, see :class:`~repro.core.query.LookupQuery`).
 
-With tracing disabled every creation call returns the shared
-:data:`NULL_SPAN`, whose mutators are no-ops — the hot path pays one
-method call and nothing else.
+A query issued without a span uses the shared :data:`NULL_SPAN`, whose
+mutators are no-ops.
 """
 
 from __future__ import annotations
@@ -96,16 +95,13 @@ NULL_SPAN = _NullSpan()
 class TraceRecorder:
     """Collects root spans, keeping the most recent ``capacity`` of them."""
 
-    def __init__(self, enabled: bool = True, capacity: int = 4096) -> None:
-        self.enabled = enabled
+    def __init__(self, capacity: int = 4096) -> None:
         self.capacity = capacity
         self._roots: Deque[Span] = deque(maxlen=capacity)
         self.dropped = 0
 
     def root(self, name: str, start: float, **attrs: Any) -> Span:
         """Open a new top-level span (one per query, typically)."""
-        if not self.enabled:
-            return NULL_SPAN
         if len(self._roots) == self._roots.maxlen:
             self.dropped += 1
         span = Span(name, start, **attrs)

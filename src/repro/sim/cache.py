@@ -81,8 +81,6 @@ class Cache:
     """
 
     def __init__(self, name: str, params: CacheParams) -> None:
-        if params.num_sets < 1:
-            raise ValueError(f"cache {name!r} too small for its associativity")
         num_sets = params.num_sets
         if num_sets & (num_sets - 1):
             raise ValueError(f"cache {name!r} set count must be a power of two")

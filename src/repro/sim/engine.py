@@ -20,8 +20,8 @@ the same cycle fire in insertion order.  The ordering contract lives in
 to the frozen heap-based engine in ``tests/sim/legacy_engine.py``.
 
 The engine also carries the harness safety net's attachment point: an
-optional *guard* (see :mod:`repro.guard`) observes every event, enforces
-cycle/event/wall-clock budgets, and detects deadlock when the calendar
+optional *guard* (see :mod:`repro.guard`) observes every event, detects
+livelock, checks model invariants, and detects deadlock when the calendar
 drains with processes still blocked.  With no guard attached the event
 loop is byte-for-byte the unguarded fast path.
 """
@@ -444,13 +444,6 @@ class Engine:
         if on_attach is not None:
             on_attach(self)
 
-    def detach_guard(self) -> None:
-        self._guard = None
-
-    @property
-    def guard(self) -> Optional[Any]:
-        return self._guard
-
     def live_processes(self) -> List[Process]:
         """Every registered process that has not finished."""
         return list(self._live)
@@ -652,8 +645,8 @@ class Engine:
     def _run_guarded(self, until: Optional[float] = None) -> float:
         """The :meth:`run` loop with the attached guard in the loop.
 
-        Identical event dispatch — the guard only *observes* (budgets,
-        stall/deadlock detection, cadence-sampled invariants), so
+        Identical event dispatch — the guard only *observes* (stall and
+        deadlock detection, sampled invariants), so
         simulated time is bit-identical to an unguarded run; it signals
         trouble by raising ``repro.guard`` errors out of this loop.
         """

@@ -157,6 +157,20 @@ class CacheParams:
     associativity: int
     line_bytes: int = CACHE_LINE_BYTES
 
+    def __post_init__(self) -> None:
+        if self.associativity < 1:
+            raise ValueError(f"CacheParams.associativity must be >= 1, "
+                             f"got {self.associativity!r}")
+        if self.line_bytes < 1:
+            raise ValueError(f"CacheParams.line_bytes must be >= 1, "
+                             f"got {self.line_bytes!r}")
+        set_bytes = self.associativity * self.line_bytes
+        if self.size_bytes < set_bytes or self.size_bytes % set_bytes:
+            raise ValueError(
+                f"CacheParams.size_bytes must be a positive multiple of "
+                f"associativity * line_bytes ({set_bytes}), "
+                f"got {self.size_bytes!r}")
+
     @property
     def num_sets(self) -> int:
         return self.size_bytes // (self.associativity * self.line_bytes)

@@ -458,17 +458,15 @@ class VirtualSwitch:
         stats.layer_hits[layer] = stats.layer_hits.get(layer, 0) + 1
         self._m_packets.inc()
         self._m_packet_cycles.observe(breakdown.total)
-        if self.obs.enabled:
-            # Per-stage latency histograms, keyed by the Figure 3 stage
-            # names (packet_io / preprocess / emc_lookup / ...).
-            histograms = self._m_stage_cycles
-            for stage, cycles in breakdown.parts.items():
-                histogram = histograms.get(stage)
-                if histogram is None:
-                    histogram = histograms[stage] = (
-                        self.obs.metrics.histogram(
-                            f"vswitch.stage.{stage}_cycles"))
-                histogram.observe(cycles)
+        # Per-stage latency histograms, keyed by the Figure 3 stage
+        # names (packet_io / preprocess / emc_lookup / ...).
+        histograms = self._m_stage_cycles
+        for stage, cycles in breakdown.parts.items():
+            histogram = histograms.get(stage)
+            if histogram is None:
+                histogram = histograms[stage] = self.obs.metrics.histogram(
+                    f"vswitch.stage.{stage}_cycles")
+            histogram.observe(cycles)
 
     def process_flow(self, flow: FiveTuple) -> PacketRecord:
         """Process one packet synchronously (drives the engine internally)."""

@@ -23,6 +23,7 @@ sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -67,6 +68,19 @@ class ChurnSpec:
     diurnal: Optional[DiurnalCurve] = None
 
     def __post_init__(self) -> None:
+        # A NaN slips past every comparison below, and a non-finite rate
+        # or dwell time stalls or floods the stream instead of failing.
+        for name in ("arrival_rate", "burst_rate", "syn_rate",
+                     "mean_quiet_ticks", "mean_burst_ticks", "pareto_alpha",
+                     "zipf_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"ChurnSpec.{name} must be finite, got {value!r}")
+        if self.burst_rate < 0:
+            raise ValueError(
+                f"ChurnSpec.burst_rate must be >= 0 (0 disables the MMPP), "
+                f"got {self.burst_rate!r}")
         if self.arrival_rate <= 0:
             raise ValueError("arrival_rate must be positive")
         if self.max_live < 1:

@@ -16,7 +16,8 @@ from repro.classifier.flow import FlowMask, make_flow
 from repro.classifier.rules import Action, Rule
 from repro.classifier.tuple_space import TupleSpaceSearch
 from repro.hashtable.cuckoo import CuckooHashTable
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import (MetricsRegistry, NULL_COUNTER,
+                                NULL_HISTOGRAM)
 from repro.workloads import ChurnEngine, ChurnSpec
 
 RULE = Rule(mask=FlowMask.exact(), match=make_flow(0),
@@ -239,11 +240,15 @@ class TestMetricsWiring:
         assert window["count"] >= 2000 // 32 - 1
 
     def test_disabled_metrics_cost_nothing(self):
-        metrics = MetricsRegistry(enabled=False)
-        emc = ExactMatchCache(16, policy="lru", metrics=metrics)
+        # An EMC built without a registry holds the shared null handles.
+        emc = ExactMatchCache(16, policy="lru")
         for flow in (make_flow(i) for i in range(64)):
             emc.install(flow, RULE)
-        assert metrics.snapshot() == {}
+        assert emc.stats.evictions > 0
+        assert emc._m_evictions is NULL_COUNTER
+        assert emc._m_miss_rate is NULL_HISTOGRAM
+        assert NULL_COUNTER.value == 0
+        assert NULL_HISTOGRAM.count == 0
 
 
 class TestTupleSpaceSeam:

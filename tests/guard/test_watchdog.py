@@ -1,4 +1,4 @@
-"""Watchdog semantics: deadlock dumps, livelock, budgets, attachment.
+"""Watchdog semantics: deadlock dumps, livelock, attachment.
 
 The acceptance fixture for the whole safety net lives here: a synthetic
 two-``Resource`` deadlock (each process holds one and requests the
@@ -9,13 +9,10 @@ and the waitables they are stuck on.
 import pytest
 
 from repro.guard import (
-    BudgetExceededError,
+    STALL_EVENTS,
     DeadlockError,
     EngineGuard,
     StallError,
-    Watchdog,
-    WatchdogConfig,
-    default_guard,
 )
 from repro.sim.engine import Engine, Resource, SimulationError
 
@@ -38,7 +35,7 @@ def two_resource_deadlock(engine):
 def test_two_resource_deadlock_names_both_processes():
     engine = Engine()
     two_resource_deadlock(engine)
-    engine.attach_guard(default_guard())
+    engine.attach_guard(EngineGuard())
     with pytest.raises(DeadlockError) as excinfo:
         engine.run()
     error = excinfo.value
@@ -55,7 +52,7 @@ def test_two_resource_deadlock_names_both_processes():
 def test_deadlock_error_carries_structured_context():
     engine = Engine()
     two_resource_deadlock(engine)
-    engine.attach_guard(default_guard())
+    engine.attach_guard(EngineGuard())
     with pytest.raises(DeadlockError) as excinfo:
         engine.run()
     assert excinfo.value.now == engine.now
@@ -83,7 +80,7 @@ def test_until_bound_never_false_positives():
             yield engine.timeout(10)
 
     engine.process(ticker(), name="ticker")
-    engine.attach_guard(default_guard())
+    engine.attach_guard(EngineGuard())
     engine.run(until=200)  # must not raise
     assert engine.now == 200
 
@@ -95,7 +92,7 @@ def test_clean_completion_raises_nothing():
         yield engine.timeout(5)
         return "done"
 
-    engine.attach_guard(default_guard())
+    engine.attach_guard(EngineGuard())
     assert engine.run_process(worker()) == "done"
 
 
@@ -107,89 +104,18 @@ def test_stall_detection_catches_zero_time_livelock():
             yield None  # reschedules at the same cycle forever
 
     engine.process(spinner(), name="spinner")
-    engine.attach_guard(default_guard(
-        WatchdogConfig(stall_events=200)))
+    engine.attach_guard(EngineGuard())
     with pytest.raises(StallError) as excinfo:
         engine.run()
-    assert excinfo.value.stalled_events >= 200
+    assert excinfo.value.stalled_events == STALL_EVENTS
     assert engine.now == excinfo.value.now
-
-
-def test_cycle_budget():
-    engine = Engine()
-
-    def ticker():
-        while True:
-            yield engine.timeout(1)
-
-    engine.process(ticker())
-    engine.attach_guard(default_guard(WatchdogConfig(max_cycles=100)))
-    with pytest.raises(BudgetExceededError) as excinfo:
-        engine.run()
-    assert excinfo.value.budget == "cycle"
-    assert excinfo.value.limit == 100
-
-
-def test_event_budget():
-    engine = Engine()
-
-    def ticker():
-        while True:
-            yield engine.timeout(1)
-
-    engine.process(ticker())
-    engine.attach_guard(default_guard(WatchdogConfig(max_events=50,
-                                                     stall_events=None)))
-    with pytest.raises(BudgetExceededError) as excinfo:
-        engine.run()
-    assert excinfo.value.budget == "event"
-
-
-def test_wall_clock_budget():
-    engine = Engine()
-
-    def ticker():
-        while True:
-            yield engine.timeout(1)
-
-    engine.process(ticker())
-    # A zero-second budget sampled every event trips on the first check.
-    engine.attach_guard(default_guard(
-        WatchdogConfig(max_wall_seconds=0.0, wall_check_every=1)))
-    with pytest.raises(BudgetExceededError) as excinfo:
-        engine.run()
-    assert excinfo.value.budget == "wall-clock"
-
-
-def test_budgets_measure_from_attachment_not_construction():
-    engine = Engine()
-
-    def ticker(cycles):
-        for _ in range(cycles):
-            yield engine.timeout(1)
-
-    engine.run_process(ticker(500))
-    assert engine.now == 500
-    # 500 warm-up cycles must not count against a 100-cycle budget.
-    engine.attach_guard(default_guard(WatchdogConfig(max_cycles=100)))
-    engine.run_process(ticker(50))
-    assert engine.now == 550
 
 
 def test_one_guard_per_engine():
     engine = Engine()
-    engine.attach_guard(default_guard())
+    engine.attach_guard(EngineGuard())
     with pytest.raises(SimulationError, match="already attached"):
-        engine.attach_guard(default_guard())
-
-
-def test_detach_restores_unguarded_drain():
-    engine = Engine()
-    two_resource_deadlock(engine)
-    engine.attach_guard(default_guard())
-    engine.detach_guard()
-    assert engine.guard is None
-    engine.run()  # silent drain again: the guard really is gone
+        engine.attach_guard(EngineGuard())
 
 
 def test_guard_observes_every_event():
@@ -199,7 +125,7 @@ def test_guard_observes_every_event():
         for _ in range(10):
             yield engine.timeout(1)
 
-    guard = EngineGuard(watchdog=Watchdog())
+    guard = EngineGuard()
     engine.attach_guard(guard)
     engine.run_process(worker())
     assert guard.events_observed == engine.events_processed

@@ -13,12 +13,14 @@ and requires every number in every payload to match at ``rel=1e-12``:
   ``WINDOW_CYCLES`` ahead, as if another process were always about to
   run): where a stream would be one window, it is cut into many; where
   the cuts fall must never show in the numbers.
-* **guard on vs off** (``REPRO_GUARD``): the safety net observes every
-  event, and forces serial replay; observation must never perturb
-  results.
-* **the full stack** — serial replay asked for, the guard on and
-  observability off (``REPRO_OBS=0``) together against the plain
-  defaults.
+* **guard on vs off**: :func:`repro.guard.attach_standard_guard` on
+  every :class:`~repro.core.HaloSystem` the experiment builds (a
+  test-side wrapper of ``HaloSystem.__init__``).  The safety net
+  observes every event, checks every standard invariant, and forces
+  serial replay; observation must never perturb results, and each
+  guard must have seen every event of its engine.
+* **the full stack** — serial replay asked for and a guard on every
+  system together against the plain defaults.
 
 Covered experiments: fig09, fig11, multicore scaling, and the
 degradation sweep — the four the speed campaign leans on hardest — and
@@ -26,11 +28,10 @@ the software switch's fused packets (one engine step per packet on an
 idle engine, :mod:`repro.vswitch.switch`).  Serial replay and capped
 horizons force the switch's per-stage path, so fig03 runs under both,
 and fig12, whose collocated switch shares the engine with an NF, under
-the cap.  ``REPRO_GUARD`` reaches only the systems that call
-:func:`repro.guard.maybe_attach_guard` (the degradation sweep), so the
-guarded switch is pinned in ``tests/vswitch/test_switch_programs.py``.
-Each experiment's plain-defaults run is computed once and shared by its
-pins.
+the cap.  A guarded fig03 quick grid takes about 100 s (the guard
+sweeps every invariant at each drain, once per packet), so the guarded
+switch is pinned in ``tests/vswitch/test_switch_programs.py``.  Each
+experiment's plain-defaults run is computed once and shared by its pins.
 """
 
 from __future__ import annotations
@@ -41,7 +42,9 @@ import math
 
 import pytest
 
+from repro.core import HaloSystem
 from repro.exec.backend import SoftwareBackend
+from repro.guard import attach_standard_guard
 from repro.runner import run_for_bench
 from repro.sim.engine import Engine
 from repro.sim.stats import Breakdown
@@ -92,16 +95,35 @@ def _snapshot(name):
 
 
 @functools.lru_cache(maxsize=None)
-def _cached_defaults(name):
+def _defaults(name):
+    """``name`` under the plain defaults (no guard), run once per pytest
+    process and shared by every pin."""
     return _snapshot(name)
 
 
-def _defaults(name, monkeypatch):
-    """``name`` under the plain defaults (no guard, observability on),
-    run once per session and shared by every pin."""
-    for var in ("REPRO_GUARD", "REPRO_OBS"):
-        monkeypatch.delenv(var, raising=False)
-    return _cached_defaults(name)
+def _guard_every_system(monkeypatch):
+    """Attach the standard guard to every ``HaloSystem`` built from here
+    on; returns the live list of ``(guard, engine)`` pairs."""
+    guarded = []
+    init = HaloSystem.__init__
+
+    def guarded_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        guarded.append((attach_standard_guard(self), self.engine))
+
+    monkeypatch.setattr(HaloSystem, "__init__", guarded_init)
+    return guarded
+
+
+def _assert_guards_ran(name, guarded):
+    """Each guard observed every event of its engine and checked
+    invariants: a pin over an unguarded run would compare nothing."""
+    assert guarded, f"{name}: no HaloSystem was guarded"
+    for guard, engine in guarded:
+        assert guard.events_observed == engine.events_processed, (
+            f"{name}: guard missed events of its engine")
+        assert guard.invariant_checks > 0, (
+            f"{name}: guard never checked an invariant")
 
 
 def _assert_parity(name, baseline, candidate, toggle):
@@ -122,7 +144,7 @@ def _assert_parity(name, baseline, candidate, toggle):
 @pytest.mark.parametrize("name", EXPERIMENTS + SWITCH_EXPERIMENTS)
 def test_batched_replay_parity(name, monkeypatch):
     """Windowed replay (the default) vs serial replay everywhere."""
-    windowed = _defaults(name, monkeypatch)
+    windowed = _defaults(name)
     monkeypatch.setattr(SoftwareBackend, "__init__", functools.partialmethod(
         SoftwareBackend.__init__, serial_replay=True))
     serial = _snapshot(name)
@@ -131,17 +153,19 @@ def test_batched_replay_parity(name, monkeypatch):
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_guard_parity(name, monkeypatch):
-    baseline = _defaults(name, monkeypatch)
-    monkeypatch.setenv("REPRO_GUARD", "1")
-    guarded = _snapshot(name)
-    _assert_parity(name, baseline, guarded, "REPRO_GUARD=1")
+    """No guard vs the standard guard on every system."""
+    baseline = _defaults(name)
+    guarded = _guard_every_system(monkeypatch)
+    candidate = _snapshot(name)
+    _assert_guards_ran(name, guarded)
+    _assert_parity(name, baseline, candidate, "attach_standard_guard")
 
 
 @pytest.mark.parametrize(
     "name", EXPERIMENTS + SWITCH_EXPERIMENTS + COLLOCATED_SWITCH_EXPERIMENTS)
 def test_windowed_replay_parity(name, monkeypatch):
     """Whole-stream windows vs windows bounded at ``WINDOW_CYCLES``."""
-    whole = _defaults(name, monkeypatch)
+    whole = _defaults(name)
     next_event_time = Engine.next_event_time
 
     def capped(engine):
@@ -157,13 +181,13 @@ def test_windowed_replay_parity(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ("multicore", "degradation"))
 def test_full_stack_parity(name, monkeypatch):
-    """Serial replay, the guard and observability off at once vs the
-    plain defaults."""
-    baseline = _defaults(name, monkeypatch)
+    """Serial replay and a guard on every system at once vs the plain
+    defaults."""
+    baseline = _defaults(name)
     monkeypatch.setattr(SoftwareBackend, "__init__", functools.partialmethod(
         SoftwareBackend.__init__, serial_replay=True))
-    monkeypatch.setenv("REPRO_GUARD", "1")
-    monkeypatch.setenv("REPRO_OBS", "0")
+    guarded = _guard_every_system(monkeypatch)
     stacked = _snapshot(name)
+    _assert_guards_ran(name, guarded)
     _assert_parity(name, baseline, stacked,
-                   "serial_replay=True + REPRO_GUARD=1 + REPRO_OBS=0")
+                   "serial_replay=True + attach_standard_guard")

@@ -40,7 +40,7 @@ EMC_ENTRIES = 16
 
 
 def run_workload() -> HaloSystem:
-    system = HaloSystem(observability=True)
+    system = HaloSystem()
     table = system.create_table(1 << 8, name="golden")
     keys = make_keys(96, seed=21)
     for index, key in enumerate(keys):

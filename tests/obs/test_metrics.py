@@ -10,7 +10,6 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     NULL_COUNTER,
-    NULL_GAUGE,
     NULL_HISTOGRAM,
 )
 
@@ -202,28 +201,9 @@ def test_registry_reset_zeroes_push_metrics():
     assert snapshot["h"] == {"count": 0}
 
 
-# -- disabled registry ---------------------------------------------------------
-def test_disabled_registry_hands_out_shared_nulls():
-    registry = MetricsRegistry(enabled=False)
-    assert registry.counter("a") is NULL_COUNTER
-    assert registry.gauge("b") is NULL_GAUGE
-    assert registry.histogram("c") is NULL_HISTOGRAM
-
-
-def test_disabled_registry_records_nothing():
-    registry = MetricsRegistry(enabled=False)
-    registry.counter("a").inc(100)
-    registry.gauge("b").set(5.0)
-    registry.histogram("c").observe(9.0)
-    registry.register_source("s", lambda: {"x": 1})
-    assert registry.snapshot() == {}
-    assert registry.names() == []
-
-
+# -- null objects ---------------------------------------------------------------
 def test_null_objects_stay_zero_even_after_use():
     NULL_COUNTER.inc(3)
     assert NULL_COUNTER.value == 0
-    NULL_GAUGE.set(4.0)
-    assert NULL_GAUGE.value == 0.0
     NULL_HISTOGRAM.observe(2.0)
     assert NULL_HISTOGRAM.count == 0

@@ -50,12 +50,6 @@ def test_recorder_collects_roots():
     assert [s["name"] for s in recorder.to_dicts()] == ["q1", "q2"]
 
 
-def test_disabled_recorder_returns_null_span():
-    recorder = TraceRecorder(enabled=False)
-    assert recorder.root("q", 0.0) is NULL_SPAN
-    assert len(recorder) == 0
-
-
 def test_recorder_capacity_evicts_oldest_and_counts_drops():
     recorder = TraceRecorder(capacity=2)
     recorder.root("a", 0.0)

@@ -1,5 +1,7 @@
 """Machine parameter sets (paper Table 2)."""
 
+import pytest
+
 from repro.sim import CacheParams, MachineParams, SKYLAKE_SP_16C, TINY_MACHINE
 
 KB = 1024
@@ -41,6 +43,25 @@ def test_paper_latency_ratios():
 def test_cache_num_sets():
     params = CacheParams(32 * KB, 8)
     assert params.num_sets == 64
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"associativity": 0}, "associativity"),
+    ({"associativity": -8}, "associativity"),
+    ({"line_bytes": 0}, "line_bytes"),
+    ({"size_bytes": 33_000}, "size_bytes"),   # not whole sets
+    ({"size_bytes": 0}, "size_bytes"),
+    ({"size_bytes": 256}, "size_bytes"),      # less than one set
+], ids=["assoc-0", "assoc-negative", "line-0", "partial-set", "size-0",
+        "under-one-set"])
+def test_cache_geometry_must_tile(kwargs, field):
+    # Unchecked, associativity=0 or line_bytes=0 dies in a bare
+    # ZeroDivisionError while a HaloSystem builds its caches, and 33000
+    # bytes silently becomes a 64-set, 32 KiB L1D.
+    geometry = {"size_bytes": 32 * KB, "associativity": 8, "line_bytes": 64}
+    geometry.update(kwargs)
+    with pytest.raises(ValueError, match=rf"CacheParams\.{field} "):
+        CacheParams(**geometry)
 
 
 def test_scaled_override():

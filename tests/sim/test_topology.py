@@ -311,8 +311,7 @@ class TestWarmFlushBoundaries:
 
 def _pin_workload(machine=None):
     rng = random.Random(11)
-    system = (HaloSystem(observability=False) if machine is None
-              else HaloSystem(machine=machine, observability=False))
+    system = HaloSystem(machine=machine)
     table = system.create_table(1 << 8, name="pin")
     keys = [rng.randbytes(16) for _ in range(64)]
     for index, key in enumerate(keys):

@@ -139,9 +139,9 @@ def test_guard_layer_allows_harness_importers(tree):
     write(tree, "repro/sim/engine.py",
           "from ..guard.watchdog import Watchdog\n")
     write(tree, "repro/runner/scheduler.py",
-          "from ..guard import default_guard\n")
+          "from ..guard import EngineGuard\n")
     write(tree, "repro/analysis/experiments.py",
-          "from ..guard.presets import maybe_attach_guard\n")
+          "from ..guard.presets import attach_standard_guard\n")
     write(tree, "repro/guard/watchdog.py",
           "from .errors import DeadlockError\n"   # same layer
           "from ..obs.metrics import Counter\n")  # downward

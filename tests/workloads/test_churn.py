@@ -141,6 +141,23 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ChurnSpec(syn_rate=-1.0)
 
+    @pytest.mark.parametrize("field", [
+        "arrival_rate", "burst_rate", "syn_rate", "mean_quiet_ticks",
+        "mean_burst_ticks", "pareto_alpha", "zipf_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_rates_rejected(self, field, value):
+        # Construction only, so a missing check fails instead of hanging:
+        # a NaN arrival rate builds a stream that never yields.
+        with pytest.raises(ValueError,
+                           match=rf"ChurnSpec\.{field} .*{value!r}"):
+            ChurnSpec(**{field: value})
+
+    def test_negative_burst_rate_rejected(self):
+        # Unchecked, a negative burst rate silently runs plain Poisson.
+        with pytest.raises(ValueError, match=r"ChurnSpec\.burst_rate .*-1"):
+            ChurnSpec(burst_rate=-1.0)
+
     def test_presets_construct(self):
         for builder in (ChurnSpec.steady, ChurnSpec.high_churn,
                         ChurnSpec.syn_flood):
