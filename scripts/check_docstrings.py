@@ -33,6 +33,8 @@ CONTRACT_MODULES = (
     "repro/runner/pool.py",
     "repro/runner/journal.py",
     "repro/sim/replay.py",
+    "repro/core/accelerator.py",
+    "repro/core/isa.py",
     "repro/hashtable/cuckoo.py",
     "repro/vswitch/switch.py",
     "repro/cluster/__init__.py",

@@ -56,8 +56,6 @@ class QueryResult:
     started_at: float
     completed_at: float
     accelerator_slice: int
-    memory_accesses: int = 0
-    metadata_hit: bool = True
 
     @property
     def latency(self) -> float:

@@ -81,14 +81,43 @@ class ChurnSpec:
             raise ValueError(
                 f"ChurnSpec.burst_rate must be >= 0 (0 disables the MMPP), "
                 f"got {self.burst_rate!r}")
+        if self.burst_rate > 0:
+            # The MMPP's dwell times are read only when it is on.
+            for name in ("mean_quiet_ticks", "mean_burst_ticks"):
+                value = getattr(self, name)
+                if value <= 0:
+                    raise ValueError(
+                        f"ChurnSpec.{name} must be > 0 when burst_rate is "
+                        f"set, got {value!r}")
         if self.arrival_rate <= 0:
-            raise ValueError("arrival_rate must be positive")
+            raise ValueError(
+                f"ChurnSpec.arrival_rate must be > 0, "
+                f"got {self.arrival_rate!r}")
+        if self.pareto_alpha <= 0:
+            raise ValueError(
+                f"ChurnSpec.pareto_alpha must be > 0, "
+                f"got {self.pareto_alpha!r}")
+        if self.min_packets < 1:
+            raise ValueError(
+                f"ChurnSpec.min_packets must be >= 1, "
+                f"got {self.min_packets!r}")
+        if self.max_packets < self.min_packets:
+            raise ValueError(
+                f"ChurnSpec.max_packets must be >= min_packets "
+                f"({self.min_packets!r}), got {self.max_packets!r}")
+        if self.zipf_s < 0:
+            raise ValueError(
+                f"ChurnSpec.zipf_s must be >= 0 (0 is uniform), "
+                f"got {self.zipf_s!r}")
         if self.max_live < 1:
-            raise ValueError("max_live must be >= 1")
+            raise ValueError(
+                f"ChurnSpec.max_live must be >= 1, got {self.max_live!r}")
         if self.groups < 1:
-            raise ValueError("groups must be >= 1")
+            raise ValueError(
+                f"ChurnSpec.groups must be >= 1, got {self.groups!r}")
         if self.syn_rate < 0:
-            raise ValueError("syn_rate must be >= 0")
+            raise ValueError(
+                f"ChurnSpec.syn_rate must be >= 0, got {self.syn_rate!r}")
 
     # -- scenario presets (shared by the experiment, bench, and tests) -----
     @classmethod

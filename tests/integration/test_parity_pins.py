@@ -30,8 +30,14 @@ horizons force the switch's per-stage path, so fig03 runs under both,
 and fig12, whose collocated switch shares the engine with an NF, under
 the cap.  A guarded fig03 quick grid takes about 100 s (the guard
 sweeps every invariant at each drain, once per packet), so the guarded
-switch is pinned in ``tests/vswitch/test_switch_programs.py``.  Each
-experiment's plain-defaults run is computed once and shared by its pins.
+switch is pinned in ``tests/vswitch/test_switch_programs.py``.  HALO
+queries fuse the same way (one engine step per ``LOOKUP_B`` or
+one-table batch chunk on an idle engine, :mod:`repro.core.isa`), and a
+capped horizon or a guard puts them on the per-stage path: fig09's
+``halo-b`` and ``halo-nb`` streams and fig11's ``LOOKUP_B`` loop run
+under both pins, and fig10 (every query a fused ``LOOKUP_B``) and
+keysize (one to eight hash lanes) under the cap.  Each experiment's
+plain-defaults run is computed once and shared by its pins.
 """
 
 from __future__ import annotations
@@ -54,6 +60,8 @@ EXPERIMENTS = ("fig09", "fig11", "multicore", "degradation")
 SWITCH_EXPERIMENTS = ("fig03",)
 #: fig12 also collocates its switch with an NF process on one engine.
 COLLOCATED_SWITCH_EXPERIMENTS = ("fig12",)
+#: Experiments whose HALO queries are fused on an idle engine.
+FUSED_QUERY_EXPERIMENTS = ("fig10", "keysize")
 
 REL_TOL = 1e-12
 
@@ -162,9 +170,11 @@ def test_guard_parity(name, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name", EXPERIMENTS + SWITCH_EXPERIMENTS + COLLOCATED_SWITCH_EXPERIMENTS)
+    "name", EXPERIMENTS + SWITCH_EXPERIMENTS + COLLOCATED_SWITCH_EXPERIMENTS
+    + FUSED_QUERY_EXPERIMENTS)
 def test_windowed_replay_parity(name, monkeypatch):
-    """Whole-stream windows vs windows bounded at ``WINDOW_CYCLES``."""
+    """Whole-stream windows vs windows bounded at ``WINDOW_CYCLES``; the
+    cap also puts every HALO query on its per-stage path."""
     whole = _defaults(name)
     next_event_time = Engine.next_event_time
 

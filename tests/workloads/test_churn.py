@@ -153,6 +153,47 @@ class TestSpecValidation:
                            match=rf"ChurnSpec\.{field} .*{value!r}"):
             ChurnSpec(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("arrival_rate", 0.0), ("max_live", 0), ("groups", 0),
+        ("syn_rate", -1.0)])
+    def test_messages_name_the_field(self, field, value):
+        with pytest.raises(ValueError,
+                           match=rf"ChurnSpec\.{field} .*{value!r}"):
+            ChurnSpec(**{field: value})
+
+    # Each of these used to pass construction and fail only inside
+    # ChurnEngine(spec), with a message naming neither the class nor the
+    # field.
+    def test_min_packets_below_one_rejected(self):
+        with pytest.raises(ValueError, match=r"ChurnSpec\.min_packets .*0"):
+            ChurnSpec(min_packets=0)
+
+    def test_max_packets_below_min_packets_rejected(self):
+        with pytest.raises(ValueError, match=r"ChurnSpec\.max_packets .*4"):
+            ChurnSpec(min_packets=8, max_packets=4)
+
+    def test_negative_zipf_s_rejected(self):
+        with pytest.raises(ValueError, match=r"ChurnSpec\.zipf_s .*-0\.5"):
+            ChurnSpec(zipf_s=-0.5)
+
+    @pytest.mark.parametrize("value", [0.0, -1.2])
+    def test_non_positive_pareto_alpha_rejected(self, value):
+        with pytest.raises(ValueError,
+                           match=rf"ChurnSpec\.pareto_alpha .*{value!r}"):
+            ChurnSpec(pareto_alpha=value)
+
+    @pytest.mark.parametrize("field", ["mean_quiet_ticks",
+                                       "mean_burst_ticks"])
+    @pytest.mark.parametrize("value", [0.0, -64.0])
+    def test_non_positive_dwell_rejected_under_mmpp(self, field, value):
+        with pytest.raises(ValueError,
+                           match=rf"ChurnSpec\.{field} .*{value!r}"):
+            ChurnSpec(burst_rate=8.0, **{field: value})
+
+    def test_dwell_unread_without_mmpp(self):
+        # Plain Poisson arrivals never read the dwell times.
+        ChurnSpec(mean_quiet_ticks=0.0, mean_burst_ticks=0.0)
+
     def test_negative_burst_rate_rejected(self):
         # Unchecked, a negative burst rate silently runs plain Poisson.
         with pytest.raises(ValueError, match=r"ChurnSpec\.burst_rate .*-1"):
