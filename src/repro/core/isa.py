@@ -28,10 +28,11 @@ do not depend on how many engine steps the query takes.  Two paths are
 timeout ending where the per-stage path would end — when all hold as
 they start:
 
+* no fault hook or guard observes the engine
+  (:func:`~repro.sim.replay.observer` is ``None``);
 * the engine is otherwise idle (:meth:`~repro.sim.engine.Engine.
   next_event_time` is ``None``), so no other process can run before the
   last completion;
-* no fault hook and no guard is attached;
 * the target accelerator's scoreboard, table port and hash unit are free
   with empty queues, and the scoreboard has an entry for every query
   (:meth:`~repro.core.accelerator.HaloAccelerator.can_fuse`).
@@ -54,7 +55,7 @@ from typing import Generator, List, Optional
 
 from ..sim.engine import Engine, Process
 from ..sim.hierarchy import MemoryHierarchy
-from ..sim.replay import METRIC_FALLBACK_FAULTS, METRIC_FALLBACK_GUARD
+from ..sim.replay import observer
 from .accelerator import LocalClock, run_local
 from .distributor import QueryDistributor
 from .query import LookupQuery, QueryResult, ResultDestination
@@ -132,15 +133,12 @@ class HaloIsa:
         """May ``queries`` to ``table`` run as one engine step (module
         docstring)?  Counts the fallback when they may not."""
         engine = self.engine
-        if engine._fault_hooks:
-            reason = METRIC_FALLBACK_FAULTS
-        elif engine._guard is not None:
-            reason = METRIC_FALLBACK_GUARD
-        elif (engine.next_event_time() is None
-                and self.distributor.accelerator_for(table).can_fuse(
-                    table.table_addr, queries)):
-            return True
-        else:
+        reason = observer(engine)
+        if reason is None:
+            if (engine.next_event_time() is None
+                    and self.distributor.accelerator_for(table).can_fuse(
+                        table.table_addr, queries)):
+                return True
             reason = METRIC_FALLBACK_BUSY
         self.hierarchy.obs.metrics.counter(reason).inc()
         return False

@@ -14,10 +14,13 @@ hardware.
 
 Every backend's ``lookup``/``lookup_stream``/``search`` return
 :class:`LookupOutcome` values, so callers compare modes without re-imple-
-menting per-mode dispatch.  The software backend additionally exposes
-:meth:`SoftwareBackend.traced_call` — the primitive the virtual switch uses
-to charge arbitrary traced structure operations (EMC probes, megaflow
-installs) to its core.
+menting per-mode dispatch.  A software stream always captures its traces
+up front and replays them through :class:`~repro.sim.replay.TraceReplay`,
+whose one stepping rule (:func:`~repro.sim.replay.observer` and the
+engine's horizon) decides how many engine steps it takes.  The software
+backend additionally exposes :meth:`SoftwareBackend.traced_call` — the
+primitive the virtual switch uses to charge arbitrary traced structure
+operations (EMC probes, megaflow installs) to its core.
 
 This module deliberately imports nothing from :mod:`repro.core` at module
 level: backends reach the ISA, hierarchy, and software engine through the
@@ -35,7 +38,7 @@ from enum import Enum
 from typing import Any, ClassVar, Generator, Iterable, List, Optional, Sequence, Tuple
 
 from ..hashtable.locking import READ_SIDE_CYCLES
-from ..sim.replay import REPLAY_SERIAL, TraceReplay
+from ..sim.replay import TraceReplay
 from ..sim.trace import capture
 
 
@@ -209,13 +212,6 @@ class LookupBackend(ABC):
                 break
         return outcomes
 
-    def traced_call(self, func, *args, lock_cycles: Optional[float] = None,
-                    **kwargs) -> Generator:
-        """Program for one traced structure operation (software-only)."""
-        raise NotImplementedError(
-            f"{self.kind.value} backend cannot execute traced core "
-            f"operations")
-
 
 class SoftwareBackend(LookupBackend):
     """The DPDK-style baseline as an engine program.
@@ -230,23 +226,20 @@ class SoftwareBackend(LookupBackend):
     points, one timeout per window — the whole stream in one when nothing
     else is pending.  Cycle outcomes, run stats, and metrics agree with
     per-key lookups (the parity suite pins them).  With faults or a guard
-    — or ``serial_replay=True``, the parity suite's reference side — a
-    stream keeps one event per lookup; the fault and guard fallbacks are
-    counted under ``replay.fallback.*``.
+    a stream's windows have a zero budget, so it keeps one event per
+    lookup; those fallbacks are counted under ``replay.fallback.*``.
     """
 
     kind = BackendKind.SOFTWARE
     replaces_emc = False
 
     def __init__(self, system, core_id: int = 0,
-                 with_locking: bool = True,
-                 serial_replay: bool = False) -> None:
+                 with_locking: bool = True) -> None:
         super().__init__(system, core_id)
         self.software = system.software_engine(core_id,
                                                with_locking=with_locking)
         obs = getattr(system, "obs", None)
         self.replay = TraceReplay(self.software.core, system.engine,
-                                  serial=serial_replay,
                                   metrics=getattr(obs, "metrics", None))
 
     @property
@@ -261,23 +254,13 @@ class SoftwareBackend(LookupBackend):
                              cycles=result.cycles)
 
     def lookup_stream(self, table, keys: Iterable[bytes]) -> Generator:
-        """Program for a key stream, replayed in windows when it may be.
-
-        The replay mode is decided once per stream: windowed streams
-        capture every trace up front and replay them through
-        :class:`~repro.sim.replay.TraceReplay`; serial ones (faults, a
-        guard, ``serial_replay=True``) keep the per-key lookup loop.
-        """
-        mode = self.replay.decide()
-        if mode == REPLAY_SERIAL:
-            outcomes = yield from LookupBackend.lookup_stream(self, table,
-                                                              keys)
-            return outcomes
+        """Program for a key stream: every trace is captured up front and
+        replayed through :class:`~repro.sim.replay.TraceReplay`."""
         software = self.software
         values, traces = software.capture_lookups(table, keys)
         lock_cycles = READ_SIDE_CYCLES if software.with_locking else 0.0
         results = yield from self.replay.replay(
-            traces, lock_cycles_each=lock_cycles, mode=mode)
+            traces, lock_cycles_each=lock_cycles)
         outcome_cls = LookupOutcome
         return [outcome_cls(value=value, found=value is not None,
                             cycles=result.cycles)

@@ -48,17 +48,17 @@ def cache_occupancy(cache: Any) -> Invariant:
 
 def resource_conservation(resource: Any, name: str) -> Invariant:
     """MSHR/scoreboard conservation: ``0 <= in_use <= capacity``, and no
-    waiter starves behind a free slot (free capacity with a live queue
-    means a lost wakeup)."""
+    waiter starves behind a free slot (free capacity with a queue means a
+    lost wakeup)."""
     def predicate() -> Optional[str]:
         if not 0 <= resource.in_use <= resource.capacity:
             return (f"in_use {resource.in_use} outside "
                     f"[0, {resource.capacity}]")
         if resource.in_use < resource.capacity:
-            live = sum(1 for event in resource._queue if not event.abandoned)
-            if live:
+            waiting = len(resource._queue)
+            if waiting:
                 return (f"{resource.capacity - resource.in_use} free slot(s) "
-                        f"while {live} live waiter(s) queued (starvation)")
+                        f"while {waiting} waiter(s) queued (starvation)")
         return None
     return Invariant(f"resource.{name}.conservation", predicate)
 

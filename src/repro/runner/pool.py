@@ -138,6 +138,16 @@ def _child_main(conn, experiment: str, label: str,
         conn.close()
 
 
+def _receive(conn) -> Optional[tuple]:
+    """The child's report if one is waiting on ``conn``, else None."""
+    if not conn.poll():
+        return None
+    try:
+        return conn.recv()
+    except (EOFError, OSError):
+        return None  # died between connect and send
+
+
 @dataclass
 class _Active:
     """Supervisor-side state for one live worker."""
@@ -232,12 +242,12 @@ def run_supervised(pending: Sequence[RunSpec], *, jobs: int,
 
         progressed = False
         for entry in list(active):
-            message = None
-            if entry.conn.poll():
-                try:
-                    message = entry.conn.recv()
-                except (EOFError, OSError):
-                    message = None  # died between connect and send
+            message = _receive(entry.conn)
+            dead = message is None and not entry.process.is_alive()
+            if dead:
+                # A child that reported and exited between the first look
+                # and the liveness test left its report in the pipe.
+                message = _receive(entry.conn)
             if message is not None:
                 active.remove(entry)
                 progressed = True
@@ -250,7 +260,7 @@ def run_supervised(pending: Sequence[RunSpec], *, jobs: int,
                     _, kind, text, tb = message
                     _retry_or_fail(entry, kind, text, tb)
                 continue
-            if not entry.process.is_alive():
+            if dead:
                 active.remove(entry)
                 progressed = True
                 _retry_or_fail(

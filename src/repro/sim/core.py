@@ -117,7 +117,7 @@ class CoreModel:
         Windowed replay (:mod:`repro.sim.replay`) passes the cycles up to
         the engine's next pending event as ``budget``: pricing stops once
         the cumulative cost reaches it, the crossing trace included, which
-        is exactly where serial replay would first yield to that event.
+        is exactly where a per-trace hop would first yield to that event.
         At least one trace is always priced; ``budget=None`` prices all.
 
         Returns ``(results, total_cycles, next_index)``.

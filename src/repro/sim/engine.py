@@ -24,6 +24,9 @@ optional *guard* (see :mod:`repro.guard`) observes every event, detects
 livelock, checks model invariants, and detects deadlock when the calendar
 drains with processes still blocked.  With no guard attached the event
 loop is byte-for-byte the unguarded fast path.
+
+A program reads how far it may run ahead of the calendar from
+:meth:`Engine.next_event_time` and :func:`repro.sim.replay.observer` only.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 import itertools
 from heapq import heappop, heappush
 from sys import getrefcount
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from .calendar import BucketCalendar
 
@@ -54,26 +57,16 @@ class Event:
     ``source`` back-references the object that minted the event (a
     :class:`Resource` for acquire events, a :class:`Store` for get events)
     so guard dumps can say *what* a blocked process is queued on.
-    ``abandoned`` marks an event whose only waiter was killed while queued
-    in a FIFO — :meth:`Resource.release` and :meth:`Store.put` skip such
-    events instead of handing a slot or item to a dead process.
-
-    ``callbacks`` starts as a shared empty tuple (events are allocated on
-    the hot path; virtually none ever carry callbacks) — assign a list to
-    register completion callbacks on a specific event.
     """
 
-    __slots__ = ("engine", "triggered", "value", "_waiters", "callbacks",
-                 "source", "abandoned")
+    __slots__ = ("engine", "triggered", "value", "_waiters", "source")
 
     def __init__(self, engine: "Engine", source: Any = None) -> None:
         self.engine = engine
         self.triggered = False
         self.value: Any = None
         self._waiters: List["Process"] = []
-        self.callbacks: Sequence[Callable[["Event"], None]] = ()
         self.source = source
-        self.abandoned = False
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event, delivering ``value`` to every waiter."""
@@ -81,9 +74,6 @@ class Event:
             raise SimulationError("event already triggered")
         self.triggered = True
         self.value = value
-        if self.callbacks:
-            for callback in self.callbacks:
-                callback(self)
         waiters = self._waiters
         if waiters:
             self._waiters = []
@@ -103,28 +93,14 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers automatically after a fixed delay.
+    """An event that triggers automatically ``at`` a fixed cycle.
 
     Allocated once per ``yield engine.timeout(n)`` — the single most
-    common allocation in any simulation — so the constructor writes its
-    slots directly (no ``super().__init__`` hop) and schedules itself in
-    one calendar push.
+    common allocation in any simulation — so only the ``Engine.timeout``
+    closure builds one (see :meth:`Engine._make_timeout`).
     """
 
     __slots__ = ("at",)
-
-    def __init__(self, engine: "Engine", delay: float) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay}")
-        self.engine = engine
-        self.triggered = False
-        self.value = None
-        self._waiters = []
-        self.callbacks = ()
-        self.source = None
-        self.abandoned = False
-        self.at = at = engine.now + delay
-        engine._schedule(at, self, None)
 
 
 class Process:
@@ -142,7 +118,7 @@ class Process:
     """
 
     __slots__ = ("engine", "generator", "done", "result", "_waiters", "name",
-                 "waiting_on", "killed")
+                 "waiting_on")
 
     def __init__(self, engine: "Engine", generator: Generator, name: str = "") -> None:
         self.engine = engine
@@ -154,7 +130,6 @@ class Process:
         #: The waitable this process is currently blocked on (None while
         #: runnable/scheduled) — what a guard's deadlock dump reports.
         self.waiting_on: Optional[Any] = None
-        self.killed = False
         engine._live[self] = None
         engine._schedule(engine.now, self, None)
 
@@ -214,42 +189,11 @@ class Process:
                 f"process {self.name!r} yielded unsupported value {target!r}"
             )
 
-    def kill(self) -> None:
-        """Terminate the process immediately (watchdog/harness cleanup).
-
-        The generator is closed (running its ``finally`` blocks), the
-        process is marked done with a ``None`` result, and any processes
-        joined on it are woken.  If it was blocked, it is detached from
-        the waitable; an acquire/get event left with no live waiter is
-        marked *abandoned* so :class:`Resource`/:class:`Store` FIFOs skip
-        it instead of stranding capacity on a dead process.
-        """
-        if self.done:
-            return
-        self.generator.close()
-        self.done = True
-        self.killed = True
-        self.result = None
-        target, self.waiting_on = self.waiting_on, None
-        if target is not None and not target.triggered:
-            try:
-                target._waiters.remove(self)
-            except ValueError:
-                pass
-            if (isinstance(target, Event) and not target._waiters
-                    and not target.callbacks):
-                target.abandoned = True
-        self.engine._live.pop(self, None)
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            self.engine._schedule(self.engine.now, waiter, None)
-
 
 class Resource:
     """A counting resource with ``capacity`` slots and a FIFO wait queue."""
 
-    __slots__ = ("engine", "capacity", "in_use", "_queue", "peak_queue",
-                 "total_waits", "dead_skips")
+    __slots__ = ("engine", "capacity", "in_use", "_queue")
 
     def __init__(self, engine: "Engine", capacity: int) -> None:
         if capacity < 1:
@@ -258,9 +202,6 @@ class Resource:
         self.capacity = capacity
         self.in_use = 0
         self._queue: List[Event] = []
-        self.peak_queue = 0
-        self.total_waits = 0
-        self.dead_skips = 0
 
     @property
     def available(self) -> int:
@@ -273,31 +214,17 @@ class Resource:
             self.in_use += 1
             event.succeed(self)
         else:
-            self.total_waits += 1
             self._queue.append(event)
-            self.peak_queue = max(self.peak_queue, len(self._queue))
         return event
 
     def release(self) -> None:
-        """Free one slot, waking the oldest *live* waiter if any.
-
-        A waiter whose process was killed while queued leaves an
-        abandoned event behind; handing it the slot would strand capacity
-        on a dead process forever, so such entries are skipped (counted
-        in ``dead_skips``) until a live waiter — or the free pool — takes
-        the slot.
-        """
+        """Free one slot: hand it straight to the oldest waiter if any."""
         if self.in_use <= 0:
             raise SimulationError("release without matching acquire")
-        while self._queue:
-            event = self._queue.pop(0)
-            if event.abandoned:
-                self.dead_skips += 1
-                continue
-            # Hand the slot directly to the next waiter.
-            event.succeed(self)
-            return
-        self.in_use -= 1
+        if self._queue:
+            self._queue.pop(0).succeed(self)
+        else:
+            self.in_use -= 1
 
 
 class Store:
@@ -314,13 +241,10 @@ class Store:
         return len(self._items)
 
     def put(self, item: Any) -> None:
-        while self._getters:
-            event = self._getters.pop(0)
-            if event.abandoned:
-                continue  # the getter's process was killed while queued
-            event.succeed(item)
-            return
-        self._items.append(item)
+        if self._getters:
+            self._getters.pop(0).succeed(item)
+        else:
+            self._items.append(item)
 
     def get(self) -> Event:
         event = Event(self.engine, source=self)
@@ -354,7 +278,7 @@ class Engine:
         #: specialised drain loop in :meth:`run`): a fired timeout nothing
         #: else references any more is reset and handed back out by the
         #: ``timeout()`` closure instead of allocating a fresh one —
-        #: killing the last per-hop allocation on the hot path.
+        #: removing the last per-hop allocation on the hot path.
         self._timeout_pool: List[Timeout] = []
         #: Live (not-yet-done) processes in creation order; the guard's
         #: deadlock dump and :meth:`blocked_processes` read this.
@@ -385,12 +309,12 @@ class Engine:
         return schedule
 
     def _make_timeout(self) -> Callable[[float], "Timeout"]:
-        """Build the ``timeout(delay)`` fast-path closure.
+        """Build the ``timeout(delay)`` closure, the only code that creates
+        :class:`Timeout` records.
 
-        Semantically identical to ``Timeout(self, delay)`` — allocate the
-        event, write its slots, schedule it at ``now + delay`` — but in a
-        single call frame with the calendar push inlined, and handing out
-        recycled records from the free-list first.
+        It allocates the event, writes its slots and schedules it at
+        ``now + delay`` in a single call frame with the calendar push
+        inlined, handing out recycled records from the free-list first.
         """
         next_seq = self._sequence.__next__
         new = Timeout.__new__
@@ -404,21 +328,18 @@ class Engine:
                 raise SimulationError(f"negative timeout: {delay}")
             if pool:
                 # Recycled record (see the drain loop): ``_waiters`` is
-                # already an empty list, ``callbacks``/``source`` were
-                # never set on it — only the per-fire state resets.
+                # already an empty list and ``source`` is still None —
+                # only the per-fire state resets.
                 event = pool.pop()
                 event.triggered = False
                 event.value = None
-                event.abandoned = False
             else:
                 event = new(Timeout)
                 event.engine = self
                 event.triggered = False
                 event.value = None
                 event._waiters = []
-                event.callbacks = ()
                 event.source = None
-                event.abandoned = False
             event.at = at = self.now + delay
             bucket = get_bucket(cycle := int(at))
             if bucket is None:
@@ -443,10 +364,6 @@ class Engine:
         on_attach = getattr(guard, "on_attach", None)
         if on_attach is not None:
             on_attach(self)
-
-    def live_processes(self) -> List[Process]:
-        """Every registered process that has not finished."""
-        return list(self._live)
 
     def blocked_processes(self) -> List[Process]:
         """Live processes currently waiting on an event/resource/process
@@ -513,9 +430,6 @@ class Engine:
     def resource(self, capacity: int) -> Resource:
         return Resource(self, capacity)
 
-    def store(self) -> Store:
-        return Store(self)
-
     def run(self, until: Optional[float] = None) -> float:
         """Drive the calendar until exhaustion or ``until`` cycles.
 
@@ -552,14 +466,9 @@ class Engine:
                         events += 1
                         if task.__class__ is timeout_cls:
                             task.triggered = True
-                            if task.callbacks:
-                                for callback in task.callbacks:
-                                    callback(task)
                             # No fresh empty list: once ``triggered`` is
                             # set nothing reads ``_waiters`` again
-                            # (re-yields short-circuit on ``triggered``,
-                            # ``kill`` only detaches from untriggered
-                            # targets).
+                            # (re-yields short-circuit on ``triggered``).
                             waiters = task._waiters
                             if waiters:
                                 if bucket:
@@ -602,14 +511,13 @@ class Engine:
                             # ``t = engine.timeout(n); yield t`` — or a
                             # still-set ``waiting_on`` pins it and the
                             # record is simply left to the GC.
-                            if (not task.callbacks
-                                    and refcount(task) == 2
+                            if (refcount(task) == 2
                                     and len(pool) < _TIMEOUT_POOL_MAX):
                                 waiters.clear()
                                 pool.append(task)
                         elif (task.__class__ is process_cls
                                 or isinstance(task, process_cls)):
-                            if not task.done:  # killed procs: stale entries
+                            if not task.done:
                                 task._step(value)
                         else:
                             task.succeed(value)

@@ -30,12 +30,11 @@ how many engine steps the packet takes.  In ``SOFTWARE`` mode a packet
 is **one engine step** — one timeout, ending where the per-stage path
 would end — when both hold as it starts:
 
+* no fault hook or guard observes the engine
+  (:func:`~repro.sim.replay.observer` is ``None``);
 * the engine is otherwise idle (:meth:`~repro.sim.engine.Engine.
   next_event_time` is ``None``), so no other process can run before the
-  packet ends;
-* the switch's software backend would replay windowed
-  (:meth:`~repro.sim.replay.TraceReplay.decide`): no
-  ``serial_replay=True``, fault hook or guard.
+  packet ends.
 
 Such a packet runs its functional table operations back to back, prices
 their traces in program order with one
@@ -46,9 +45,8 @@ table operations touch only the tracer.  Every other packet **yields
 per stage**, one timeout per stage and per traced table operation, and
 is counted: a fault hook or a guard under ``replay.fallback.faults`` /
 ``replay.fallback.guard``, a busy engine under
-``vswitch.fallback.busy`` (created on first use).  ``serial_replay=True``
-is a choice and is not counted, and the HALO modes always yield per
-stage.
+``vswitch.fallback.busy`` (created on first use).  The HALO modes always
+yield per stage.
 """
 
 from __future__ import annotations
@@ -68,7 +66,7 @@ from ..core.halo_system import HaloSystem
 from ..exec.backend import HaloNonblockingBackend, SoftwareBackend
 from ..hashtable.locking import READ_SIDE_CYCLES
 from ..obs.metrics import Histogram
-from ..sim.replay import REPLAY_WINDOWED
+from ..sim.replay import observer
 from ..sim.stats import Breakdown
 from ..sim.trace import MemTrace, capture
 from .actions import ActionExecutor
@@ -250,15 +248,16 @@ class VirtualSwitch:
     def _open_window(self) -> Optional[_Window]:
         """An empty window when this packet may be one engine step, else
         None; a fallback is counted (module docstring)."""
-        backend = self._software_backend
-        if self.backend is not backend:
+        if self.backend is not self._software_backend:
             return None
-        if backend.replay.decide() != REPLAY_WINDOWED:
-            return None
-        if self.system.engine.next_event_time() is not None:
-            self.obs.metrics.counter(METRIC_FALLBACK_BUSY).inc()
-            return None
-        return []
+        engine = self.system.engine
+        reason = observer(engine)
+        if reason is None:
+            if engine.next_event_time() is None:
+                return []
+            reason = METRIC_FALLBACK_BUSY
+        self.obs.metrics.counter(reason).inc()
+        return None
 
     def _spend(self, breakdown: Breakdown, stage: str,
                cycles: float) -> Generator:

@@ -15,8 +15,6 @@ from repro.sim.engine import Engine
 from ..conftest import make_keys
 
 N_KEYS = 48
-#: Horizon cap that puts bare HALO queries on the per-stage path.
-HORIZON_CAP = 400.0
 
 
 def run_workload(guarded, backend_kind="halo-b", seed=29):
@@ -30,46 +28,34 @@ def run_workload(guarded, backend_kind="halo-b", seed=29):
             inserted.append(key)
     system.warm_table(table)
     system.hierarchy.flush_private(0)
-    # A guard forces software streams to serial replay; the bare run
-    # replays serially too, so the two event timelines are comparable.
-    kwargs = {"serial_replay": True} if backend_kind == "software" else {}
-    backend = system.backend(backend_kind, **kwargs)
+    backend = system.backend(backend_kind)
     outcomes = system.engine.run_process(
         backend.lookup_stream(table, inserted[:N_KEYS]))
     return system, guard, outcomes
 
 
-def run_per_stage(backend_kind, monkeypatch):
-    """The bare episode with every HALO query yielding per stage, as a
-    guard makes them: ``next_event_time`` never reads idle."""
-    next_event_time = Engine.next_event_time
-
-    def capped(engine):
-        horizon = next_event_time(engine)
-        cap = engine.now + HORIZON_CAP
-        return cap if horizon is None or horizon > cap else horizon
-
+def run_per_step(backend_kind, monkeypatch):
+    """The bare episode with every horizon capped at the present, as a
+    guard makes it: each software lookup and each HALO query stage is one
+    engine step."""
     with monkeypatch.context() as patch:
-        patch.setattr(Engine, "next_event_time", capped)
+        patch.setattr(Engine, "next_event_time", lambda engine: engine.now)
         return run_workload(False, backend_kind)
 
 
 @pytest.mark.parametrize("backend_kind", ["halo-b", "halo-nb", "software"])
 def test_guard_is_cycle_invisible(backend_kind, monkeypatch):
-    # A guard puts HALO queries on the per-stage path; the bare run takes
-    # it too, so the two event timelines are comparable.
-    if backend_kind == "software":
-        bare_system, _, bare = run_workload(False, backend_kind)
-    else:
-        bare_system, _, bare = run_per_stage(backend_kind, monkeypatch)
-        # The default bare run fuses its queries: same end and outcomes
-        # in fewer engine events.
-        fused_system, _, fused = run_workload(False, backend_kind)
-        assert fused_system.engine.now == bare_system.engine.now
-        assert [(o.value, o.found, o.cycles) for o in fused] \
-            == [(o.value, o.found, o.cycles) for o in bare]
-        assert fused_system.engine.events_processed \
-            < bare_system.engine.events_processed
+    # A guard runs nothing ahead of the engine; the capped bare run does
+    # not either, so the two event timelines are comparable.
+    bare_system, _, bare = run_per_step(backend_kind, monkeypatch)
+    # The default bare run replays the stream whole or fuses its
+    # queries: same end and outcomes in fewer engine events.
+    fast_system, _, fast = run_workload(False, backend_kind)
+    assert fast_system.engine.now == bare_system.engine.now
+    assert [(o.value, o.found, o.cycles) for o in fast] \
+        == [(o.value, o.found, o.cycles) for o in bare]
+    assert fast_system.engine.events_processed \
+        < bare_system.engine.events_processed
     guarded_system, _, guarded = run_workload(True, backend_kind)
     assert guarded_system.engine.now \
         == pytest.approx(bare_system.engine.now, rel=1e-12)

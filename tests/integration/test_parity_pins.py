@@ -4,40 +4,50 @@ Each pin runs a real experiment (quick grid) twice — once in the default
 configuration and once with the fast path or the safety net switched —
 and requires every number in every payload to match at ``rel=1e-12``:
 
-* **windowed vs serial replay** (``SoftwareBackend(serial_replay=True)``):
-  the :class:`repro.sim.replay.TraceReplay` loop captures whole key
-  streams and prices them in windows between interaction points (one
-  unbounded window on an otherwise idle engine) instead of one event per
-  lookup; it must be a pure reordering of work, not a different model.
+* **every horizon is now** (``Engine.next_event_time`` returns
+  ``engine.now``, as if another process were always about to run): no
+  program runs ahead of the engine.  Every
+  :class:`repro.sim.replay.TraceReplay` window has a zero budget and
+  prices one trace, every software switch packet and every HALO query
+  yields per stage.  The defaults' whole-stream windows, one-step
+  packets and fused queries must be a pure reordering of that work, not
+  a different model.  Each such run must ask the capped horizon and
+  take more engine events than the defaults: a pin over a run where
+  nothing was forced would compare nothing.
 * **bounded vs whole-stream windows** (every replay horizon capped at
-  ``WINDOW_CYCLES`` ahead, as if another process were always about to
-  run): where a stream would be one window, it is cut into many; where
-  the cuts fall must never show in the numbers.
+  ``WINDOW_CYCLES`` ahead): where a stream would be one window, it is
+  cut into many; where the cuts fall must never show in the numbers.
 * **guard on vs off**: :func:`repro.guard.attach_standard_guard` on
   every :class:`~repro.core.HaloSystem` the experiment builds (a
   test-side wrapper of ``HaloSystem.__init__``).  The safety net
-  observes every event, checks every standard invariant, and forces
-  serial replay; observation must never perturb results, and each
-  guard must have seen every event of its engine.
-* **the full stack** — serial replay asked for and a guard on every
-  system together against the plain defaults.
+  observes every event, checks every standard invariant, and runs
+  nothing ahead of the engine (:func:`repro.sim.replay.observer`);
+  observation must never perturb results, and each guard must have
+  seen every event of its engine.
+* **the full stack** — every horizon now and a guard on every system
+  together against the plain defaults.  The guard's observer answers
+  before any program asks the horizon, so the run is the guard's
+  timeline.
 
 Covered experiments: fig09, fig11, multicore scaling, and the
 degradation sweep — the four the speed campaign leans on hardest — and
 the software switch's fused packets (one engine step per packet on an
-idle engine, :mod:`repro.vswitch.switch`).  Serial replay and capped
-horizons force the switch's per-stage path, so fig03 runs under both,
-and fig12, whose collocated switch shares the engine with an NF, under
-the cap.  A guarded fig03 quick grid takes about 100 s (the guard
-sweeps every invariant at each drain, once per packet), so the guarded
-switch is pinned in ``tests/vswitch/test_switch_programs.py``.  HALO
-queries fuse the same way (one engine step per ``LOOKUP_B`` or
-one-table batch chunk on an idle engine, :mod:`repro.core.isa`), and a
-capped horizon or a guard puts them on the per-stage path: fig09's
-``halo-b`` and ``halo-nb`` streams and fig11's ``LOOKUP_B`` loop run
-under both pins, and fig10 (every query a fused ``LOOKUP_B``) and
-keysize (one to eight hash lanes) under the cap.  Each experiment's
-plain-defaults run is computed once and shared by its pins.
+idle engine, :mod:`repro.vswitch.switch`).  Multicore and degradation
+never ask the horizon (per-key software lookups, ``lookup_nb``
+fan-outs, fault hooks on every stream), so the every-horizon-is-now pin
+runs fig09, fig11 and fig03 only.  Both caps force the switch's
+per-stage path, so fig03 runs under both, and fig12, whose collocated
+switch shares the engine with an NF, under the bounded cap.  A guarded
+fig03 quick grid takes about 100 s (the guard sweeps every invariant at
+each drain, once per packet), so the guarded switch is pinned in
+``tests/vswitch/test_switch_programs.py``.  HALO queries fuse the same
+way (one engine step per ``LOOKUP_B`` or one-table batch chunk on an
+idle engine, :mod:`repro.core.isa`), and a capped horizon or a guard
+puts them on the per-stage path: fig09's ``halo-b`` and ``halo-nb``
+streams and fig11's ``LOOKUP_B`` loop run under every pin, and fig10
+(every query a fused ``LOOKUP_B``) and keysize (one to eight hash
+lanes) under the bounded cap.  Each experiment's plain-defaults run is
+computed once and shared by its pins.
 """
 
 from __future__ import annotations
@@ -49,13 +59,14 @@ import math
 import pytest
 
 from repro.core import HaloSystem
-from repro.exec.backend import SoftwareBackend
 from repro.guard import attach_standard_guard
 from repro.runner import run_for_bench
 from repro.sim.engine import Engine
 from repro.sim.stats import Breakdown
 
 EXPERIMENTS = ("fig09", "fig11", "multicore", "degradation")
+#: Experiments with programs that ask the engine's horizon.
+RUN_AHEAD_EXPERIMENTS = ("fig09", "fig11")
 #: Experiments whose software switch packets are fused on an idle engine.
 SWITCH_EXPERIMENTS = ("fig03",)
 #: fig12 also collocates its switch with an NF process on one engine.
@@ -94,12 +105,23 @@ def _numeric_view(payload, prefix=""):
 
 
 def _snapshot(name):
-    payloads, text = run_for_bench(name, quick=True)
+    """``name``'s quick grid as ``(numbers, report text, engine events)``,
+    the events summed over every engine the run built."""
+    engines = []
+    init = Engine.__init__
+
+    def counted_init(engine):
+        init(engine)
+        engines.append(engine)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Engine, "__init__", counted_init)
+        payloads, text = run_for_bench(name, quick=True)
     numbers = {}
     for label, payload in payloads.items():
         numbers.update(_numeric_view(payload, label))
     assert numbers, f"experiment {name!r} produced no numeric payloads"
-    return numbers, text
+    return numbers, text, sum(engine.events_processed for engine in engines)
 
 
 @functools.lru_cache(maxsize=None)
@@ -134,9 +156,32 @@ def _assert_guards_ran(name, guarded):
             f"{name}: guard never checked an invariant")
 
 
+def _cap_horizons_at_now(monkeypatch):
+    """Make every horizon the present; returns the live count of horizon
+    reads."""
+    reads = [0]
+
+    def now(engine):
+        reads[0] += 1
+        return engine.now
+
+    monkeypatch.setattr(Engine, "next_event_time", now)
+    return reads
+
+
+def _assert_capped(name, reads, baseline, candidate):
+    """Programs asked the capped horizon, and the run took more engine
+    events than the defaults: a pin over a run where nothing was forced
+    would compare nothing."""
+    assert reads[0] > 0, f"{name}: no program asked the engine's horizon"
+    assert candidate[2] > baseline[2], (
+        f"{name}: capping every horizon at now added no engine events "
+        f"({candidate[2]} vs {baseline[2]})")
+
+
 def _assert_parity(name, baseline, candidate, toggle):
-    base_numbers, base_text = baseline
-    cand_numbers, cand_text = candidate
+    base_numbers, base_text, _base_events = baseline
+    cand_numbers, cand_text, _cand_events = candidate
     assert base_numbers.keys() == cand_numbers.keys(), (
         f"{name}: payload shape changed under {toggle}")
     for path, base_value in base_numbers.items():
@@ -149,14 +194,15 @@ def _assert_parity(name, baseline, candidate, toggle):
         f"{name}: rendered report drifted under {toggle}")
 
 
-@pytest.mark.parametrize("name", EXPERIMENTS + SWITCH_EXPERIMENTS)
+@pytest.mark.parametrize("name", RUN_AHEAD_EXPERIMENTS + SWITCH_EXPERIMENTS)
 def test_batched_replay_parity(name, monkeypatch):
-    """Windowed replay (the default) vs serial replay everywhere."""
+    """The defaults vs every horizon capped at now: one engine step per
+    replayed trace, switch stage and HALO query stage."""
     windowed = _defaults(name)
-    monkeypatch.setattr(SoftwareBackend, "__init__", functools.partialmethod(
-        SoftwareBackend.__init__, serial_replay=True))
+    reads = _cap_horizons_at_now(monkeypatch)
     serial = _snapshot(name)
-    _assert_parity(name, serial, windowed, "serial_replay=True")
+    _assert_capped(name, reads, windowed, serial)
+    _assert_parity(name, serial, windowed, "every horizon capped at now")
 
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
@@ -191,13 +237,12 @@ def test_windowed_replay_parity(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ("multicore", "degradation"))
 def test_full_stack_parity(name, monkeypatch):
-    """Serial replay and a guard on every system at once vs the plain
-    defaults."""
+    """Every horizon capped at now and a guard on every system at once vs
+    the plain defaults."""
     baseline = _defaults(name)
-    monkeypatch.setattr(SoftwareBackend, "__init__", functools.partialmethod(
-        SoftwareBackend.__init__, serial_replay=True))
+    _cap_horizons_at_now(monkeypatch)
     guarded = _guard_every_system(monkeypatch)
     stacked = _snapshot(name)
     _assert_guards_ran(name, guarded)
     _assert_parity(name, baseline, stacked,
-                   "serial_replay=True + attach_standard_guard")
+                   "horizons capped at now + attach_standard_guard")

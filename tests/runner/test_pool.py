@@ -5,9 +5,11 @@ the registry cache before workers launch; children are forked, so they
 inherit the injection and ``_execute_payload`` resolves it by name.
 """
 
+import multiprocessing
 import os
 import pathlib
 import time
+from multiprocessing.connection import Connection
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.runner.pool import (
     WorkerCrashedError,
     run_supervised,
 )
+from repro.runner.scheduler import plan_runs
 from repro.runner.schema import ExperimentSpec, GridPoint, RunSpec
 
 FAKE_NAME = "pooltest"
@@ -228,3 +231,32 @@ def test_exhausted_retries_list_every_attempt(monkeypatch):
     assert not outcome.ok
     assert outcome.failure_kind == "error"
     assert outcome.attempts == 3
+
+
+def test_report_sent_just_before_exit_is_not_a_crash(monkeypatch):
+    """A child that reports and exits between the supervisor's look at its
+    pipe and its liveness test finished its run: the report is still in
+    the pipe, so the run is ok on its first attempt, not a crash."""
+    looked = []
+    poll = Connection.poll
+
+    def first_look_misses(conn, *args, **kwargs):
+        if not any(conn is seen for seen in looked):
+            looked.append(conn)
+            return False
+        return poll(conn, *args, **kwargs)
+
+    def exited(process):
+        process.join(timeout=60)
+        assert process.exitcode is not None, "the worker never exited"
+        return False
+
+    monkeypatch.setattr(Connection, "poll", first_look_misses)
+    monkeypatch.setattr(multiprocessing.Process, "is_alive", exited)
+    runs = plan_runs([registry.get_experiment("tab04")], quick=True)
+    outcomes, skipped = run_supervised(runs, jobs=1)
+    assert skipped == []
+    outcome, = outcomes
+    assert outcome.ok, f"{outcome.error_type}: {outcome.message}"
+    assert outcome.attempts == 1
+    assert outcome.payload is not None

@@ -11,8 +11,7 @@ are what make the swap safe.  Two layers:
   pops, same-cycle ties, fractional times sharing a floor, far-future
   outliers) and assert the pop sequences are identical.
 * **Engine-level** — run randomized process programs (zero-delay
-  self-wakes, same-cycle ties, far-future timeouts, ``Process.kill()``
-  mid-wait, timeouts left orphaned in the calendar by a killed waiter,
+  self-wakes, same-cycle ties, far-future timeouts, spawned children,
   fired timeouts kept and yielded again) on the live engine and on the
   frozen one, and assert identical execution traces, final clocks, and
   event counts.
@@ -102,7 +101,6 @@ _ACTIONS = st.one_of(
     st.tuples(st.just("timeout"), st.sampled_from(_DELAYS)),
     st.tuples(st.just("spawn"),
               st.lists(st.sampled_from(_DELAYS), min_size=0, max_size=4)),
-    st.tuples(st.just("kill"), st.integers(0, 9)),
 )
 
 #: ``_ACTIONS`` plus keeping a timeout and yielding a kept one again — the
@@ -123,8 +121,6 @@ def _run_schedule(engine_module, programs):
     """Interpret the randomized programs; return (trace, now, events)."""
     engine = engine_module.Engine()
     trace = []
-    registry = []  # every process ever spawned, kill targets by index
-    own = {}       # wid -> the worker's own Process (self-kill excluded)
     held = []      # timeouts kept by ``hold``, yielded again by ``reyield``
 
     def child(cid, delays):
@@ -139,14 +135,7 @@ def _run_schedule(engine_module, programs):
                 yield engine.timeout(action[1])
             elif kind == "spawn":
                 cid = (wid, step)
-                registry.append(engine.process(child(cid, action[1]),
-                                               name=f"child{cid}"))
-            elif kind == "kill":  # may hit a live, finished, or parked one
-                if registry:
-                    target = registry[action[1] % len(registry)]
-                    if target is not own.get(wid):  # no self-kill
-                        target.kill()
-                yield engine.timeout(0)
+                engine.process(child(cid, action[1]), name=f"child{cid}")
             elif kind == "hold":
                 held.append(engine.timeout(action[1]))
                 yield held[-1]
@@ -156,9 +145,7 @@ def _run_schedule(engine_module, programs):
             trace.append(("worker", wid, step, engine.now))
 
     for wid, actions in enumerate(programs):
-        process = engine.process(worker(wid, actions), name=f"worker{wid}")
-        own[wid] = process
-        registry.append(process)
+        engine.process(worker(wid, actions), name=f"worker{wid}")
     engine.run()
     return trace, engine.now, engine.events_processed
 
@@ -166,12 +153,7 @@ def _run_schedule(engine_module, programs):
 @settings(max_examples=120, deadline=None)
 @given(_programs(_ACTIONS))
 def test_engines_execute_identically(programs):
-    """Live and frozen engines: same trace, same clock, same event count.
-
-    Killed processes exercise the orphaned-timeout path: their pending
-    timeout entries stay in the calendar and must drain in the same
-    order on both engines without waking anyone.
-    """
+    """Live and frozen engines: same trace, same clock, same event count."""
     assert (_run_schedule(live_engine, programs)
             == _run_schedule(legacy_engine, programs))
 
@@ -183,8 +165,7 @@ def test_timeout_freelist_is_invisible(programs):
 
     The live engine recycles every fired timeout nothing references; the
     frozen engine allocates afresh each time.  Programs that keep timeouts
-    and yield them again — plus kills that orphan or detach waiters — must
-    still run identically on both.
+    and yield them again must still run identically on both.
     """
     assert (_run_schedule(live_engine, programs)
             == _run_schedule(legacy_engine, programs))

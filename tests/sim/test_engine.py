@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Engine, Resource, SimulationError, Store
+from repro.sim import Engine, SimulationError, Store
 
 
 def test_timeout_advances_clock(engine):
@@ -195,7 +195,7 @@ def test_fault_hook_bus(engine):
 
 
 def test_store_fifo(engine):
-    store = engine.store()
+    store = Store(engine)
     received = []
 
     def consumer():
@@ -215,7 +215,7 @@ def test_store_fifo(engine):
 
 
 def test_store_buffers_when_no_getter(engine):
-    store = engine.store()
+    store = Store(engine)
     store.put(1)
     store.put(2)
     assert len(store) == 2
@@ -270,101 +270,3 @@ def test_bad_yield_value_raises(engine):
     engine.process(program())
     with pytest.raises(SimulationError, match="unsupported"):
         engine.run()
-
-
-# -- Process.kill and dead-waiter skipping -----------------------------------
-
-def test_kill_releases_resource_queue_position(engine):
-    """Regression: a killed process queued on a Resource must not be
-    handed the slot — the next *live* waiter gets it."""
-    resource = Resource(engine, capacity=1)
-    order = []
-
-    def holder():
-        yield resource.acquire()
-        yield engine.timeout(10)
-        resource.release()
-
-    def waiter(tag):
-        yield resource.acquire()
-        order.append((engine.now, tag))
-        yield engine.timeout(1)
-        resource.release()
-
-    engine.process(holder(), name="holder")
-    doomed = engine.process(waiter("doomed"), name="doomed")
-    engine.process(waiter("survivor"), name="survivor")
-
-    engine.run(until=5)          # both waiters are queued behind the holder
-    doomed.kill()
-    engine.run()
-
-    assert order == [(10, "survivor")]
-    assert resource.dead_skips == 1
-    assert resource.in_use == 0  # capacity fully conserved after drain
-    assert doomed.done and doomed.killed and doomed.result is None
-
-
-def test_kill_wakes_joined_processes(engine):
-    woken = []
-
-    def sleeper():
-        yield engine.timeout(1000)
-
-    def joiner(target):
-        result = yield target
-        woken.append((engine.now, result))
-
-    target = engine.process(sleeper(), name="sleeper")
-    engine.process(joiner(target), name="joiner")
-    engine.run(until=5)
-    target.kill()
-    engine.run()
-    assert woken == [(5, None)]
-
-
-def test_store_put_skips_killed_getter(engine):
-    store = Store(engine)
-    received = []
-
-    def getter(tag):
-        item = yield store.get()
-        received.append((tag, item))
-
-    doomed = engine.process(getter("doomed"), name="doomed")
-    engine.process(getter("survivor"), name="survivor")
-    engine.run()                 # both getters queue on the empty store
-    doomed.kill()
-    store.put("payload")
-    engine.run()
-    assert received == [("survivor", "payload")]
-
-
-def test_kill_runs_generator_finally(engine):
-    cleaned = []
-
-    def worker():
-        try:
-            yield engine.timeout(1000)
-        finally:
-            cleaned.append(engine.now)
-
-    process = engine.process(worker(), name="worker")
-    engine.run(until=1)
-    process.kill()
-    assert cleaned == [1]
-    assert process not in engine.live_processes()
-
-
-def test_kill_is_idempotent_and_noop_when_done(engine):
-    def quick():
-        yield engine.timeout(1)
-        return "done"
-
-    process = engine.process(quick(), name="quick")
-    engine.run()
-    assert process.result == "done"
-    process.kill()               # must not clobber the result
-    process.kill()
-    assert process.result == "done"
-    assert not process.killed

@@ -1,18 +1,20 @@
-"""Windowed trace replay: mode resolution, fallback accounting, and the
-serial-equivalence contract of the one replay loop.
+"""Windowed trace replay: the one stepping rule, fallback accounting,
+and the serial-equivalence contract of the one replay loop.
 
 Three layers:
 
-* **decide()** — the per-stream mode resolution: a stream replays
-  serially only when asked to or for a recorded reason
-  (``replay.fallback.faults`` / ``guard``); concurrency narrows the
-  windows, it is not a fallback.
+* **the stepping rule** — every path that may run ahead of the engine
+  (a software stream, a software switch packet, a ``LOOKUP_B``, a
+  ``lookup_batch`` chunk) asks :func:`repro.sim.replay.observer` and the
+  engine's horizon, and nothing else: one grid of engine states × paths
+  pins which take one engine step and the one counter each bumps.
 * **execute_window()** — the budgeted pricing primitive: always at
   least one trace, the budget-crossing trace included (that is exactly
-  where serial replay would first yield to a foreign event).
+  where a per-trace hop would first yield to a foreign event).
 * **end-to-end** — collocated streamed software cores produce identical
-  clocks, cycles, and outcomes whether they replay windowed, serially as
-  asked, or serially in the guard's fallback.
+  clocks, cycles, and outcomes whether they replay windowed, one trace
+  per window under a capped horizon, or one trace per window under the
+  guard's fallback.
 """
 
 from __future__ import annotations
@@ -20,19 +22,22 @@ from __future__ import annotations
 import pytest
 
 from repro.core import HaloSystem
+from repro.core.isa import METRIC_FALLBACK_BUSY as HALO_BUSY
 from repro.exec.cores import CoreWorkload
-from repro.obs.metrics import MetricsRegistry
 from repro.sim import (CoreModel, InstructionMix, MemOp, MemoryHierarchy,
                        MemTrace, SKYLAKE_SP_16C)
 from repro.sim.engine import Engine
 from repro.sim.replay import (
     METRIC_BATCHES, METRIC_FALLBACK_FAULTS, METRIC_FALLBACK_GUARD,
-    METRIC_WINDOWS, REPLAY_SERIAL, REPLAY_WINDOWED, TraceReplay)
+    METRIC_WINDOWS)
+from repro.traffic import TrafficProfile
+from repro.vswitch import SwitchMode, VirtualSwitch
+from repro.vswitch.switch import METRIC_FALLBACK_BUSY as SWITCH_BUSY
 
 from ..conftest import make_keys
 
 # ---------------------------------------------------------------------------
-# decide(): mode resolution and fallback counters
+# the stepping rule: engine state x path -> one engine step?, counter
 
 
 class _Guard:
@@ -43,92 +48,175 @@ class _Guard:
         pass
 
 
-def _replay(engine, **kwargs):
-    return TraceReplay(None, engine, **kwargs)
+#: How far ahead the busy state parks a timeout: far past any path's
+#: end, so the engine is busy but a replay window reaches the stream's end.
+HELD_FOR = 10 ** 9
+
+#: Cycles :func:`_run` drives the engine for: more than any path takes.
+RUN_FOR = 10 ** 6
+
+#: Engine events of a path that is one engine step: its process start,
+#: its one timeout and the wake.
+ONE_STEP_EVENTS = 3
+
+#: Every counter a run-ahead decision can bump.
+STEPPING_COUNTERS = (METRIC_BATCHES, METRIC_WINDOWS, SWITCH_BUSY, HALO_BUSY,
+                     METRIC_FALLBACK_FAULTS, METRIC_FALLBACK_GUARD)
 
 
-def test_decide_off_when_not_batched():
-    """Serial replay asked for is a choice, not a counted fallback."""
-    registry = MetricsRegistry()
-    replay = _replay(Engine(), serial=True, metrics=registry)
-    assert replay.decide() == REPLAY_SERIAL
-    assert replay.fallbacks == 0
-    assert registry.snapshot() == {}
+def _idle(engine):
+    pass
 
 
-def test_decide_batch_when_engine_is_quiet():
-    """A quiet engine replays windowed; with nothing pending its one
-    window is unbounded (see ``test_single_core_stream_batches_whole``)."""
-    replay = _replay(Engine())
-    assert replay.decide() == REPLAY_WINDOWED
-    assert replay.fallbacks == 0
+def _busy(engine):
+    engine.timeout(HELD_FOR)
 
 
-def test_faults_force_serial_and_count():
-    registry = MetricsRegistry()
-    engine = Engine()
-    engine.add_fault_hook("seam", lambda *args: None)
-    replay = _replay(engine, metrics=registry)
-    assert replay.decide() == REPLAY_SERIAL
-    assert replay.fallbacks == 1
-    assert registry.counter(METRIC_FALLBACK_FAULTS).value == 1
+def _fault_hook(engine):
+    engine.add_fault_hook("stepping.dummy", lambda *args: None)
 
 
-def test_guard_forces_serial_and_counts():
-    registry = MetricsRegistry()
-    engine = Engine()
+def _guard(engine):
     engine.attach_guard(_Guard())
-    replay = _replay(engine, metrics=registry)
-    assert replay.decide() == REPLAY_SERIAL
-    assert replay.fallbacks == 1
-    assert registry.counter(METRIC_FALLBACK_GUARD).value == 1
 
 
-def _busy_engine():
-    engine = Engine()
-
-    def parked():
-        yield engine.timeout(100)
-
-    engine.process(parked(), name="peer0")
-    engine.process(parked(), name="peer1")
-    return engine
+STATES = {"idle": _idle, "busy": _busy, "fault-hook": _fault_hook,
+          "guard": _guard}
 
 
-def test_concurrency_goes_windowed_not_serial():
-    registry = MetricsRegistry()
-    replay = _replay(_busy_engine(), metrics=registry)
-    assert replay.decide() == REPLAY_WINDOWED
-    assert replay.fallbacks == 0
-    assert registry.snapshot() == {}
+def _lookup_system():
+    system = HaloSystem()
+    table = system.create_table(1 << 8, name="stepping")
+    keys = make_keys(16, seed=5)
+    for index, key in enumerate(keys):
+        table.insert(key, index)
+    system.warm_table(table)
+    return system, table, keys
+
+
+def _software_stream():
+    system, table, keys = _lookup_system()
+    return system, system.backend("software").lookup_stream(table, keys)
+
+
+def _switch_packet():
+    profile = TrafficProfile(name="stepping", description="", num_flows=200,
+                             num_rules=6, zipf_s=0.8)
+    flow_set, rules = profile.build()
+    system = HaloSystem()
+    switch = VirtualSwitch(system, SwitchMode.SOFTWARE,
+                           megaflow_tuple_capacity=1 << 14)
+    switch.install_rules(rules)
+    switch.prewarm_megaflows(flow_set.flows)
+    switch.warm()
+    return system, switch.packet_program(flow_set[0])
+
+
+def _lookup_b():
+    system, table, keys = _lookup_system()
+    return system, system.isa.lookup_b(0, table, keys[0])
+
+
+def _batch_chunk():
+    system, table, keys = _lookup_system()
+    return system, system.isa.lookup_batch(0, table, keys[:8])
+
+
+PATHS = {"software-stream": _software_stream,
+         "switch-packet": _switch_packet, "lookup-b": _lookup_b,
+         "batch-chunk": _batch_chunk}
+
+#: (state, path) -> (one engine step?, the one counter bumped or None):
+#: PERFORMANCE.md's §1.3, §1.10 and §1.11 tables.  A busy engine cuts a
+#: replay at its horizon, which the parked timeout puts past the stream.
+EXPECTED = {
+    ("idle", "software-stream"): (True, METRIC_BATCHES),
+    ("idle", "switch-packet"): (True, None),
+    ("idle", "lookup-b"): (True, None),
+    ("idle", "batch-chunk"): (True, None),
+    ("busy", "software-stream"): (True, METRIC_WINDOWS),
+    ("busy", "switch-packet"): (False, SWITCH_BUSY),
+    ("busy", "lookup-b"): (False, HALO_BUSY),
+    ("busy", "batch-chunk"): (False, HALO_BUSY),
+    ("fault-hook", "software-stream"): (False, METRIC_FALLBACK_FAULTS),
+    ("fault-hook", "switch-packet"): (False, METRIC_FALLBACK_FAULTS),
+    ("fault-hook", "lookup-b"): (False, METRIC_FALLBACK_FAULTS),
+    ("fault-hook", "batch-chunk"): (False, METRIC_FALLBACK_FAULTS),
+    ("guard", "software-stream"): (False, METRIC_FALLBACK_GUARD),
+    ("guard", "switch-packet"): (False, METRIC_FALLBACK_GUARD),
+    ("guard", "lookup-b"): (False, METRIC_FALLBACK_GUARD),
+    ("guard", "batch-chunk"): (False, METRIC_FALLBACK_GUARD),
+}
+
+
+def _counts(system):
+    snapshot = system.obs.metrics.snapshot()
+    return {name: snapshot.get(name, 0) for name in STEPPING_COUNTERS}
+
+
+def _run(system, program):
+    """Drive ``program`` to its end; returns the engine events it took."""
+    engine = system.engine
+    before = engine.events_processed
+    process = engine.process(program)
+    engine.run(until=engine.now + RUN_FOR)
+    assert process.done
+    return engine.events_processed - before
+
+
+@pytest.mark.parametrize("state, path", list(EXPECTED),
+                         ids=[f"{state}-{path}" for state, path in EXPECTED])
+def test_stepping_rule(state, path):
+    """Each path takes one engine step exactly when its grid cell says,
+    and bumps exactly the cell's counter, once."""
+    one_step, counter = EXPECTED[state, path]
+    system, program = PATHS[path]()
+    STATES[state](system.engine)
+    before = _counts(system)
+    events = _run(system, program)
+    after = _counts(system)
+    bumped = {name: after[name] - before[name] for name in STEPPING_COUNTERS
+              if after[name] != before[name]}
+    assert bumped == ({} if counter is None else {counter: 1})
+    assert (events == ONE_STEP_EVENTS) == one_step, events
+    assert events >= ONE_STEP_EVENTS
 
 
 def test_concurrency_with_windowed_off_counts_fallback():
     """Concurrency does not hide a fallback: a guard on a busy engine
-    turns windowing off and is counted."""
-    registry = MetricsRegistry()
-    engine = _busy_engine()
-    engine.attach_guard(_Guard())
-    replay = _replay(engine, metrics=registry)
-    assert replay.decide() == REPLAY_SERIAL
-    assert replay.fallbacks == 1
-    assert registry.counter(METRIC_FALLBACK_GUARD).value == 1
+    turns windowing off and is counted once, with no window."""
+    system, table, keys = _lookup_system()
+    engine = system.engine
+    _busy(engine)
+    _guard(engine)
+    events = _run(system,
+                  system.backend("software").lookup_stream(table, keys))
+    assert events == 1 + 2 * len(keys)
+    counts = _counts(system)
+    assert counts[METRIC_FALLBACK_GUARD] == 1
+    assert counts[METRIC_FALLBACK_FAULTS] == 0
+    assert counts[METRIC_WINDOWS] == counts[METRIC_BATCHES] == 0
 
 
 def test_every_serial_decision_is_counted():
-    """The no-silent-degradation invariant: a replay that goes serial on
-    its own has always incremented exactly one fallback counter."""
-    registry = MetricsRegistry()
-    engine = _busy_engine()
-    engine.add_fault_hook("seam", lambda *args: None)
-    engine.attach_guard(_Guard())
-    replay = _replay(engine, metrics=registry)
+    """The no-silent-degradation invariant: a stream that replays in
+    zero-budget windows has always incremented exactly one fallback
+    counter, once per stream and not per trace, and no window."""
+    system, table, keys = _lookup_system()
+    engine = system.engine
+    _busy(engine)
+    _fault_hook(engine)
+    _guard(engine)
+    backend = system.backend("software")
     for expected in (1, 2, 3):
-        assert replay.decide() == REPLAY_SERIAL
-        assert replay.fallbacks == expected
-    total = sum(registry.counter(name).value
-                for name in (METRIC_FALLBACK_FAULTS, METRIC_FALLBACK_GUARD))
-    assert total == replay.fallbacks
+        events = _run(system, backend.lookup_stream(table, keys))
+        # The start, then one timeout and its wake per trace: every
+        # window priced exactly one.
+        assert events == 1 + 2 * len(keys)
+        counts = _counts(system)
+        assert counts[METRIC_FALLBACK_FAULTS] == expected
+        assert counts[METRIC_FALLBACK_GUARD] == 0
+        assert counts[METRIC_WINDOWS] == counts[METRIC_BATCHES] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +275,7 @@ def test_windowed_chain_covers_all_traces():
 # end-to-end: collocated streamed cores
 
 
-def _run_multicore(serial_replay=False, cores=3, per_core=40, guard=False):
+def _run_multicore(cores=3, per_core=40, guard=False):
     system = HaloSystem()
     if guard:
         system.engine.attach_guard(_Guard())
@@ -201,7 +289,6 @@ def _run_multicore(serial_replay=False, cores=3, per_core=40, guard=False):
                      keys=[keys[(core * 31 + i) % len(keys)]
                            for i in range(per_core)],
                      stream=True,
-                     backend_kwargs={"serial_replay": serial_replay},
                      name=f"win{core}")
         for core in range(cores)
     ]
@@ -215,21 +302,27 @@ def _outcome_view(run):
 
 
 @pytest.mark.parametrize("windowed", [True, False])
-def test_windowed_stream_equals_serial(windowed):
-    """Concurrent streams — windowed, or in the guard's serial fallback —
-    give exactly the per-key clocks, cycles, outcomes and metrics of
-    serial replay asked for outright; only the replay counters differ."""
-    serial_system, serial_results = _run_multicore(serial_replay=True)
+def test_windowed_stream_equals_serial(windowed, monkeypatch):
+    """Concurrent streams — windowed, or in the guard's one-trace windows
+    — give exactly the per-key clocks, cycles, outcomes and metrics of
+    one-trace windows under a horizon capped at now; only the replay
+    counters differ."""
+    with monkeypatch.context() as patch:
+        patch.setattr(Engine, "next_event_time", lambda engine: engine.now)
+        serial_system, serial_results = _run_multicore()
     fast_system, fast_results = _run_multicore(guard=not windowed)
     assert fast_system.engine.now == serial_system.engine.now
     assert _outcome_view(fast_results) == _outcome_view(serial_results)
+    serial = serial_system.obs.metrics.snapshot()
+    # Every capped window is horizon-bounded: one per lookup.
+    assert serial.pop(METRIC_WINDOWS) == 3 * 40
     fast = fast_system.obs.metrics.snapshot()
     if windowed:
         assert fast.pop(METRIC_WINDOWS) > 0
         fast.pop(METRIC_BATCHES, None)
     else:
         assert fast.pop(METRIC_FALLBACK_GUARD) == 3
-    assert fast == serial_system.obs.metrics.snapshot()
+    assert fast == serial
 
 
 def test_windowed_stream_counts_windows_without_fallbacks():

@@ -3,14 +3,13 @@ packets, per-layer halo attribution, and the prewarm-before-install
 fix."""
 
 import dataclasses
-import functools
 
 import pytest
 
 from repro.classifier import HitLayer
 from repro.core import HaloSystem
-from repro.exec.backend import SoftwareBackend
 from repro.guard import attach_standard_guard
+from repro.sim.engine import Engine
 from repro.sim.replay import METRIC_FALLBACK_GUARD
 from repro.sim.stats import Breakdown
 from repro.traffic import FlowSet, PacketStream, TrafficProfile
@@ -184,14 +183,15 @@ def _concurrent_software_pmds(flow_set, rules, flows):
 def test_busy_engine_packets_match_serial_replay(gateway, monkeypatch):
     """Packets that start on a busy engine must yield per stage: two
     software switches interleaving on one hierarchy read the same as with
-    serial replay asked for."""
+    every horizon capped at the present (one engine step per stage and
+    per traced operation, whatever the engine state)."""
     flow_set, rules, flows = gateway
     flows = flows[:60]
     default, metrics = _concurrent_software_pmds(flow_set, rules, flows)
     assert metrics[METRIC_FALLBACK_BUSY] >= len(flows)
-    monkeypatch.setattr(SoftwareBackend, "__init__", functools.partialmethod(
-        SoftwareBackend.__init__, serial_replay=True))
-    serial, _metrics = _concurrent_software_pmds(flow_set, rules, flows)
+    monkeypatch.setattr(Engine, "next_event_time", lambda engine: engine.now)
+    serial, capped = _concurrent_software_pmds(flow_set, rules, flows)
+    assert capped[METRIC_FALLBACK_BUSY] == 2 * len(flows)
     assert default == serial
 
 
