@@ -36,6 +36,7 @@ CONTRACT_MODULES = (
     "repro/core/accelerator.py",
     "repro/core/isa.py",
     "repro/hashtable/cuckoo.py",
+    "repro/hashtable/hashing.py",
     "repro/vswitch/switch.py",
     "repro/cluster/__init__.py",
     "repro/cluster/balancer.py",

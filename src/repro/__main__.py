@@ -98,8 +98,7 @@ def run_report_demo(quick: bool = False):
     attach_standard_guard(system)
     table = system.create_table(1 << 10, name="report_demo")
     keys = random_keys(600, seed=11)
-    for index, key in enumerate(keys):
-        table.insert(key, index)
+    table.insert_many(zip(keys, range(len(keys))))
     system.warm_table(table)
     system.hierarchy.flush_private(0)
     system.run_software_lookups(table, keys[:lookups])

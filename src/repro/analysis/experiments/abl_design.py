@@ -36,8 +36,7 @@ def _tss_cycles_per_packet(machine, tuples: int, packets: int) -> float:
         table = system.create_table(DEFAULT_ENTRIES_PER_TUPLE,
                                     name=f"abl{index}")
         keys = random_keys(KEYS_PER_TUPLE, seed=300 + index)
-        for position, key in enumerate(keys):
-            table.insert(key, position)
+        table.insert_many(zip(keys, range(len(keys))))
         system.warm_table(table)
         tables.append(table)
         keysets.append(keys)
@@ -104,8 +103,7 @@ def _metadata_workload(system, tables_count: int, rounds: int) -> float:
     for index in range(tables_count):
         table = system.create_table(256, name=f"meta{index}")
         keys = random_keys(128, seed=400 + index)
-        for position, key in enumerate(keys):
-            table.insert(key, position)
+        table.insert_many(zip(keys, range(len(keys))))
         system.warm_table(table)
         tables.append(table)
         keysets.append(keys)

@@ -36,8 +36,7 @@ def run(table_entries: int = 1 << 16, flows: int = 40_000,
         system = HaloSystem(SKYLAKE_SP_16C.scaled(tlb=tlb))
         table = system.create_table(table_entries, name="tlb_abl")
         keys = random_keys(flows, seed=seed)
-        for index, key in enumerate(keys):
-            table.insert(key, index)
+        table.insert_many(zip(keys, range(len(keys))))
         system.warm_table(table)
         system.hierarchy.flush_private(0)
         software = system.run_software_lookups(table, keys[:lookups])

@@ -92,6 +92,7 @@ class _SeedReferenceEmc:
         self.installs = 0
 
     def install(self, key: bytes, rule: Rule) -> None:
+        # Scalar: each install may delete a victim before it inserts.
         plan = self.table.probe(key)
         if plan.found:
             self.table.insert(key, rule)

@@ -80,10 +80,9 @@ def _run_cell(backend_kind: str, intensity: float, lookups: int,
               entries: int, seed: int) -> BackendCell:
     system = HaloSystem()
     table = system.create_table(entries, name="degr")
-    inserted = []
-    for index, key in enumerate(random_keys(entries, seed=seed)):
-        if table.insert(key, index):
-            inserted.append((key, index))
+    pairs = list(zip(random_keys(entries, seed=seed), range(entries)))
+    inserted = [pair for pair, ok in zip(pairs, table.insert_many(pairs))
+                if ok]
     system.warm_table(table)
     # DRAM-resident tables (the Figure 10 scenario): the software path
     # degrades through the DRAM spikes, the HALO paths through the

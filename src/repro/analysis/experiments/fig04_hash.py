@@ -48,6 +48,7 @@ def achievable_occupancy(kind: str, slots: int = 8192,
     keys = random_keys(slots + 64, seed=seed)
     if kind == "cuckoo":
         table = CuckooHashTable(slots)
+        # Scalar: a bulk fill would also attempt the keys after the failure.
         for index, key in enumerate(keys):
             if not table.insert(key, index):
                 break
@@ -116,6 +117,8 @@ def run(flow_counts=DEFAULT_FLOW_COUNTS, lookups: int = 1_200,
                 table = SingleHashTable(count,
                                         allocator=hierarchy.allocator,
                                         tracer=tracer)
+            # Scalar: one traced build loop serves both table kinds, and
+            # the single-hash table has no bulk insert.
             for index, key in enumerate(keys):
                 table.insert(key, index)
             hierarchy.flush_private(0)

@@ -58,10 +58,8 @@ def run_point(table_entries: int, occupancy: float = 0.5,
     table = system.create_table(table_entries, name="fig9")
     fill = max(1, int(table.capacity * occupancy))
     keys = random_keys(fill, seed=seed)
-    inserted = []
-    for index, key in enumerate(keys):
-        if table.insert(key, index):
-            inserted.append(key)
+    placed = table.insert_many(zip(keys, range(len(keys))))
+    inserted = [key for key, ok in zip(keys, placed) if ok]
     system.warm_table(table)
     system.hierarchy.flush_private(0)
     if dram_resident:

@@ -93,8 +93,7 @@ def run(table_entries: int = 1 << 16, lookups: int = 200,
         system = HaloSystem()
         table = system.create_table(table_entries, name="fig10")
         keys = random_keys(int(table_entries * 0.6), seed=seed)
-        for index, key in enumerate(keys):
-            table.insert(key, index)
+        table.insert_many(zip(keys, range(len(keys))))
         system.warm_table(table)
         system.hierarchy.flush_private(0)
         cells[f"{scenario}/software"] = _measure_software(

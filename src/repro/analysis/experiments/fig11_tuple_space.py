@@ -43,8 +43,7 @@ def _build_tuples(system: HaloSystem, num_tuples: int, seed: int):
                                     name=f"tuple{index}")
         keys = random_keys(int(ENTRIES_PER_TUPLE * 0.8),
                            seed=seed * 100 + index)
-        for position, key in enumerate(keys):
-            table.insert(key, position)
+        table.insert_many(zip(keys, range(len(keys))))
         system.warm_table(table)
         tables.append(table)
         keysets.append(keys)

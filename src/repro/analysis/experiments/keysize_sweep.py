@@ -47,8 +47,7 @@ def run_point(key_bytes: int, table_entries: int = 1 << 14,
                                 name=f"k{key_bytes}")
     keys = random_keys(int(table_entries * 0.6), key_bytes=key_bytes,
                        seed=seed)
-    for index, key in enumerate(keys):
-        table.insert(key, index)
+    table.insert_many(zip(keys, range(len(keys))))
     system.warm_table(table)
     system.hierarchy.flush_private(0)
     rng = np.random.default_rng(seed + 1)

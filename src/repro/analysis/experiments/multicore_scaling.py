@@ -57,8 +57,7 @@ def _build_tuples(system: HaloSystem, tuples: int, seed: int):
     for index in range(tuples):
         table = system.create_table(ENTRIES_PER_TUPLE, name=f"mc{index}")
         keys = random_keys(800, seed=seed * 50 + index)
-        for position, key in enumerate(keys):
-            table.insert(key, position)
+        table.insert_many(zip(keys, range(len(keys))))
         system.warm_table(table)
         tables.append(table)
         keysets.append(keys)

@@ -45,8 +45,7 @@ def run(table_entries: int = 1 << 14, lookups: int = 400,
     system = HaloSystem()
     table = system.create_table(table_entries, name="shared")
     keys = random_keys(int(table_entries * occupancy), seed=seed)
-    for index, key in enumerate(keys):
-        table.insert(key, index)
+    table.insert_many(zip(keys, range(len(keys))))
     system.warm_table(table)
     system.hierarchy.flush_private(0)
     fresh = random_keys(lookups * writes_per_lookup + 64, seed=seed + 1)

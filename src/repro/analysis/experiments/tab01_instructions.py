@@ -34,8 +34,7 @@ def run(lookups: int = 600, table_entries: int = 1 << 16,
     system = HaloSystem()
     table = system.create_table(table_entries)
     keys = random_keys(int(table_entries * 0.7), seed=seed)
-    for index, key in enumerate(keys):
-        table.insert(key, index)
+    table.insert_many(zip(keys, range(len(keys))))
     system.warm_table(table)
     system.hierarchy.flush_private(0)
 

@@ -40,8 +40,7 @@ def run(updates: int = 2_000, prefill: float = 0.70,
     system = HaloSystem()
     table = system.create_table(max(updates * 4, 4096), name="updates")
     prefill_keys = random_keys(int(table.capacity * prefill), seed=seed)
-    for index, key in enumerate(prefill_keys):
-        table.insert(key, index)
+    table.insert_many(zip(prefill_keys, range(len(prefill_keys))))
     system.warm_table(table)
     engine = system.software_engine(core_id=0)
 

@@ -105,8 +105,7 @@ def run_shard(shard: int, keys: Sequence[bytes], *, sockets: int,
     machine = shard_machine(sockets)
     system = HaloSystem(machine=machine)
     table = system.create_table(table_capacity, name=f"shard{shard}")
-    for index, key in enumerate(distinct):
-        table.insert(key, index)
+    table.insert_many(zip(distinct, range(len(distinct))))
     system.warm_table(table)
 
     # One PMD core per socket, pinned socket-locally; the stream splits

@@ -45,6 +45,15 @@ pins it.  :meth:`CuckooHashTable.probe`, :meth:`~CuckooHashTable.lookup`,
 * ``insert_planned(plan, value)`` is ``insert(plan.key, value)``
   through an earlier ``probe(plan.key)``, with no insert or delete of
   that key since; it does not probe again.
+* ``insert_many(items)`` is exactly ``[insert(key, value) for key, value
+  in items]``: the same return values, buckets, key-value array,
+  freed-slot order, next unused slot, stats, lock version and trace.
+  The one difference: it raises ``ValueError`` before changing anything
+  if any key's length is not ``key_bytes``.  Keys are hashed in batches
+  (``repro.hashtable.hashing.hash_many``); the result is the same
+  because the hashes and alternate buckets are pure functions of the
+  key, and every pair is placed in input order through the routine
+  ``insert`` runs.  It may leave the per-key hash memo unfilled.
 * A new key takes the most recently freed key-value slot, else the
   lowest never-used one.  ``delete(key)`` frees the key's slot and
   returns whether the key was present.
@@ -62,11 +71,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..sim.memory import AddressAllocator
 from ..sim.trace import InstructionMix, MemOp, MemOpKind, Tracer, NULL_TRACER
-from .hashing import hash_bytes, secondary_index, signature_of
+from .hashing import (
+    ALT_BUCKET_BITS, ALT_BUCKET_MIX, hash_bytes, hash_many, secondary_index,
+    signature_of)
 from .layout import StandaloneAllocator, TableLayout, allocate_table, next_power_of_two
 from .locking import OptimisticLock
 
@@ -89,10 +100,15 @@ DEFAULT_KEY_BYTES = 16
 MAX_BFS_NODES = 1024
 #: Longest displacement path an insert tries before giving up.
 MAX_KICK_DEPTH = 100
+#: Keys :meth:`CuckooHashTable.insert_many` hashes per :func:`hash_many`
+#: pass: its numpy temporaries stay bounded whatever the batch size.
+INSERT_CHUNK_KEYS = 1 << 16
 
 #: A bucket entry is one int: the key-value slot above the 16-bit signature.
 _SLOT_SHIFT = 16
 _SIGNATURE_MASK = (1 << _SLOT_SHIFT) - 1
+#: ``_place``'s default ``slot``: the caller has not probed the key.
+_UNPROBED = object()
 
 
 class TableFull(RuntimeError):
@@ -270,11 +286,14 @@ class CuckooHashTable:
         return geometry
 
     # -- probe (shared by software and HALO paths) ---------------------------------
+    def _wrong_length(self, key: bytes) -> ValueError:
+        return ValueError(
+            f"key length {len(key)} != table key size {self.key_bytes}")
+
     def probe(self, key: bytes) -> LookupPlan:
         """Pure functional probe: no tracing, no stats mutation."""
         if len(key) != self.key_bytes:
-            raise ValueError(
-                f"key length {len(key)} != table key size {self.key_bytes}")
+            raise self._wrong_length(key)
         primary_hash, index1, signature, index2, addr1, addr2 = (
             self._hash_memo.get(key) or self._indices(key))
         buckets = self._buckets
@@ -379,7 +398,45 @@ class CuckooHashTable:
     # -- insert -----------------------------------------------------------------------
     def insert(self, key: bytes, value: Any) -> bool:
         """Insert or update ``key``; returns False only if the table is full."""
-        return self.insert_planned(self.probe(key), value)
+        if len(key) != self.key_bytes:
+            raise self._wrong_length(key)
+        _hash, index1, signature, index2, _addr1, _addr2 = (
+            self._hash_memo.get(key) or self._indices(key))
+        return self._place((key, value), index1, signature, index2)
+
+    def insert_many(self, items: Iterable[Tuple[bytes, Any]]) -> List[bool]:
+        """:meth:`insert` of every ``(key, value)`` pair, in order; returns
+        each insert's result.
+
+        Checks every key's length before it changes anything, then hashes
+        the keys :data:`INSERT_CHUNK_KEYS` at a time in one numpy pass
+        (:func:`hash_many`) and places each pair through the routine
+        :meth:`insert` runs.
+        """
+        pairs = list(items)
+        key_bytes = self.key_bytes
+        for position, pair in enumerate(pairs):
+            key, value = pair
+            if len(key) != key_bytes:
+                raise self._wrong_length(key)
+            if type(pair) is not tuple:
+                # Pairs are stored as the key-value entries themselves.
+                pairs[position] = (key, value)
+        place = self._place
+        mask = self._mask
+        results: List[bool] = []
+        chunk_keys = INSERT_CHUNK_KEYS
+        for start in range(0, len(pairs), chunk_keys):
+            chunk = pairs[start:start + chunk_keys]
+            hashes = hash_many([pair[0] for pair in chunk], key_bytes,
+                               self.seed).tolist()
+            for pair, primary_hash in zip(chunk, hashes):
+                index1 = primary_hash & mask
+                signature = signature_of(primary_hash)
+                results.append(place(
+                    pair, index1, signature,
+                    secondary_index(index1, signature, mask)))
+        return results
 
     def insert_planned(self, plan: LookupPlan, value: Any) -> bool:
         """:meth:`insert` of ``plan.key``, reusing ``plan`` instead of
@@ -392,72 +449,91 @@ class CuckooHashTable:
         true: other keys' inserts and deletes claim and free other slots,
         and kicks move bucket entries, never key-value slots.
         """
-        key = plan.key
+        return self._place((plan.key, value), plan.primary_index,
+                           plan.signature, plan.secondary_index, plan.slot)
+
+    def _place(self, pair: Tuple[bytes, Any], index1: int, signature: int,
+               index2: int, slot: Any = _UNPROBED) -> bool:
+        """Insert or update ``pair``'s key from its hash geometry: the one
+        placement routine behind every insert.
+
+        ``slot`` is the key's key-value slot (None: absent) when the
+        caller has probed the key; otherwise both buckets are scanned for
+        it, primary first.  A present key's pair is replaced in place.  A
+        new one is appended to its primary bucket if it has room, else
+        to its secondary one, else to the bucket a BFS kick path frees.
+        """
+        key = pair[0]
+        buckets = self._buckets
+        kv = self._kv
         self._mutations += 1
-        self.stats.inserts += 1
+        stats = self.stats
+        stats.inserts += 1
         tracer = self.tracer
-        if tracer.enabled:
+        traced = tracer.enabled
+        if traced:
+            layout = self.layout
             tracer.load(self._key_scratch, self.key_bytes)
             tracer.barrier()
-            tracer.load(plan.primary_addr, 64)
-            tracer.load(plan.secondary_addr, 64)
+            tracer.load(layout.bucket_addr(index1), 64)
+            tracer.load(layout.bucket_addr(index2), 64)
             tracer.barrier()
             tracer.count(loads=INSERT_MIX.loads, stores=INSERT_MIX.stores,
                          arithmetic=INSERT_MIX.arithmetic,
                          others=INSERT_MIX.others)
-
-        if plan.found:
-            # Update in place.
-            self._kv[plan.slot] = (key, value)
-            if tracer.enabled:
-                tracer.store(self.layout.kv_addr(plan.slot),
-                             self.layout.kv_slot_bytes)
+        if slot is _UNPROBED:
+            slot = None
+            for index in (index1, index2):
+                for entry in buckets[index]:
+                    if (entry & _SIGNATURE_MASK == signature
+                            and kv[entry >> _SLOT_SHIFT][0] == key):
+                        slot = entry >> _SLOT_SHIFT
+                        break
+                if slot is not None or index2 == index1:
+                    break
+        if slot is not None:
+            kv[slot] = pair
+            if traced:
+                tracer.store(layout.kv_addr(slot), layout.kv_slot_bytes)
             return True
 
-        placed = self._place(key, value, plan)
-        if not placed:
-            self.stats.insert_failures += 1
-        return placed
-
-    def _place(self, key: bytes, value: Any, plan: LookupPlan) -> bool:
-        for index in (plan.primary_index, plan.secondary_index):
-            if len(self._buckets[index]) < self.assoc:
-                # A plain slot claim is a single-entry write — readers never
-                # see a torn state, so no version bump (rte_hash behaviour).
-                self._store_entry(index, plan.signature, key, value)
-                return True
-        path = self._find_kick_path(plan.primary_index, plan.secondary_index)
-        if path is None:
-            return False
-        # Cuckoo moves relocate entries readers may be chasing: the
-        # optimistic version must change so concurrent readers retry
-        # (the Figure 7a race).
-        self.lock.write_begin()
-        try:
-            self._apply_kick_path(path)
-        finally:
-            self.lock.write_end()
-        destination = path[0][0]
-        self._store_entry(destination, plan.signature, key, value)
-        return True
-
-    def _store_entry(self, bucket_index: int, signature: int, key: bytes,
-                     value: Any) -> None:
-        if self._freed_slots:
-            slot = self._freed_slots.pop()
-        elif self._next_slot < len(self._kv):
+        assoc = self.assoc
+        # A plain slot claim is a single-entry write — readers never see
+        # a torn state, so no version bump (rte_hash behaviour).
+        if len(buckets[index1]) < assoc:
+            destination = index1
+        elif len(buckets[index2]) < assoc:
+            destination = index2
+        else:
+            path = self._find_kick_path(index1, index2)
+            if path is None:
+                stats.insert_failures += 1
+                return False
+            # Cuckoo moves relocate entries readers may be chasing: the
+            # optimistic version must change so concurrent readers retry
+            # (the Figure 7a race).
+            self.lock.write_begin()
+            try:
+                self._apply_kick_path(path)
+            finally:
+                self.lock.write_end()
+            destination = path[0][0]
+        freed = self._freed_slots
+        if freed:
+            slot = freed.pop()
+        elif self._next_slot < len(kv):
             slot = self._next_slot
-            self._next_slot += 1
+            self._next_slot = slot + 1
         else:
             raise TableFull(f"{self.name}: key-value array exhausted")
-        self._kv[slot] = (key, value)
-        self._buckets[bucket_index].append(slot << _SLOT_SHIFT | signature)
+        kv[slot] = pair
+        buckets[destination].append(slot << _SLOT_SHIFT | signature)
         self._size += 1
-        if self.tracer.enabled:
-            self.tracer.barrier()
-            self.tracer.store(self.layout.kv_addr(slot),
-                              self.layout.kv_slot_bytes)
-            self.tracer.store(self.layout.bucket_addr(bucket_index), 64)
+        if traced:
+            tracer.barrier()
+            tracer.store(layout.kv_addr(slot), layout.kv_slot_bytes)
+            tracer.store(layout.bucket_addr(destination), 64)
+        return True
 
     # -- BFS cuckoo displacement ---------------------------------------------------
     def _find_kick_path(self, index1: int,
@@ -470,6 +546,7 @@ class CuckooHashTable:
         buckets = self._buckets
         assoc = self.assoc
         mask = self._mask
+        alt_mix = ALT_BUCKET_MIX
         # Each node: (bucket_index, parent_node, position, depth), where
         # ``position`` is the parent-bucket entry that would move here;
         # the path is rebuilt from the parent links only once found.
@@ -494,8 +571,9 @@ class CuckooHashTable:
                 path.reverse()
                 return path
             for entry_position, entry in enumerate(bucket):
-                alt = secondary_index(bucket_index,
-                                      entry & _SIGNATURE_MASK, mask)
+                # ``secondary_index`` inlined: one dict read per entry.
+                alt = (bucket_index ^ alt_mix[entry & _SIGNATURE_MASK
+                                              | ALT_BUCKET_BITS]) & mask
                 if alt in visited:
                     continue
                 visited.add(alt)
@@ -510,8 +588,9 @@ class CuckooHashTable:
                  if position >= 0]
         for bucket_index, position in reversed(moves):
             entry = self._buckets[bucket_index][position]
-            destination = secondary_index(bucket_index,
-                                          entry & _SIGNATURE_MASK, self._mask)
+            destination = (bucket_index
+                           ^ ALT_BUCKET_MIX[entry & _SIGNATURE_MASK
+                                            | ALT_BUCKET_BITS]) & self._mask
             if len(self._buckets[destination]) >= self.assoc:
                 raise RuntimeError("BFS kick path invalidated mid-move")
             del self._buckets[bucket_index][position]

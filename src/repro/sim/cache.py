@@ -168,6 +168,36 @@ class Cache:
         self.stats.invalidations += 1
         return True
 
+    def invalidate_range(self, first: int, last: int) -> int:
+        """:meth:`invalidate` every line from ``first`` to ``last``
+        (inclusive); returns how many were dropped.
+
+        Walks the range or the resident lines, whichever is shorter.  The
+        result is the same either way: each set loses the same lines, a
+        deletion keeps the LRU order of the lines left, and locked lines
+        stay.
+        """
+        sets = self._sets
+        dropped = 0
+        if last - first + 1 <= sum(map(len, sets.values())):
+            mask = self.num_sets - 1
+            for line in range(first, last + 1):
+                cache_set = sets.get(line & mask)
+                if cache_set is not None:
+                    state = cache_set.get(line)
+                    if state is not None and not state & LOCKED:
+                        del cache_set[line]
+                        dropped += 1
+        else:
+            for cache_set in sets.values():
+                doomed = [line for line, state in cache_set.items()
+                          if first <= line <= last and not state & LOCKED]
+                for line in doomed:
+                    del cache_set[line]
+                dropped += len(doomed)
+        self.stats.invalidations += dropped
+        return dropped
+
     # -- HALO lock bit (reserved cache-line metadata bit, §4.4) --------------
     def lock(self, line: int) -> bool:
         cache_set = self._sets.get(self.set_index(line))

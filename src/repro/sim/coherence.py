@@ -48,6 +48,19 @@ class SnoopFilter:
             if not sharers:
                 self._sharers.pop(line, None)
 
+    def drop_lines(self, first: int, last: int) -> None:
+        """Forget every sharer of lines ``first`` to ``last`` (inclusive):
+        :meth:`record_eviction` of each line for every core, since every
+        sharer is a core.  Walks the range or the tracked lines, whichever
+        is shorter."""
+        sharers = self._sharers
+        if last - first + 1 <= len(sharers):
+            for line in range(first, last + 1):
+                sharers.pop(line, None)
+        else:
+            for line in [line for line in sharers if first <= line <= last]:
+                del sharers[line]
+
     def sharers_of(self, line: int) -> Set[int]:
         return set(self._sharers.get(line, ()))
 

@@ -496,9 +496,7 @@ class Engine:
                                     # an event so `events_processed`
                                     # matches the generic dispatch exactly.
                                     events += 1
-                                    waiter = waiters[0]
-                                    if not waiter.done:
-                                        waiter._step(None)
+                                    waiters[0]._step(None)
                                 else:
                                     for process in waiters:
                                         process.waiting_on = None
@@ -517,8 +515,9 @@ class Engine:
                                 pool.append(task)
                         elif (task.__class__ is process_cls
                                 or isinstance(task, process_cls)):
-                            if not task.done:
-                                task._step(value)
+                            # Never finished: a process is scheduled or
+                            # waits on one target at a time until it steps.
+                            task._step(value)
                         else:
                             task.succeed(value)
                     del buckets[cycle]
@@ -543,8 +542,7 @@ class Engine:
             self.now = when
             self.events_processed += 1
             if isinstance(task, Process):
-                if not task.done:
-                    task._step(value)
+                task._step(value)
             else:
                 task.succeed(value)
         self.now = max(self.now, until)
@@ -570,8 +568,7 @@ class Engine:
             self.events_processed += 1
             guard.before_event(self)
             if isinstance(task, Process):
-                if not task.done:
-                    task._step(value)
+                task._step(value)
             else:
                 task.succeed(value)
         guard.on_drain(self)

@@ -452,9 +452,10 @@ class MemoryHierarchy:
         """Pre-install a region's lines into the LLC; returns line count."""
         first = self.line_of(base)
         last = self.line_of(base + size - 1)
-        slice_of = self.interconnect.slice_of_line_uncached
-        for line in range(first, last + 1):
-            self._install_llc(slice_of(line), line)
+        install = self._install_llc
+        for line, slice_id in enumerate(
+                self.interconnect.slices_of_lines(first, last), first):
+            install(slice_id, line)
         return last - first + 1
 
     def flush_private(self, core_id: int) -> None:
@@ -466,17 +467,21 @@ class MemoryHierarchy:
 
         Models a working set displaced to DRAM (e.g. a hash table evicted
         by other tenants) without disturbing unrelated lines such as the
-        caller's key operand.
+        caller's key operand.  The same as invalidating each line in every
+        private cache and its LLC slice and recording its eviction from
+        every core, one structure at a time: every sharer the snoop filter
+        holds is a core.
         """
         first = self.line_of(base)
         last = self.line_of(base + size - 1)
-        slice_of = self.interconnect.slice_of_line_uncached
-        for line in range(first, last + 1):
-            for core in range(self.machine.cores):
-                self.l1[core].invalidate(line)
-                self.l2[core].invalidate(line)
-                self.snoop_filter.record_eviction(line, core)
-            self.llc[slice_of(line)].invalidate(line)
+        for core in range(self.machine.cores):
+            self.l1[core].invalidate_range(first, last)
+            self.l2[core].invalidate_range(first, last)
+        self.snoop_filter.drop_lines(first, last)
+        llc = self.llc
+        for line, slice_id in enumerate(
+                self.interconnect.slices_of_lines(first, last), first):
+            llc[slice_id].invalidate(line)
 
     def reset_stats(self) -> None:
         for cache in self.l1 + self.l2 + self.llc:
@@ -488,7 +493,9 @@ class MemoryHierarchy:
         first = self.line_of(base)
         last = self.line_of(base + size - 1)
         total = last - first + 1
-        slice_of = self.interconnect.slice_of_line_uncached
-        resident = sum(1 for line in range(first, last + 1)
-                       if self.llc[slice_of(line)].contains(line))
+        llc = self.llc
+        resident = sum(1 for line, slice_id in enumerate(
+                           self.interconnect.slices_of_lines(first, last),
+                           first)
+                       if llc[slice_id].contains(line))
         return resident / total

@@ -21,7 +21,9 @@ controller.  Two responsibilities:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
+
+import numpy as np
 
 from .params import LatencyParams, Topology
 
@@ -38,6 +40,33 @@ def mix64(value: int) -> int:
     value = (value ^ (value >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
     value = (value ^ (value >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
     return value ^ (value >> 31)
+
+
+# ``np.uint64`` operands keep every step in uint64, where multiplies wrap
+# modulo 2**64 exactly as ``mix64``'s masks do.
+_MIX_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_MUL2 = np.uint64(0x94D049BB133111EB)
+_SHIFT_27, _SHIFT_30, _SHIFT_31 = np.uint64(27), np.uint64(30), np.uint64(31)
+
+
+def mix64_array(values: np.ndarray) -> np.ndarray:
+    """:func:`mix64` of every element of a one-dimensional ``uint64`` array.
+
+    Public contract: ``mix64_array(a).tolist() == [mix64(v) for v in
+    a.tolist()]``.  Only xor, shift and multiply run, in ``uint64`` with
+    wrap-around, and ``values`` is not modified.
+    """
+    mixed = values ^ (values >> _SHIFT_30)
+    mixed *= _MIX_MUL1
+    mixed ^= mixed >> _SHIFT_27
+    mixed *= _MIX_MUL2
+    mixed ^= mixed >> _SHIFT_31
+    return mixed
+
+
+#: Lines hashed per :func:`mix64_array` pass of a region sweep; bounds the
+#: sweep's numpy temporaries whatever the region's size.
+SWEEP_CHUNK_LINES = 1 << 12
 
 
 @dataclass
@@ -107,10 +136,19 @@ class Interconnect:
             slice_id = memo[line] = mix64(line) % self.stops
         return slice_id
 
-    def slice_of_line_uncached(self, line: int) -> int:
-        """:meth:`slice_of_line` without the memo, for one-pass sweeps over
-        a region (warming, flushing), whose lines would only crowd it."""
-        return mix64(line) % self.stops
+    def slices_of_lines(self, first: int, last: int) -> Iterator[int]:
+        """:meth:`slice_of_line` of every line from ``first`` to ``last``
+        (inclusive), in line order.
+
+        For one-pass sweeps over a region (warming, flushing), whose lines
+        would only crowd the memo: they bypass it and are hashed
+        :data:`SWEEP_CHUNK_LINES` at a time through :func:`mix64_array`.
+        """
+        stops = np.uint64(self.stops)
+        for start in range(first, last + 1, SWEEP_CHUNK_LINES):
+            stop = min(start + SWEEP_CHUNK_LINES, last + 1)
+            lines = np.arange(start, stop, dtype=np.uint64)
+            yield from (mix64_array(lines) % stops).tolist()
 
     def slice_of_table(self, table_base_addr: int) -> int:
         """HALO query-distributor target for a table address (§4.3).

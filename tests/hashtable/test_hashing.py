@@ -61,3 +61,23 @@ def test_secondary_index_usually_differs():
     same = sum(1 for sig in range(500)
                if secondary_index(7, sig, mask) == 7)
     assert same <= 2
+
+
+def test_alternate_bucket_table_matches_mix64():
+    """``secondary_index`` reads a 128-entry table; it must name the
+    bucket the mixer does for every 16-bit signature."""
+    from repro.hashtable.hashing import ALT_BUCKET_MIX
+
+    assert len(ALT_BUCKET_MIX) == 128
+    mask = (1 << 64) - 1
+    for signature in range(1 << 16):
+        assert (secondary_index(0, signature, mask)
+                == mix64(signature | 0x5BD1))
+
+
+def test_hash_many_rejects_keys_of_another_length():
+    from repro.hashtable.hashing import hash_many
+
+    with pytest.raises(ValueError, match="length 16"):
+        hash_many([bytes(16), bytes(15)], 16)
+    assert hash_many([], 16).tolist() == []

@@ -4,13 +4,15 @@
 were rewritten.  The same operation sequence (inserts until kicks and
 failed inserts happen, updates, deletes, probes, hits and misses under
 a recording :class:`~repro.sim.trace.Tracer`, repeated so the
-lookup-trace memo answers some of them, and the EMC's install: probe a
+lookup-trace memo answers some of them, the EMC's install: probe a
 key, delete another, then ``insert_planned`` through the probe's plan
-where the reference inserts the key) drives both tables, and after
-every operation the two must agree on the return value, the bucket and
-key-value arrays, the freed-slot order, the next unused slot, the stats,
-the optimistic lock and the emitted trace.  ``hash_bytes`` is held to the
-reference's over every key length from 1 to 64 bytes.
+where the reference inserts the key, and ``insert_many`` batches with
+repeated and present keys where the reference inserts one key at a
+time) drives both tables, and after every operation the two must agree
+on the return value, the bucket and key-value arrays, the freed-slot
+order, the next unused slot, the stats, the optimistic lock and the
+emitted trace.  ``hash_bytes`` and ``hash_many`` are held to the
+reference's ``hash_bytes`` over every key length from 1 to 64 bytes.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hashtable import CuckooHashTable
-from repro.hashtable.hashing import hash_bytes, signature_of
+from repro.hashtable.hashing import hash_bytes, hash_many, signature_of
 from repro.sim.trace import NULL_TRACER, Tracer
 
 from . import reference_cuckoo as reference
@@ -68,6 +70,8 @@ operations = st.lists(
         st.tuples(st.just("insert"), key_index, st.integers(0, 99)),
         st.tuples(st.just("fill"),
                   st.lists(key_index, min_size=1, max_size=32)),
+        st.tuples(st.just("batch"),
+                  st.lists(key_index, min_size=1, max_size=48)),
         st.tuples(st.just("delete"), key_index),
         st.tuples(st.just("lookups"),
                   st.lists(key_index, min_size=1, max_size=8)),
@@ -94,6 +98,8 @@ class Pair:
         self.updates = 0
         self.slot_reuses = 0
         self.planned_inserts = 0
+        self.batch_updates = 0
+        self.batch_failures = 0
 
     def _both(self, call):
         """``call(table)`` on both tables; both results and traces."""
@@ -141,6 +147,19 @@ class Pair:
                                   if table is self.live
                                   else table.insert(key, value)))
 
+    def insert_batch(self, indices):
+        """One ``insert_many`` on the live table, a loop of ``insert``
+        on the reference.  A batch repeats its first key at its end, so
+        some pair always updates a key the batch placed or found."""
+        pairs = [(self.keys[index], 100 + position)
+                 for position, index in enumerate(indices + indices[:1])]
+        size = len(self.live)
+        results = self.check(lambda table: (
+            table.insert_many(pairs) if table is self.live
+            else [table.insert(key, value) for key, value in pairs]))
+        self.batch_failures += results.count(False)
+        self.batch_updates += results.count(True) - (len(self.live) - size)
+
     def lookup(self, key):
         cached = self.live._trace_memo.get(key)
         if cached is not None and cached[0] == self.live._mutations:
@@ -156,6 +175,8 @@ class Pair:
             elif kind == "fill":
                 for index in op[1]:
                     self.insert(keys[index], index)
+            elif kind == "batch":
+                self.insert_batch(op[1])
             elif kind == "delete":
                 key = keys[op[1]]
                 self.check(lambda table: table.delete(key))
@@ -200,9 +221,12 @@ def test_fixed_run_reaches_every_path(key_bytes):
             op = ("delete", rng.randrange(POOL_SIZE))
         elif roll < 0.85:
             op = ("lookups", [rng.randrange(POOL_SIZE) for _ in range(6)])
-        elif roll < 0.95:
+        elif roll < 0.90:
             op = ("planned", rng.randrange(POOL_SIZE),
                   rng.randrange(POOL_SIZE), rng.randrange(100))
+        elif roll < 0.95:
+            op = ("batch", [rng.randrange(POOL_SIZE)
+                            for _ in range(rng.randrange(1, 24))])
         else:
             op = ("lookup_at", rng.randrange(POOL_SIZE))
         pair.run([op])
@@ -215,6 +239,8 @@ def test_fixed_run_reaches_every_path(key_bytes):
     assert pair.slot_reuses > 0
     assert pair.memo_hits > 0
     assert pair.planned_inserts > 0
+    assert pair.batch_updates > 0
+    assert pair.batch_failures > 0
 
 
 @pytest.mark.parametrize("key_bytes", KEY_SIZES)
@@ -231,6 +257,45 @@ def test_every_entry_point_rejects_a_wrong_length_key(key_bytes):
     assert table.lookup(good) == 1
 
 
+@pytest.mark.parametrize("key_bytes", KEY_SIZES)
+def test_insert_many_checks_every_key_before_changing_anything(key_bytes):
+    """Where a loop of ``insert`` would place the keys before a bad one,
+    ``insert_many`` raises first and leaves the table as it was."""
+    tracer = Tracer()
+    table = CuckooHashTable(CAPACITY, key_bytes=key_bytes, tracer=tracer)
+    keys = key_pool(key_bytes)
+    table.insert(keys[0], 0)
+    snapshot = (list(map(list, table._buckets)), list(table._kv),
+                dataclasses.astuple(table.stats), table.lock.counter,
+                table._mutations)
+    for bad in (keys[2][:-1], keys[2] + b"\x00"):
+        tracer.begin()
+        with pytest.raises(ValueError, match="key length"):
+            table.insert_many([(keys[1], 1), (keys[0], 2), (bad, 3)])
+        assert not tracer.take().ops
+        assert (list(map(list, table._buckets)), list(table._kv),
+                dataclasses.astuple(table.stats), table.lock.counter,
+                table._mutations) == snapshot
+
+
+@pytest.mark.parametrize("key_bytes", KEY_SIZES)
+def test_insert_many_across_hash_chunks(key_bytes, monkeypatch):
+    """Batches longer than the hash chunk (7 keys here) match the
+    reference's one-key inserts, through fills, updates and failures."""
+    from repro.hashtable import cuckoo
+
+    monkeypatch.setattr(cuckoo, "INSERT_CHUNK_KEYS", 7)
+    rng = random.Random(key_bytes)
+    pair = Pair(key_bytes)
+    for _ in range(6):
+        pair.insert_batch([rng.randrange(POOL_SIZE) for _ in range(60)])
+        key = pair.keys[rng.randrange(POOL_SIZE)]
+        pair.check(lambda table: table.delete(key))
+    assert pair.batch_updates > 0
+    assert pair.batch_failures > 0
+    assert pair.live.stats.kicks > 0
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.binary(min_size=1, max_size=64),
        seed=st.integers(0, 2 ** 64 - 1))
@@ -239,9 +304,16 @@ def test_hash_bytes_matches_reference(data, seed):
 
 
 def test_hash_bytes_matches_reference_at_every_length():
+    """Also ``hash_many`` over each length's keys, tail lane included,
+    at fixed and random seeds."""
     rng = random.Random(64)
     for length in range(1, 65):
+        keys = []
         for _ in range(20):
             data = rng.randbytes(length)
             seed = rng.getrandbits(64)
             assert hash_bytes(data, seed) == reference.hash_bytes(data, seed)
+            keys.append(data)
+        for seed in (0, 0x5EED, 2 ** 64 - 1, rng.getrandbits(64)):
+            assert hash_many(keys, length, seed).tolist() == [
+                reference.hash_bytes(key, seed) for key in keys]

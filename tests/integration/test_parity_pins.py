@@ -17,6 +17,7 @@ and requires every number in every payload to match at ``rel=1e-12``:
 * **bounded vs whole-stream windows** (every replay horizon capped at
   ``WINDOW_CYCLES`` ahead): where a stream would be one window, it is
   cut into many; where the cuts fall must never show in the numbers.
+  Each such run must ask the capped horizon.
 * **guard on vs off**: :func:`repro.guard.attach_standard_guard` on
   every :class:`~repro.core.HaloSystem` the experiment builds (a
   test-side wrapper of ``HaloSystem.__init__``).  The safety net
@@ -24,23 +25,25 @@ and requires every number in every payload to match at ``rel=1e-12``:
   nothing ahead of the engine (:func:`repro.sim.replay.observer`);
   observation must never perturb results, and each guard must have
   seen every event of its engine.
-* **the full stack** — every horizon now and a guard on every system
-  together against the plain defaults.  The guard's observer answers
-  before any program asks the horizon, so the run is the guard's
-  timeline.
+* **bulk vs one-at-a-time table builds**
+  (``CuckooHashTable.insert_many`` replaced by a loop of ``insert``):
+  hashing a batch in one numpy pass must build the same tables.  Each
+  such run must have called ``insert_many``.
 
 Covered experiments: fig09, fig11, multicore scaling, and the
 degradation sweep — the four the speed campaign leans on hardest — and
 the software switch's fused packets (one engine step per packet on an
 idle engine, :mod:`repro.vswitch.switch`).  Multicore and degradation
 never ask the horizon (per-key software lookups, ``lookup_nb``
-fan-outs, fault hooks on every stream), so the every-horizon-is-now pin
-runs fig09, fig11 and fig03 only.  Both caps force the switch's
-per-stage path, so fig03 runs under both, and fig12, whose collocated
-switch shares the engine with an NF, under the bounded cap.  A guarded
-fig03 quick grid takes about 100 s (the guard sweeps every invariant at
-each drain, once per packet), so the guarded switch is pinned in
-``tests/vswitch/test_switch_programs.py``.  HALO queries fuse the same
+fan-outs, fault hooks on every stream), so neither horizon pin runs
+them: a cap there would compare the defaults with themselves.  Guarded
+with every horizon capped, a run is the guarded run, because the
+guard's observer answers before any program asks the horizon.  Both
+caps force the switch's per-stage path, so fig03 runs under both, and
+fig12, whose collocated switch shares the engine with an NF, under the
+bounded cap.  A guarded fig03 quick grid takes about 100 s (the guard
+sweeps every invariant at each drain, once per packet), so the guarded
+switch is pinned in ``tests/vswitch/test_switch_programs.py``.  HALO queries fuse the same
 way (one engine step per ``LOOKUP_B`` or one-table batch chunk on an
 idle engine, :mod:`repro.core.isa`), and a capped horizon or a guard
 puts them on the per-stage path: fig09's ``halo-b`` and ``halo-nb``
@@ -60,6 +63,7 @@ import pytest
 
 from repro.core import HaloSystem
 from repro.guard import attach_standard_guard
+from repro.hashtable import CuckooHashTable
 from repro.runner import run_for_bench
 from repro.sim.engine import Engine
 from repro.sim.stats import Breakdown
@@ -216,33 +220,39 @@ def test_guard_parity(name, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name", EXPERIMENTS + SWITCH_EXPERIMENTS + COLLOCATED_SWITCH_EXPERIMENTS
-    + FUSED_QUERY_EXPERIMENTS)
+    "name", RUN_AHEAD_EXPERIMENTS + SWITCH_EXPERIMENTS
+    + COLLOCATED_SWITCH_EXPERIMENTS + FUSED_QUERY_EXPERIMENTS)
 def test_windowed_replay_parity(name, monkeypatch):
     """Whole-stream windows vs windows bounded at ``WINDOW_CYCLES``; the
     cap also puts every HALO query on its per-stage path."""
     whole = _defaults(name)
     next_event_time = Engine.next_event_time
+    reads = [0]
 
     def capped(engine):
+        reads[0] += 1
         horizon = next_event_time(engine)
         cap = engine.now + WINDOW_CYCLES
         return cap if horizon is None or horizon > cap else horizon
 
     monkeypatch.setattr(Engine, "next_event_time", capped)
     bounded = _snapshot(name)
+    assert reads[0] > 0, f"{name}: no program asked the engine's horizon"
     _assert_parity(name, whole, bounded,
                    f"horizons capped at {WINDOW_CYCLES:g} cycles")
 
 
-@pytest.mark.parametrize("name", ("multicore", "degradation"))
-def test_full_stack_parity(name, monkeypatch):
-    """Every horizon capped at now and a guard on every system at once vs
-    the plain defaults."""
-    baseline = _defaults(name)
-    _cap_horizons_at_now(monkeypatch)
-    guarded = _guard_every_system(monkeypatch)
-    stacked = _snapshot(name)
-    _assert_guards_ran(name, guarded)
-    _assert_parity(name, baseline, stacked,
-                   "horizons capped at now + attach_standard_guard")
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_bulk_build_parity(name, monkeypatch):
+    """Tables built by ``insert_many`` vs by a loop of ``insert``."""
+    bulk = _defaults(name)
+    batches = [0]
+
+    def one_at_a_time(table, items):
+        batches[0] += 1
+        return [table.insert(key, value) for key, value in items]
+
+    monkeypatch.setattr(CuckooHashTable, "insert_many", one_at_a_time)
+    looped = _snapshot(name)
+    assert batches[0] > 0, f"{name}: no table was built by insert_many"
+    _assert_parity(name, bulk, looped, "insert_many as a loop of insert")

@@ -133,3 +133,38 @@ def test_miss_rate():
     assert cache.stats.miss_rate == pytest.approx(0.5)
     cache.stats.reset()
     assert cache.stats.accesses == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_invalidate_range_matches_invalidate(seed):
+    """One ``invalidate_range`` against ``invalidate`` per line, over
+    ranges shorter and longer than the resident lines (the two walks),
+    with locked and dirty lines: the same sets in LRU order with their
+    state bits, the same stats, the same count."""
+    import dataclasses
+    import random
+
+    rng = random.Random(seed)
+    bulk, per_line = make_cache(), make_cache()
+    for _ in range(30):
+        for _ in range(40):
+            line = rng.randrange(400)
+            dirty = rng.random() < 0.3
+            for cache in (bulk, per_line):
+                cache.fill(line, dirty=dirty)
+        for _ in range(4):
+            line = rng.randrange(400)
+            assert bulk.lock(line) == per_line.lock(line)
+        first = rng.randrange(400)
+        last = first + rng.choice((-1, 0, rng.randrange(16),
+                                   rng.randrange(400)))
+        dropped = sum(per_line.invalidate(line)
+                      for line in range(first, last + 1))
+        assert bulk.invalidate_range(first, last) == dropped
+        assert ({index: list(lines.items())
+                 for index, lines in bulk._sets.items()}
+                == {index: list(lines.items())
+                    for index, lines in per_line._sets.items()})
+        assert (dataclasses.astuple(bulk.stats)
+                == dataclasses.astuple(per_line.stats))
+    assert bulk.locked_lines > 0

@@ -166,3 +166,78 @@ def test_slice_mapping_matches_interconnect(hierarchy):
     addr = 0x123456
     assert (hierarchy.slice_of(addr)
             == hierarchy.interconnect.slice_of_line(hierarchy.line_of(addr)))
+
+
+def _flush_region_per_line(hierarchy, base, size):
+    """``flush_region`` one line at a time: each private cache's
+    ``invalidate`` and the snoop filter's ``record_eviction`` per line per
+    core, then the line's LLC slice."""
+    from repro.sim.interconnect import mix64
+
+    first = hierarchy.line_of(base)
+    last = hierarchy.line_of(base + size - 1)
+    for line in range(first, last + 1):
+        for core in range(hierarchy.machine.cores):
+            hierarchy.l1[core].invalidate(line)
+            hierarchy.l2[core].invalidate(line)
+            hierarchy.snoop_filter.record_eviction(line, core)
+        hierarchy.llc[mix64(line) % len(hierarchy.llc)].invalidate(line)
+
+
+def _hierarchy_state(hierarchy):
+    """Every cache set in LRU order with its state bits, every cache's
+    stats, and the snoop filter's sharer sets and metadata holders."""
+    import dataclasses
+
+    caches = [(cache.name,
+               {index: list(cache_set.items())
+                for index, cache_set in cache._sets.items()},
+               dataclasses.astuple(cache.stats))
+              for cache in hierarchy.l1 + hierarchy.l2 + hierarchy.llc]
+    snoop = hierarchy.snoop_filter
+    return caches, snoop._sharers, snoop._metadata_holder
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_region_sweeps_match_per_line_loop(seed):
+    """``flush_region``'s bulk passes against the per-line loop, over
+    random regions both shorter and longer than what each cache holds,
+    with some LLC lines locked; ``warm_llc`` and
+    ``llc_resident_fraction`` run between flushes."""
+    import random
+
+    from repro.sim import MachineParams
+    from repro.sim.params import KB, CacheParams
+
+    machine = MachineParams(cores=4, llc_slices=4,
+                            l1d=CacheParams(4 * KB, 4),
+                            l2=CacheParams(16 * KB, 4),
+                            llc_slice=CacheParams(64 * KB, 8))
+    rng = random.Random(seed)
+    bulk, per_line = MemoryHierarchy(machine), MemoryHierarchy(machine)
+    span = 6000     # lines: beyond the LLC's 4096, so fills evict
+    for round_index in range(12):
+        for _ in range(1500):
+            core = rng.randrange(machine.cores)
+            addr = rng.randrange(span) * 64 + rng.randrange(64)
+            write = rng.random() < 0.3
+            for hierarchy in (bulk, per_line):
+                hierarchy.core_access(core, addr, write=write)
+        for _ in range(20):
+            addr = rng.randrange(span) * 64
+            assert bulk.lock_line(addr) == per_line.lock_line(addr)
+        base = rng.randrange(span) * 64 + rng.randrange(64)
+        size = rng.choice((1, 64, rng.randrange(64 * 40),
+                           rng.randrange(64 * span)))
+        bulk.flush_region(base, size)
+        _flush_region_per_line(per_line, base, size)
+        assert _hierarchy_state(bulk) == _hierarchy_state(per_line)
+        if round_index % 3 == 0:
+            base = rng.randrange(span) * 64
+            size = rng.randrange(64 * 300)
+            assert bulk.warm_llc(base, size) == per_line.warm_llc(base, size)
+            assert _hierarchy_state(bulk) == _hierarchy_state(per_line)
+        assert (bulk.llc_resident_fraction(0, span * 64)
+                == per_line.llc_resident_fraction(0, span * 64))
+    locked = sum(cache.locked_lines for cache in bulk.llc)
+    assert locked > 0

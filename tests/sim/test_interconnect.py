@@ -1,6 +1,7 @@
 """Ring interconnect: slice hashing and hop latency."""
 
 import collections
+import random
 
 import pytest
 
@@ -118,10 +119,36 @@ def test_region_sweeps_leave_the_slice_memo_alone():
     assert ring._slice_memo == memo
     for region in (layout.metadata, layout.buckets, layout.key_values):
         flushed = region is not layout.metadata
-        for line in lines(region):
-            slice_id = ring.slice_of_line(line)
-            assert slice_id == ring.slice_of_line_uncached(line)
+        region_lines = lines(region)
+        slices = [ring.slice_of_line(line) for line in region_lines]
+        assert list(ring.slices_of_lines(region_lines[0],
+                                         region_lines[-1])) == slices
+        for line, slice_id in zip(region_lines, slices):
             assert hierarchy.llc[slice_id].contains(line) != flushed
+
+
+def test_mix64_array_matches_mix64():
+    import numpy as np
+
+    from repro.sim.interconnect import mix64, mix64_array
+
+    rng = random.Random(64)
+    values = [0, 1, 2 ** 63, 2 ** 64 - 1] + [rng.getrandbits(64)
+                                              for _ in range(4096)]
+    array = np.array(values, dtype=np.uint64)
+    assert mix64_array(array).tolist() == [mix64(v) for v in values]
+    assert array.tolist() == values   # the input is left alone
+
+
+@pytest.mark.parametrize("first,last", [
+    (0, -1), (5, 5), (0, 20), (13, 48), (2 ** 40 - 3, 2 ** 40 + 17)])
+def test_slices_of_lines_match_slice_of_line(ring, monkeypatch, first, last):
+    """Chunk boundaries (7 lines a pass here) never show."""
+    from repro.sim import interconnect
+
+    monkeypatch.setattr(interconnect, "SWEEP_CHUNK_LINES", 7)
+    assert list(ring.slices_of_lines(first, last)) == [
+        ring.slice_of_line(line) for line in range(first, last + 1)]
 
 
 def test_slice_memo_never_exceeds_its_cap(ring, monkeypatch):
