@@ -2,10 +2,10 @@
 """Enforce public-contract module docstrings on the pinned contract modules.
 
 The supervised pool, the campaign journal, the trace-replay fast path,
-the cuckoo table's placement and traces, the virtual switch's fused
-packets, the cluster layer, the churn workload engine, the cache-policy
-seam, and the trace persistence formats are API that external harnesses
-build against.  Each of those
+the tracer's recording window, the cuckoo table's placement and traces,
+the virtual switch's fused packets, the cluster layer, the churn
+workload engine, the cache-policy seam, and the trace persistence
+formats are API that external harnesses build against.  Each of those
 modules must open with a module docstring that (a) exists, (b) is
 substantial (not a one-line stub), and (c) explicitly states its public
 contract: a line containing the phrase ``Public contract`` separating
@@ -33,6 +33,7 @@ CONTRACT_MODULES = (
     "repro/runner/pool.py",
     "repro/runner/journal.py",
     "repro/sim/replay.py",
+    "repro/sim/trace.py",
     "repro/core/accelerator.py",
     "repro/core/isa.py",
     "repro/hashtable/cuckoo.py",

@@ -117,8 +117,10 @@ def run(flow_counts=DEFAULT_FLOW_COUNTS, lookups: int = 1_200,
                 table = SingleHashTable(count,
                                         allocator=hierarchy.allocator,
                                         tracer=tracer)
-            # Scalar: one traced build loop serves both table kinds, and
-            # the single-hash table has no bulk insert.
+            # Scalar: one build loop serves both table kinds, and the
+            # single-hash table has no bulk insert.  The tracer stays
+            # disabled until ``_measure`` opens its first recording, so
+            # the build records nothing.
             for index, key in enumerate(keys):
                 table.insert(key, index)
             hierarchy.flush_private(0)

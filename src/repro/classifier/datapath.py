@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 from ..obs.metrics import MetricsRegistry
 from ..sim.memory import AddressAllocator
-from ..sim.trace import Tracer, NULL_TRACER
+from ..sim.trace import Tracer
 from .cache_policy import CachePolicy
 from .emc import DEFAULT_EMC_ENTRIES, ExactMatchCache
 from .flow import FiveTuple
@@ -73,7 +73,7 @@ class OvsDatapath:
 
     def __init__(self,
                  allocator: Optional[AddressAllocator] = None,
-                 tracer: Tracer = NULL_TRACER,
+                 tracer: Optional[Tracer] = None,
                  emc_entries: int = DEFAULT_EMC_ENTRIES,
                  megaflow_tuple_capacity: int = 1024,
                  emc_enabled: bool = True,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Generator, List, Optional, Sequence, Tuple
 
 from ..sim.memory import AddressAllocator
-from ..sim.trace import InstructionMix, Tracer, NULL_TRACER
+from ..sim.trace import InstructionMix, Tracer
 from .flow import FiveTuple
 from .rules import Rule
 
@@ -97,14 +97,14 @@ class DecisionTreeClassifier:
                  leaf_rules: int = DEFAULT_LEAF_RULES,
                  cuts: int = DEFAULT_CUTS,
                  allocator: Optional[AddressAllocator] = None,
-                 tracer: Tracer = NULL_TRACER,
+                 tracer: Optional[Tracer] = None,
                  name: str = "dtree") -> None:
         if cuts < 2 or cuts & (cuts - 1):
             raise ValueError("cuts must be a power of two >= 2")
         self.rules = list(rules)
         self.leaf_rules = leaf_rules
         self.cuts = cuts
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else Tracer()
         self._allocator = allocator or AddressAllocator(1 << 34)
         # Pre-allocate a node region; nodes are bump-allocated lines.
         self._region = self._allocator.alloc(1 << 22, f"{name}.nodes")

@@ -23,7 +23,7 @@ from typing import Optional, Union
 from ..hashtable.cuckoo import CuckooHashTable
 from ..obs.metrics import (MetricsRegistry, NULL_COUNTER, NULL_HISTOGRAM)
 from ..sim.memory import AddressAllocator
-from ..sim.trace import Tracer, NULL_TRACER
+from ..sim.trace import Tracer
 from .cache_policy import CachePolicy, RandomEvictionPolicy, make_policy
 from .flow import FiveTuple
 from .rules import Rule
@@ -60,7 +60,7 @@ class ExactMatchCache:
 
     def __init__(self, capacity: int = DEFAULT_EMC_ENTRIES,
                  allocator: Optional[AddressAllocator] = None,
-                 tracer: Tracer = NULL_TRACER,
+                 tracer: Optional[Tracer] = None,
                  seed: int = 0xE3C,
                  name: str = "emc",
                  policy: Union[str, CachePolicy, None] = None,

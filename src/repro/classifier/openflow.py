@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..sim.memory import AddressAllocator
-from ..sim.trace import Tracer, NULL_TRACER
+from ..sim.trace import Tracer
 from .flow import FiveTuple
 from .rules import Rule, rule_rank
 from .tuple_space import TupleSpaceSearch
@@ -29,7 +29,7 @@ class OpenFlowLayer:
     """Priority-correct classification over all tuples."""
 
     def __init__(self, allocator: Optional[AddressAllocator] = None,
-                 tracer: Tracer = NULL_TRACER,
+                 tracer: Optional[Tracer] = None,
                  tuple_capacity: int = 4096,
                  name: str = "openflow") -> None:
         self.tss = TupleSpaceSearch(

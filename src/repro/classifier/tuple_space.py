@@ -19,7 +19,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..hashtable.cuckoo import CuckooHashTable
 from ..sim.memory import AddressAllocator
-from ..sim.trace import Tracer, NULL_TRACER
+from ..sim.trace import Tracer
 from .flow import FiveTuple, FlowMask
 from .rules import Rule
 
@@ -53,11 +53,11 @@ class TupleSpaceSearch:
     """The tuple-space classifier."""
 
     def __init__(self, allocator: Optional[AddressAllocator] = None,
-                 tracer: Tracer = NULL_TRACER,
+                 tracer: Optional[Tracer] = None,
                  tuple_capacity: int = DEFAULT_TUPLE_CAPACITY,
                  name: str = "tss") -> None:
         self.allocator = allocator
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else Tracer()
         self.tuple_capacity = tuple_capacity
         self.name = name
         self._tuples: Dict[FlowMask, TupleEntry] = {}

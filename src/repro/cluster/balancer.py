@@ -291,10 +291,17 @@ class RssBalancer:
         lowest entry/shard index.  Failed shards are excluded from both
         donor and receiver roles; moves update each entry's ``home``
         (rebalancing is a deliberate re-steer, unlike failover).
+
+        ``max_moves`` bounds the greedy steps.  A step can pick an entry
+        an earlier step of the same pass moved, but the pass is one
+        table rewrite, so ``moves`` lists each re-steered entry once, as
+        ``(entry, shard before the pass, shard after it)``.
         """
         if max_moves < 0:
             raise ValueError(f"max_moves must be >= 0 (got {max_moves})")
         candidates_pool = self.healthy_shards
+        table_before = list(self.table)
+        stepped: Dict[int, None] = {}  # entries in first-step order
         entry_loads = self.entry_loads(keys)
         loads = [0] * self.shards
         for entry, load in enumerate(entry_loads):
@@ -322,13 +329,17 @@ class RssBalancer:
                         key=lambda e: (entry_loads[e], -e))
             weight = entry_loads[entry]
             self.table[entry] = receiver
-            self.home[entry] = receiver
             by_shard[donor].remove(entry)
             by_shard[receiver].append(entry)
             loads[donor] -= weight
             loads[receiver] += weight
-            result.moves.append((entry, donor, receiver))
+            stepped[entry] = None
 
+        result.moves = [(entry, table_before[entry], self.table[entry])
+                        for entry in stepped
+                        if self.table[entry] != table_before[entry]]
+        for entry, _donor, receiver in result.moves:
+            self.home[entry] = receiver
         if result.moves:
             self._log_change("rebalance", None,
                              tuple((e, f, t) for e, f, t in result.moves))

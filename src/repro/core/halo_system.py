@@ -30,7 +30,7 @@ from ..sim.engine import Engine
 from ..sim.hierarchy import MemoryHierarchy
 from ..sim.params import MachineParams, SKYLAKE_SP_16C
 from ..sim.stats import throughput_mops
-from ..sim.trace import CoreTracerRouter, Tracer
+from ..sim.trace import Tracer
 from .accelerator import HaloAccelerator
 from .distributor import QueryDistributor
 from .hybrid import HybridController
@@ -77,11 +77,11 @@ class HaloSystem:
         self.distributor = QueryDistributor(
             self.engine, self.hierarchy, self.accelerators)
         self.isa = HaloIsa(self.engine, self.hierarchy, self.distributor)
-        # One router shared by every table: recording lands in the tracer of
-        # whichever core is active, so concurrent cores never clobber each
-        # other's in-flight traces.  Outside a capture it is disabled, so
+        # One tracer shared by every table and core: each recording opens
+        # and closes inside one plain call within one engine step, so no two
+        # are ever open at once.  Outside a recording it is disabled, so
         # filling tables skips the trace API and keeps no trace ops.
-        self.tracer = CoreTracerRouter()
+        self.tracer = Tracer()
         self.hybrid = HybridController(
             [acc.flow_register for acc in self.accelerators])
         registry = self.obs.metrics
@@ -118,14 +118,8 @@ class HaloSystem:
         self.hierarchy.flush_region(layout.key_values.base,
                                     layout.key_values.size)
 
-    def software_engine(self, core_id: int = 0,
-                        with_locking: bool = True) -> SoftwareLookupEngine:
-        return SoftwareLookupEngine(self.hierarchy, core_id,
-                                    with_locking=with_locking)
-
-    def tracer_for(self, core_id: int) -> Tracer:
-        """The per-core tracer behind the shared routing front-end."""
-        return self.tracer.tracer_for(core_id)
+    def software_engine(self, core_id: int = 0) -> SoftwareLookupEngine:
+        return SoftwareLookupEngine(self.hierarchy, core_id)
 
     def backend(self, kind, core_id: int = 0, **kwargs):
         """Build a :class:`~repro.exec.backend.LookupBackend` on this system.
@@ -200,8 +194,7 @@ class HaloSystem:
 
     def run_software_lookups(self, table: CuckooHashTable,
                              keys: Iterable[bytes],
-                             core_id: int = 0,
-                             with_locking: bool = True) -> Episode:
+                             core_id: int = 0) -> Episode:
         """The software baseline over the same machine state.
 
         Scheduled through the engine like every other backend: the cycle
@@ -209,16 +202,11 @@ class HaloSystem:
         simulated time so software cores can collocate with HALO traffic.
         """
         episode = self.run_backend_lookups("software", table, keys,
-                                           core_id=core_id,
-                                           with_locking=with_locking)
+                                           core_id=core_id)
         episode.results = [outcome.value for outcome in episode.results]
         return episode
 
     # -- observability ----------------------------------------------------------
-    def export_observability(self) -> dict:
-        """Metrics snapshot + per-query span trees, JSON-serialisable."""
-        return self.obs.export()
-
     def report(self) -> str:
         """Per-component breakdown table over every registered metric."""
         return render_metrics_report(

@@ -17,10 +17,10 @@ Every backend's ``lookup``/``lookup_stream``/``search`` return
 menting per-mode dispatch.  A software stream always captures its traces
 up front and replays them through :class:`~repro.sim.replay.TraceReplay`,
 whose one stepping rule (:func:`~repro.sim.replay.observer` and the
-engine's horizon) decides how many engine steps it takes.  The software
-backend additionally exposes :meth:`SoftwareBackend.traced_call` — the
-primitive the virtual switch uses to charge arbitrary traced structure
-operations (EMC probes, megaflow installs) to its core.
+engine's horizon) decides how many engine steps it takes.  A software
+backend's :attr:`SoftwareBackend.software` engine is also what the
+virtual switch prices its traced structure operations (EMC probes,
+megaflow installs) on.
 
 This module deliberately imports nothing from :mod:`repro.core` at module
 level: backends reach the ISA, hierarchy, and software engine through the
@@ -39,7 +39,6 @@ from typing import Any, ClassVar, Generator, Iterable, List, Optional, Sequence,
 
 from ..hashtable.locking import READ_SIDE_CYCLES
 from ..sim.replay import TraceReplay
-from ..sim.trace import capture
 
 
 class BackendKind(Enum):
@@ -233,11 +232,9 @@ class SoftwareBackend(LookupBackend):
     kind = BackendKind.SOFTWARE
     replaces_emc = False
 
-    def __init__(self, system, core_id: int = 0,
-                 with_locking: bool = True) -> None:
+    def __init__(self, system, core_id: int = 0) -> None:
         super().__init__(system, core_id)
-        self.software = system.software_engine(core_id,
-                                               with_locking=with_locking)
+        self.software = system.software_engine(core_id)
         obs = getattr(system, "obs", None)
         self.replay = TraceReplay(self.software.core, system.engine,
                                   metrics=getattr(obs, "metrics", None))
@@ -256,34 +253,13 @@ class SoftwareBackend(LookupBackend):
     def lookup_stream(self, table, keys: Iterable[bytes]) -> Generator:
         """Program for a key stream: every trace is captured up front and
         replayed through :class:`~repro.sim.replay.TraceReplay`."""
-        software = self.software
-        values, traces = software.capture_lookups(table, keys)
-        lock_cycles = READ_SIDE_CYCLES if software.with_locking else 0.0
+        values, traces = self.software.capture_lookups(table, keys)
         results = yield from self.replay.replay(
-            traces, lock_cycles_each=lock_cycles)
+            traces, lock_cycles_each=READ_SIDE_CYCLES)
         outcome_cls = LookupOutcome
         return [outcome_cls(value=value, found=value is not None,
                             cycles=result.cycles)
                 for value, result in zip(values, results)]
-
-    def traced_call(self, func, *args, lock_cycles: Optional[float] = None,
-                    **kwargs) -> Generator:
-        """Run any traced functional call on this core as a DES step.
-
-        Captures the call's memory trace under this core's tracer, prices
-        it on the core model (read-side lock overhead by default, matching
-        the per-op cost the switch always charged), and spends the cycles
-        as engine time.  Returns ``(value, ExecutionResult)``.
-        """
-        tracer = self.system.tracer
-        value, trace = capture(tracer, self.core_id, func, *args, **kwargs)
-        if lock_cycles is None:
-            lock_cycles = (READ_SIDE_CYCLES if self.software.with_locking
-                           else 0.0)
-        result = self.software.core.execute(trace, lock_cycles=lock_cycles)
-        if result.cycles:
-            yield self.system.engine.timeout(result.cycles)
-        return value, result
 
 
 class HaloBlockingBackend(LookupBackend):

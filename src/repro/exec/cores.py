@@ -28,7 +28,10 @@ class CoreWorkload:
 
     Provide either ``table`` + ``keys`` (the common lookup-stream shape) or
     ``program`` — a callable receiving the resolved backend and returning a
-    DES generator (for PMD loops, NF pipelines, anything custom).
+    DES generator (for PMD loops, NF pipelines, anything custom).  A
+    backend that needs options (a ``ResiliencePolicy``, an adaptive
+    window) is passed built, e.g. ``system.backend("halo-nb", core_id=c,
+    policy=p)``.
     """
 
     backend: Union[str, BackendKind, LookupBackend]
@@ -46,13 +49,7 @@ class CoreWorkload:
     #: lookups (faster for non-blocking HALO, but per-key timeline marks
     #: collapse to batch boundaries).
     stream: bool = False
-    backend_kwargs: dict = field(default_factory=dict)
     name: str = ""
-    #: Optional :class:`~repro.exec.backend.ResiliencePolicy`, applied to
-    #: backend kinds that honour one (``halo-nb`` and ``adaptive``);
-    #: ignored — rather than rejected — for the others so heterogeneous
-    #: workload lists can share a single policy object.
-    policy: Any = None
 
 
 @dataclass
@@ -122,9 +119,6 @@ class MultiCoreRun:
                    if prev[1] != cur[1])
 
 
-_POLICY_KINDS = (BackendKind.HALO_NONBLOCKING, BackendKind.ADAPTIVE)
-
-
 def resolve_placement(system, workload: CoreWorkload) -> CoreWorkload:
     """Resolve socket-relative placement to a global core id.
 
@@ -145,15 +139,7 @@ def resolve_placement(system, workload: CoreWorkload) -> CoreWorkload:
 def _resolve_backend(system, workload: CoreWorkload) -> LookupBackend:
     if isinstance(workload.backend, LookupBackend):
         return workload.backend
-    kwargs = dict(workload.backend_kwargs)
-    if workload.policy is not None:
-        kind = workload.backend
-        if isinstance(kind, str):
-            kind = BackendKind(kind)
-        if kind in _POLICY_KINDS:
-            kwargs.setdefault("policy", workload.policy)
-    return make_backend(workload.backend, system, core_id=workload.core_id,
-                        **kwargs)
+    return make_backend(workload.backend, system, core_id=workload.core_id)
 
 
 def _stream_program(backend: LookupBackend, workload: CoreWorkload,

@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..sim.memory import AddressAllocator
-from ..sim.trace import InstructionMix, MemOp, MemOpKind, Tracer, NULL_TRACER
+from ..sim.trace import InstructionMix, MemOp, MemOpKind, Tracer
 from .hashing import (
     ALT_BUCKET_BITS, ALT_BUCKET_MIX, hash_bytes, hash_many, secondary_index,
     signature_of)
@@ -167,7 +167,7 @@ class CuckooHashTable:
         key_bytes: int = DEFAULT_KEY_BYTES,
         assoc: int = DEFAULT_ASSOC,
         allocator: Optional[AddressAllocator] = None,
-        tracer: Tracer = NULL_TRACER,
+        tracer: Optional[Tracer] = None,
         seed: int = 0x5EED,
         name: str = "cuckoo",
     ) -> None:
@@ -177,7 +177,7 @@ class CuckooHashTable:
         self.assoc = assoc
         self.seed = seed
         self.name = name
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else Tracer()
         #: 8-byte hash/compare lanes beyond the 16-byte (2-lane) baseline.
         self.extra_key_lanes = max(0, -(-key_bytes // 8) - 2)
         num_buckets = next_power_of_two(max(2, (capacity + assoc - 1) // assoc))

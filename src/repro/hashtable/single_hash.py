@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..sim.memory import AddressAllocator
-from ..sim.trace import InstructionMix, Tracer, NULL_TRACER
+from ..sim.trace import InstructionMix, Tracer
 from .hashing import hash_bytes, signature_of
 from .layout import StandaloneAllocator, TableLayout, allocate_table, next_power_of_two
 
@@ -49,7 +49,7 @@ class SingleHashTable:
         assoc: int = 8,
         buckets_per_key: float = DEFAULT_BUCKETS_PER_KEY,
         allocator: Optional[AddressAllocator] = None,
-        tracer: Tracer = NULL_TRACER,
+        tracer: Optional[Tracer] = None,
         seed: int = 0x0F1E,
         name: str = "sfh",
     ) -> None:
@@ -59,7 +59,7 @@ class SingleHashTable:
         self.assoc = assoc
         self.seed = seed
         self.name = name
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else Tracer()
         num_buckets = next_power_of_two(
             max(2, int(expected_keys * buckets_per_key)))
         allocator = allocator or StandaloneAllocator()

@@ -59,8 +59,8 @@ class KeyValueStore:
     # -- operations ---------------------------------------------------------------
     def set(self, key: bytes, value: Any) -> bool:
         """Store a value; always the software path (traced insert)."""
-        ok, trace = capture(self.table.tracer, self.core_id,
-                            self.table.insert, _index_key(key), (key, value))
+        ok, trace = capture(self.table.tracer, self.table.insert,
+                            _index_key(key), (key, value))
         result = self._engine.core.execute(
             trace, lock_cycles=self.table.lock.write_overhead_cycles())
         self.stats.sets += 1

@@ -34,13 +34,10 @@ from .params import (
 from .tlb import Tlb, TlbParams, TlbStats
 from .stats import Breakdown, RunningStats, mpkl, throughput_mops
 from .trace import (
-    CoreTracerRouter,
     InstructionMix,
     MemOp,
     MemOpKind,
     MemTrace,
-    NULL_TRACER,
-    NullTracer,
     Tracer,
     capture,
 )
@@ -56,7 +53,6 @@ __all__ = [
     "CacheStats",
     "CoreModel",
     "CoreParams",
-    "CoreTracerRouter",
     "Dram",
     "Engine",
     "Event",
@@ -70,8 +66,6 @@ __all__ = [
     "MemOpKind",
     "MemTrace",
     "MemoryHierarchy",
-    "NULL_TRACER",
-    "NullTracer",
     "OutOfSimulatedMemory",
     "Process",
     "Region",

@@ -9,13 +9,28 @@ overlap (independent bucket reads issued back to back).
 
 The simulator replays a trace through a :class:`~repro.sim.hierarchy.
 MemoryHierarchy` from either a core or a CHA to obtain cycle costs.
+
+Public contract
+===============
+
+* A :class:`Tracer` records only between :meth:`Tracer.begin` and
+  :meth:`Tracer.take`: ``enabled`` is True exactly while a recording is
+  open, and ``take`` returns the recording's trace.
+* :func:`capture` is the one bracket around a functional call; it closes
+  its recording when the call raises.
+* Recordings never nest and never span an engine step: each opens and
+  closes inside one plain call, so programs sharing one engine (and one
+  tracer) never have recordings open at once.
+* Data structures test ``enabled`` before they record.
+* A table or classifier layer built without a tracer owns a fresh,
+  disabled one, so a capture on it records that structure's operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Tuple
 
 
 class MemOpKind(Enum):
@@ -77,17 +92,6 @@ class InstructionMix:
             others=self.others + other.others,
         )
 
-    def fractions(self) -> dict:
-        """Category shares of the total instruction count."""
-        total = self.total or 1
-        return {
-            "memory": (self.loads + self.stores) / total,
-            "load": self.loads / total,
-            "store": self.stores / total,
-            "arithmetic": self.arithmetic / total,
-            "others": self.others / total,
-        }
-
 
 class MemTrace:
     """An ordered collection of :class:`MemOp` plus an instruction mix."""
@@ -109,13 +113,6 @@ class MemTrace:
 
     def store(self, addr: int, size: int = 8, dep: int = 0) -> None:
         self.ops.append(MemOp(addr, size, MemOpKind.STORE, dep))
-
-    def extend(self, other: "MemTrace") -> None:
-        """Append ``other``'s ops, shifting its dep groups after ours."""
-        shift = self.max_dep + 1 if self.ops else 0
-        for op in other.ops:
-            self.ops.append(MemOp(op.addr, op.size, op.kind, op.dep + shift))
-        self.mix = self.mix + other.mix
 
     @property
     def max_dep(self) -> int:
@@ -153,20 +150,14 @@ class MemTrace:
             by_dep.setdefault(op.dep, []).append(op)
         return [by_dep[key] for key in sorted(by_dep)]
 
-    def touched_lines(self, line_bytes: int = 64) -> set:
-        lines = set()
-        for op in self.ops:
-            first = op.addr // line_bytes
-            last = (op.addr + max(op.size, 1) - 1) // line_bytes
-            lines.update(range(first, last + 1))
-        return lines
-
 
 class Tracer:
-    """Collects traces during functional execution.
+    """Records the memory trace of one functional operation at a time.
 
-    Data structures accept an optional tracer; when absent they run purely
-    functionally with zero overhead (``NULL_TRACER`` pattern).
+    ``enabled`` is False until :meth:`begin` opens a recording and again
+    once :meth:`take` closes it.  Data structures test ``enabled`` before
+    they record, so functional calls made outside a recording (filling a
+    table, installing rules) never touch the trace API.
     """
 
     __slots__ = ("trace", "_dep", "enabled", "_ops")
@@ -175,10 +166,10 @@ class Tracer:
         self.trace = MemTrace()
         self._ops = self.trace.ops
         self._dep = 0
-        self.enabled = True
+        self.enabled = False
 
     def begin(self) -> None:
-        """Start a fresh trace for the next operation."""
+        """Open a recording into a fresh trace."""
         trace = MemTrace()
         self.trace = trace
         # ``_ops`` aliases the live trace's op list so the per-access
@@ -186,6 +177,7 @@ class Tracer:
         # ever replaced here and in ``__init__``, keeping them in sync.
         self._ops = trace.ops
         self._dep = 0
+        self.enabled = True
 
     def barrier(self) -> None:
         """Subsequent accesses depend on all previous ones."""
@@ -232,169 +224,20 @@ class Tracer:
         trace_mix.others += mix.others
 
     def take(self) -> MemTrace:
-        """Return the current trace and reset."""
-        trace = self.trace
-        self.begin()
-        return trace
-
-    # -- per-core routing hooks ------------------------------------------------
-    # A plain tracer is core-agnostic: activation is a no-op so `capture`
-    # works uniformly whether a structure carries a Tracer or a
-    # :class:`CoreTracerRouter`.
-    def activate(self, core_id: int):
-        """Make ``core_id`` the recording target; returns a restore token."""
-        return None
-
-    def restore(self, token) -> None:
-        """Undo a previous :meth:`activate`."""
-
-    def tracer_for(self, core_id: int) -> "Tracer":
-        """The tracer that records ``core_id``'s operations (self here)."""
-        return self
-
-
-class NullTracer(Tracer):
-    """A tracer that records nothing (fast path for pure functional use).
-
-    Truly zero-overhead: ``begin``/``take`` reuse one immutable empty
-    :class:`MemTrace` instead of allocating a fresh one per operation, and
-    every recording hook is a no-op.
-    """
-
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__()
+        """Close the recording and return its trace."""
         self.enabled = False
-
-    def begin(self) -> None:  # noqa: D102 — no allocation on the fast path
-        pass
-
-    def take(self) -> MemTrace:
-        """The shared empty trace (callers must treat it as read-only)."""
         return self.trace
 
-    def load(self, addr: int, size: int = 8) -> None:  # noqa: D102
-        pass
 
-    def store(self, addr: int, size: int = 8) -> None:  # noqa: D102
-        pass
+def capture(tracer: Tracer, func, *args, **kwargs) -> Tuple[object, MemTrace]:
+    """Run ``func`` inside one recording; returns ``(value, trace)``.
 
-    def count(self, loads: int = 0, stores: int = 0, arithmetic: int = 0,
-              others: int = 0) -> None:  # noqa: D102
-        pass
-
-    def barrier(self) -> None:  # noqa: D102
-        pass
-
-    def emit_trace(self, ops, dep_advance, mix) -> None:  # noqa: D102
-        pass
-
-
-NULL_TRACER = NullTracer()
-
-
-class CoreTracerRouter(Tracer):
-    """A tracer front-end that routes recording to per-core tracers.
-
-    Shared data structures (tables, classifiers) are built once against a
-    single tracer object, but with multiple cores interleaving on one DES
-    engine each core needs its *own* capture state.  The router keeps one
-    real :class:`Tracer` per core and delegates every recording call to the
-    currently *active* one; :func:`capture` (or :meth:`activate`/
-    :meth:`restore`) brackets each functional call with the issuing core.
-
-    While no core is active the router is disabled (``enabled`` is
-    False), so functional calls made outside any bracket (filling a table,
-    installing rules) skip the trace API entirely and leave no ops
-    behind.  A bare :meth:`begin` opens a core-0 recording that the next
-    :meth:`take` closes, which keeps the single-core idiom
-    ``begin(); call(); take()`` working unchanged.  ``enabled`` is True
-    exactly while a recording is open: between :meth:`activate` and
-    :meth:`restore`, or between a bare :meth:`begin` and its :meth:`take`.
+    The one begin/run/take bracket.  The recording is closed even when
+    ``func`` raises.
     """
-
-    __slots__ = ("_tracers", "_active", "_depth")
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._tracers: Dict[int, Tracer] = {}
-        #: The recording target; ``NULL_TRACER`` while no core is active.
-        self._active: Tracer = NULL_TRACER
-        #: Open :meth:`activate` brackets; a bare begin's recording is the
-        #: one that ``take`` closes at depth zero.
-        self._depth = 0
-        self.enabled = False
-
-    def tracer_for(self, core_id: int) -> Tracer:
-        """The (lazily created) tracer owned by ``core_id``."""
-        tracer = self._tracers.get(core_id)
-        if tracer is None:
-            tracer = self._tracers[core_id] = Tracer()
-        return tracer
-
-    def activate(self, core_id: int) -> Tracer:
-        """Route subsequent recording to ``core_id``; returns the previous
-        target so nested activations restore correctly."""
-        previous = self._active
-        self._active = self.tracer_for(core_id)
-        self._depth += 1
-        self.enabled = True
-        return previous
-
-    def restore(self, token: Optional[Tracer]) -> None:
-        if token is not None:
-            self._active = token
-            self._depth -= 1
-            self.enabled = token is not NULL_TRACER
-
-    # -- delegated recording interface ----------------------------------------
-    def begin(self) -> None:
-        if self._active is NULL_TRACER:
-            self._active = self.tracer_for(0)
-            self.enabled = True
-        self._active.begin()
-
-    def barrier(self) -> None:
-        self._active.barrier()
-
-    def load(self, addr: int, size: int = 8) -> None:
-        self._active.load(addr, size)
-
-    def store(self, addr: int, size: int = 8) -> None:
-        self._active.store(addr, size)
-
-    def count(self, loads: int = 0, stores: int = 0, arithmetic: int = 0,
-              others: int = 0) -> None:
-        self._active.count(loads, stores, arithmetic, others)
-
-    def emit_trace(self, ops, dep_advance, mix) -> None:
-        self._active.emit_trace(ops, dep_advance, mix)
-
-    def take(self) -> MemTrace:
-        active = self._active
-        if active is NULL_TRACER:
-            return self.tracer_for(0).take()
-        trace = active.take()
-        if not self._depth:
-            self._active = NULL_TRACER
-            self.enabled = False
-        return trace
-
-
-def capture(tracer: Tracer, core_id: int, func, *args,
-            **kwargs) -> Tuple[object, MemTrace]:
-    """Run ``func`` and capture its memory trace on behalf of ``core_id``.
-
-    The one sanctioned begin/run/take bracket: activates the core's tracer
-    (a no-op for plain tracers), executes the functional call, and returns
-    ``(value, trace)``.  Because DES process steps are atomic, no other
-    core's recording can interleave inside the bracket.
-    """
-    token = tracer.activate(core_id)
+    tracer.begin()
     try:
-        tracer.begin()
         value = func(*args, **kwargs)
-        return value, tracer.take()
     finally:
-        tracer.restore(token)
+        trace = tracer.take()
+    return value, trace

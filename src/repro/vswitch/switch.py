@@ -156,11 +156,11 @@ class VirtualSwitch:
             self._nb = HaloNonblockingBackend(system, core_id)
         else:
             self._nb = None
-        if isinstance(self.backend, SoftwareBackend):
-            self._software_backend = self.backend
-        else:
-            self._software_backend = SoftwareBackend(system, core_id)
-        self.software = self._software_backend.software
+        #: The engine that prices traced table operations; None in the
+        #: HALO modes, which run none.
+        self.software = (self.backend.software
+                         if isinstance(self.backend, SoftwareBackend)
+                         else None)
         self.actions = ActionExecutor()
         self.stats = SwitchRunStats()
         self.obs = system.obs
@@ -248,7 +248,7 @@ class VirtualSwitch:
     def _open_window(self) -> Optional[_Window]:
         """An empty window when this packet may be one engine step, else
         None; a fallback is counted (module docstring)."""
-        if self.backend is not self._software_backend:
+        if self.software is None:
             return None
         engine = self.system.engine
         reason = observer(engine)
@@ -273,15 +273,16 @@ class VirtualSwitch:
     def _traced_op(self, breakdown: Breakdown, stage: str, func,
                    *args) -> Generator:
         """Program: one traced table operation charged to a stage."""
+        value, trace = capture(self.system.tracer, func, *args)
         window = self._window
         if window is not None:
-            value, trace = capture(self.system.tracer, self.core_id, func,
-                                   *args)
             window.append((stage, 0.0, trace))
             return value
-        value, result = yield from self._software_backend.traced_call(
-            func, *args, lock_cycles=READ_SIDE_CYCLES)
-        breakdown.add(stage, result.cycles)
+        cycles = self.software.core.execute(
+            trace, lock_cycles=READ_SIDE_CYCLES).cycles
+        if cycles:
+            yield self.system.engine.timeout(cycles)
+        breakdown.add(stage, cycles)
         return value
 
     def _close_window(self, window: _Window,

@@ -127,6 +127,23 @@ class TestRebalance:
         balancer.rebalance(keys)
         assert sum(balancer.shard_loads(keys)) == total_before
 
+    def test_an_entry_stepped_twice_is_one_move(self):
+        """Here the greedy steps entry 9 from shard 1 to 3, then from 3
+        to 2 once shard 3 is the hottest; the pass reports the one table
+        rewrite: each changed entry once, from its shard before the pass."""
+        keys = zipf_keys(300, flows=32, seed=27)
+        balancer = RssBalancer(4, table_size=32, seed=27)
+        table = list(balancer.table)
+        result = balancer.rebalance(keys)
+        assert result.moves == [(10, 2, 1), (9, 1, 2), (30, 2, 3),
+                                (17, 1, 0), (21, 1, 0)]
+        assert sorted(result.moves) == [
+            (entry, old, new) for entry, (old, new)
+            in enumerate(zip(table, balancer.table)) if old != new]
+        assert balancer.steering_log[-1].moves == tuple(result.moves)
+        assert all(balancer.home[entry] == new
+                   for entry, _old, new in result.moves)
+
     def test_flows_move_in_entry_groups(self):
         """Rebalancing rewrites indirection entries, never the hash: a
         key's entry is invariant, only the entry's shard changes."""

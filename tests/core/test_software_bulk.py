@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import HaloSystem
+from repro.hashtable.locking import READ_SIDE_CYCLES
 from repro.traffic import random_keys
 
 
@@ -60,13 +61,20 @@ def test_bulk_batch_of_one_equals_serial_cost(loaded):
     assert bulk == pytest.approx(serial, rel=0.25)
 
 
-def test_bulk_respects_lock_overhead(loaded):
+def test_engine_charges_lock_overhead(loaded):
+    """A lookup charges the read-side lock overhead, an insert the
+    table's write overhead."""
     system, table, keys = loaded
-    with_lock = system.software_engine(with_locking=True)
-    without_lock = system.software_engine(with_locking=False)
-    _v, locked = with_lock.lookup_bulk(table, keys[:64])
-    _v, unlocked = without_lock.lookup_bulk(table, keys[:64])
-    assert locked > unlocked
+    engine = system.software_engine()
+    value, result = engine.lookup(table, keys[3])
+    assert value == 3
+    assert result.breakdown["locking"] == READ_SIDE_CYCLES
+    fresh = HaloSystem()
+    fresh_table = fresh.create_table(64)
+    result = fresh.software_engine().insert(fresh_table, keys[0], 0)
+    assert fresh_table.lookup(keys[0]) == 0
+    assert (result.breakdown["locking"]
+            == fresh_table.lock.write_overhead_cycles())
 
 
 def test_empty_batch(loaded):

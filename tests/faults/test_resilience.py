@@ -141,9 +141,11 @@ def test_adaptive_four_cores_zero_lost_lookups_under_outage():
     per_core = 80
     keys = [key for key, _ in inserted]
     workloads = [
-        CoreWorkload(backend="adaptive", core_id=core, table=table,
+        CoreWorkload(backend=system.backend("adaptive", core_id=core,
+                                            policy=TIGHT),
+                     core_id=core, table=table,
                      keys=keys[core * per_core:(core + 1) * per_core],
-                     policy=TIGHT, name=f"pmd{core}")
+                     name=f"pmd{core}")
         for core in range(4)
     ]
     run = system.run_cores(workloads)

@@ -11,8 +11,10 @@ reuse order, stats, lock versions and emitted traces, so every later
 speed-up is held to this one.
 
 Do not modernise this module; its whole value is that it does not change.
-Only the imports differ from the snapshot (absolute, and ``hash_bytes``
-inlined from its module).  The original module docstring follows.
+Only the imports (absolute, and ``hash_bytes`` inlined from its module)
+and the tracer default differ from the snapshot: a table built without a
+tracer owns a fresh, disabled one, as the live table does.  The original
+module docstring follows.
 
 Cuckoo hash table — a functional model of DPDK's ``rte_hash``.
 
@@ -49,8 +51,7 @@ from repro.hashtable.layout import (
 from repro.hashtable.locking import OptimisticLock
 from repro.sim.interconnect import mix64
 from repro.sim.memory import AddressAllocator
-from repro.sim.trace import (
-    InstructionMix, MemOp, MemOpKind, Tracer, NULL_TRACER)
+from repro.sim.trace import InstructionMix, MemOp, MemOpKind, Tracer
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -156,7 +157,7 @@ class CuckooHashTable:
         key_bytes: int = DEFAULT_KEY_BYTES,
         assoc: int = DEFAULT_ASSOC,
         allocator: Optional[AddressAllocator] = None,
-        tracer: Tracer = NULL_TRACER,
+        tracer: Optional[Tracer] = None,
         seed: int = 0x5EED,
         name: str = "cuckoo",
     ) -> None:
@@ -166,7 +167,7 @@ class CuckooHashTable:
         self.assoc = assoc
         self.seed = seed
         self.name = name
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else Tracer()
         #: 8-byte hash/compare lanes beyond the 16-byte (2-lane) baseline.
         self.extra_key_lanes = max(0, -(-key_bytes // 8) - 2)
         num_buckets = next_power_of_two(max(2, (capacity + assoc - 1) // assoc))

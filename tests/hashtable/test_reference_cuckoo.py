@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hashtable import CuckooHashTable
 from repro.hashtable.hashing import hash_bytes, hash_many, signature_of
-from repro.sim.trace import NULL_TRACER, Tracer
+from repro.sim.trace import Tracer
 
 from . import reference_cuckoo as reference
 
@@ -88,12 +88,10 @@ class Pair:
 
     def __init__(self, key_bytes, traced=True):
         self.keys = key_pool(key_bytes)
-        self.tracers = ((Tracer(), Tracer()) if traced
-                        else (NULL_TRACER, NULL_TRACER))
-        self.live = CuckooHashTable(CAPACITY, key_bytes=key_bytes,
-                                    tracer=self.tracers[0])
+        self.traced = traced
+        self.live = CuckooHashTable(CAPACITY, key_bytes=key_bytes)
         self.reference = reference.CuckooHashTable(
-            CAPACITY, key_bytes=key_bytes, tracer=self.tracers[1])
+            CAPACITY, key_bytes=key_bytes)
         self.memo_hits = 0
         self.updates = 0
         self.slot_reuses = 0
@@ -102,12 +100,16 @@ class Pair:
         self.batch_failures = 0
 
     def _both(self, call):
-        """``call(table)`` on both tables; both results and traces."""
+        """``call(table)`` on both tables; both results and, when traced,
+        both traces (untraced tables never open a recording)."""
         results = []
-        for table, tracer in zip((self.live, self.reference), self.tracers):
-            tracer.begin()
+        for table in (self.live, self.reference):
+            if not self.traced:
+                results.append((call(table),))
+                continue
+            table.tracer.begin()
             value = call(table)
-            trace = tracer.take()
+            trace = table.tracer.take()
             results.append((value, list(trace.ops), trace.mix))
         return results
 
