@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Enforce public-contract module docstrings on the pinned contract modules.
 
-The supervised pool, the campaign journal, the trace-replay fast path,
-the tracer's recording window, the cuckoo table's placement and traces,
+The supervised pool, the campaign journal, the cache model and the
+memory hierarchy's bulk warm-up, the trace-replay fast path, the
+tracer's recording window, the cuckoo table's placement and traces,
 the virtual switch's fused packets, the cluster layer, the churn
 workload engine, the cache-policy seam, and the trace persistence
 formats are API that external harnesses build against.  Each of those
@@ -32,6 +33,8 @@ from typing import List
 CONTRACT_MODULES = (
     "repro/runner/pool.py",
     "repro/runner/journal.py",
+    "repro/sim/cache.py",
+    "repro/sim/hierarchy.py",
     "repro/sim/replay.py",
     "repro/sim/trace.py",
     "repro/core/accelerator.py",

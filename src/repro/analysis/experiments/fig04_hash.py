@@ -117,12 +117,14 @@ def run(flow_counts=DEFAULT_FLOW_COUNTS, lookups: int = 1_200,
                 table = SingleHashTable(count,
                                         allocator=hierarchy.allocator,
                                         tracer=tracer)
-            # Scalar: one build loop serves both table kinds, and the
-            # single-hash table has no bulk insert.  The tracer stays
-            # disabled until ``_measure`` opens its first recording, so
-            # the build records nothing.
-            for index, key in enumerate(keys):
-                table.insert(key, index)
+            # The single-hash table has no bulk insert, so it keeps the
+            # scalar loop.  The tracer stays disabled during both builds,
+            # until ``_measure`` opens its first recording.
+            if kind == "cuckoo":
+                table.insert_many(zip(keys, range(len(keys))))
+            else:
+                for index, key in enumerate(keys):
+                    table.insert(key, index)
             hierarchy.flush_private(0)
             l2, llc, stall, cycles = _measure(
                 table, hierarchy, tracer, keys, lookups, seed=seed)

@@ -48,7 +48,7 @@ def run(updates: int = 2_000, prefill: float = 0.70,
     cuckoo_costs = []
     kicks_before = table.stats.kicks
     for index in range(updates):
-        result = engine.insert(table, fresh[index], index)
+        _ok, result = engine.insert(table, fresh[index], index)
         cuckoo_costs.append(result.cycles + WRITE_SIDE_CYCLES)
     kicks = table.stats.kicks - kicks_before
 

@@ -90,7 +90,10 @@ class SoftwareLookupEngine:
             total_cycles += result.cycles
         return values, total_cycles
 
-    def insert(self, table, key: bytes, value: Any) -> ExecutionResult:
-        _ok, trace = capture(table.tracer, table.insert, key, value)
-        return self.core.execute(
+    def insert(self, table, key: bytes,
+               value: Any) -> Tuple[bool, ExecutionResult]:
+        """One software insert; returns (the insert's result, execution
+        result)."""
+        ok, trace = capture(table.tracer, table.insert, key, value)
+        return ok, self.core.execute(
             trace, lock_cycles=table.lock.write_overhead_cycles())

@@ -538,15 +538,28 @@ class CuckooHashTable:
     # -- BFS cuckoo displacement ---------------------------------------------------
     def _find_kick_path(self, index1: int,
                         index2: int) -> Optional[List[Tuple[int, int]]]:
-        """BFS for a chain of moves freeing a slot in ``index1`` or ``index2``.
+        """BFS for a chain of moves freeing a slot in ``index1`` or
+        ``index2``, both full.
 
         Returns ``[(bucket, entry_position), ...]`` from the bucket that will
         receive the new key down to the bucket with a free slot, or ``None``.
+
+        The search pops buckets in breadth-first order, primary first and
+        a bucket's entries in order, and takes the first bucket with room
+        among the first :data:`MAX_BFS_NODES` it pops, at most
+        :data:`MAX_KICK_DEPTH` hops deep.  A bucket is checked for room
+        when it is queued: nothing changes during the search, so the
+        first queued bucket with room is the first popped one, and it is
+        the answer if its queue position and depth are within those
+        limits; otherwise no later bucket can be, and there is no path.
+        Nodes queued ahead of it are never expanded.
         """
         buckets = self._buckets
         assoc = self.assoc
         mask = self._mask
         alt_mix = ALT_BUCKET_MIX
+        max_nodes = MAX_BFS_NODES
+        max_depth = MAX_KICK_DEPTH
         # Each node: (bucket_index, parent_node, position, depth), where
         # ``position`` is the parent-bucket entry that would move here;
         # the path is rebuilt from the parent links only once found.
@@ -554,28 +567,31 @@ class CuckooHashTable:
         queue.append((index1, None, -1, 0))
         if index2 != index1:
             queue.append((index2, None, -1, 0))
+        queued = len(queue)
         visited = {index1, index2}
-        nodes = 0
-        while queue and nodes < MAX_BFS_NODES:
+        while queue:
             node = queue.popleft()
-            bucket_index, parent, position, depth = node
-            nodes += 1
-            if depth > MAX_KICK_DEPTH:
-                continue
-            bucket = buckets[bucket_index]
-            if len(bucket) < assoc:
-                path = [(bucket_index, -1)]
-                while parent is not None:
-                    path.append((parent[0], position))
-                    _bucket, parent, position, _depth = parent
-                path.reverse()
-                return path
-            for entry_position, entry in enumerate(bucket):
+            bucket_index, _parent, _position, depth = node
+            if depth >= max_depth:
+                # Its children, and every node left, are too deep.
+                return None
+            for entry_position, entry in enumerate(buckets[bucket_index]):
                 # ``secondary_index`` inlined: one dict read per entry.
                 alt = (bucket_index ^ alt_mix[entry & _SIGNATURE_MASK
                                               | ALT_BUCKET_BITS]) & mask
                 if alt in visited:
                     continue
+                queued += 1
+                if queued > max_nodes:
+                    return None
+                if len(buckets[alt]) < assoc:
+                    path = [(alt, -1), (bucket_index, entry_position)]
+                    parent, position = node[1], node[2]
+                    while parent is not None:
+                        path.append((parent[0], position))
+                        _bucket, parent, position, _depth = parent
+                    path.reverse()
+                    return path
                 visited.add(alt)
                 queue.append((alt, node, entry_position, depth + 1))
         return None

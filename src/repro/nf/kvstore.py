@@ -17,7 +17,6 @@ from typing import Any, Iterable, List, Optional, Tuple
 
 from ..hashtable.hashing import hash_bytes
 from ..sim.stats import RunningStats
-from ..sim.trace import capture
 
 
 def _index_key(key: bytes, key_bytes: int = 16) -> bytes:
@@ -59,10 +58,8 @@ class KeyValueStore:
     # -- operations ---------------------------------------------------------------
     def set(self, key: bytes, value: Any) -> bool:
         """Store a value; always the software path (traced insert)."""
-        ok, trace = capture(self.table.tracer, self.table.insert,
-                            _index_key(key), (key, value))
-        result = self._engine.core.execute(
-            trace, lock_cycles=self.table.lock.write_overhead_cycles())
+        ok, result = self._engine.insert(self.table, _index_key(key),
+                                         (key, value))
         self.stats.sets += 1
         self.stats.set_cycles.record(result.cycles)
         return ok

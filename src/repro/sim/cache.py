@@ -4,13 +4,24 @@ Tag-array only (no data payload): the functional layer owns the data; the
 cache tracks *presence* so hit/miss behaviour, evictions, and utilisation
 emerge from real access streams.  Addresses are byte addresses; the cache
 operates on line addresses internally.
+
+Public contract: a :class:`Cache`'s sets, their LRU order, its line
+states and its :class:`CacheStats` are a function of the operation
+sequence alone.  ``fill_many(lines)`` equals ``[fill(line) for line in
+lines]`` with every ``None`` dropped: the same sets, states and stats,
+and the evicted lines in eviction order, though it never installs the
+lines of a run it can prove that same run evicts.  ``locked_lines`` is
+the number of resident lines whose :data:`LOCKED` bit is set, kept as a
+count, so reading it costs nothing whatever the cache holds.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from .params import CacheParams
 
@@ -77,7 +88,10 @@ class Cache:
     its state bits (:data:`DIRTY`, :data:`LOCKED`), maintained in LRU
     order (least recent first).  States are ints rather than per-line
     objects, so a resident line costs one dict entry and nothing the
-    garbage collector tracks.
+    garbage collector tracks.  :meth:`fill_many` installs a batch of
+    lines in one loop and skips the lines of a run the batch itself
+    would evict again, and a running count of locked lines answers
+    :attr:`locked_lines` without walking the sets.
     """
 
     def __init__(self, name: str, params: CacheParams) -> None:
@@ -91,6 +105,9 @@ class Cache:
         self.line_bytes = params.line_bytes
         self.stats = CacheStats()
         self._sets: Dict[int, OrderedDict] = {}
+        # Resident lines whose LOCKED bit is set: every path that sets,
+        # clears or drops that bit keeps it.
+        self._locked = 0
 
     # -- address helpers -----------------------------------------------------
     def line_of(self, addr: int) -> int:
@@ -140,17 +157,112 @@ class Cache:
         if len(cache_set) >= self.assoc:
             victim = next(iter(cache_set))
             if cache_set[victim] & LOCKED:
-                for candidate, candidate_state in cache_set.items():
-                    if not candidate_state & LOCKED:
-                        victim = candidate
-                        break
-                # No unlocked line (pathological: whole set locked): the
-                # true LRU line goes anyway.
-            if cache_set.pop(victim) & DIRTY:
-                self.stats.writebacks += 1
+                victim = self._unlocked_victim(cache_set, victim)
+            state = cache_set.pop(victim)
+            if state:
+                if state & DIRTY:
+                    self.stats.writebacks += 1
+                if state & LOCKED:
+                    self._locked -= 1
             self.stats.evictions += 1
         cache_set[line] = DIRTY if dirty else 0
         return victim
+
+    def fill_many(self, lines: Sequence[int]) -> List[int]:
+        """:meth:`fill` of each line, clean, in order; returns the evicted
+        lines in eviction order.
+
+        One loop with the set lookup inlined, for region warm-ups that
+        install thousands of lines into one cache.  A run of more than
+        ``assoc`` consecutive lines of one set, all distinct, into a set
+        holding no locked line, none of them and no more lines than ways,
+        is fresh: the loop would install every one of them and evict all
+        but the last ``assoc`` again.  Only those last ``assoc`` are
+        filled, evicting the set's residents in LRU order, and the rest
+        follow the residents among the victims, in run order, each one
+        eviction and no writeback.
+        """
+        lines = np.asarray(lines, dtype=np.uint64)
+        values = lines.tolist()
+        victims: List[int] = []
+        assoc = self.assoc
+        done = 0
+        if len(values) > assoc:
+            sets = lines & np.uint64(self.num_sets - 1)
+            # A run longer than ``assoc`` has its first and its
+            # ``assoc``-th next line in one set.
+            if (sets[assoc:] == sets[:-assoc]).any():
+                breaks = np.flatnonzero(sets[1:] != sets[:-1]) + 1
+                starts = np.concatenate(([0], breaks))
+                stops = np.append(breaks, len(values))
+                long_runs = np.flatnonzero(stops - starts > assoc)
+                for start, stop in zip(starts[long_runs].tolist(),
+                                       stops[long_runs].tolist()):
+                    self._fill_lines(values[done:start], victims)
+                    done = start
+                    if self._fresh_run(values[start:stop]):
+                        tail = stop - assoc
+                        self._fill_lines(values[tail:stop], victims)
+                        victims.extend(values[start:tail])
+                        self.stats.evictions += tail - start
+                        done = stop
+        self._fill_lines(values[done:], victims)
+        return victims
+
+    def _fresh_run(self, run: List[int]) -> bool:
+        """Whether ``run``, lines of one set, are distinct and go into a
+        set holding no locked line, none of them and at most ``assoc``
+        lines (see :meth:`fill_many`)."""
+        distinct = set(run)
+        if len(distinct) < len(run):
+            return False
+        cache_set = self._sets.get(run[0] & (self.num_sets - 1))
+        return cache_set is None or (
+            len(cache_set) <= self.assoc
+            and distinct.isdisjoint(cache_set)
+            and not (self._locked and any(
+                state & LOCKED for state in cache_set.values())))
+
+    def _fill_lines(self, lines: List[int], victims: List[int]) -> None:
+        """:meth:`fill` of each line, clean, appending every victim."""
+        sets = self._sets
+        mask = self.num_sets - 1
+        assoc = self.assoc
+        evict = victims.append
+        evictions = writebacks = 0
+        for line in lines:
+            index = line & mask
+            cache_set = sets.get(index)
+            if cache_set is None:
+                cache_set = sets[index] = OrderedDict()
+            elif line in cache_set:
+                cache_set.move_to_end(line)
+                continue
+            if len(cache_set) >= assoc:
+                victim = next(iter(cache_set))
+                if cache_set[victim] & LOCKED:
+                    victim = self._unlocked_victim(cache_set, victim)
+                state = cache_set.pop(victim)
+                if state:
+                    if state & DIRTY:
+                        writebacks += 1
+                    if state & LOCKED:
+                        self._locked -= 1
+                evict(victim)
+                evictions += 1
+            cache_set[line] = 0
+        self.stats.evictions += evictions
+        self.stats.writebacks += writebacks
+
+    @staticmethod
+    def _unlocked_victim(cache_set: OrderedDict, lru: int) -> int:
+        """The least recently used unlocked line of a full set whose LRU
+        line ``lru`` is locked (HALO's lock bit pins it); with no unlocked
+        line (pathological: whole set locked), ``lru`` goes anyway."""
+        for candidate, state in cache_set.items():
+            if not state & LOCKED:
+                return candidate
+        return lru
 
     def contains(self, line: int) -> bool:
         return line in self._sets.get(self.set_index(line), ())
@@ -203,14 +315,20 @@ class Cache:
         cache_set = self._sets.get(self.set_index(line))
         if cache_set is None or line not in cache_set:
             return False
-        cache_set[line] |= LOCKED
+        state = cache_set[line]
+        if not state & LOCKED:
+            cache_set[line] = state | LOCKED
+            self._locked += 1
         return True
 
     def unlock(self, line: int) -> bool:
         cache_set = self._sets.get(self.set_index(line))
         if cache_set is None or line not in cache_set:
             return False
-        cache_set[line] &= ~LOCKED
+        state = cache_set[line]
+        if state & LOCKED:
+            cache_set[line] = state & ~LOCKED
+            self._locked -= 1
         return True
 
     def is_locked(self, line: int) -> bool:
@@ -227,9 +345,9 @@ class Cache:
 
     @property
     def locked_lines(self) -> int:
-        """Resident lines whose HALO lock bit is currently set."""
-        return sum(1 for s in self._sets.values()
-                   for state in s.values() if state & LOCKED)
+        """Resident lines whose HALO lock bit is currently set (a count
+        the lock, unlock, fill and flush paths keep; no walk)."""
+        return self._locked
 
     def utilisation(self) -> float:
         """Fraction of capacity currently holding lines."""
@@ -238,6 +356,7 @@ class Cache:
 
     def flush(self) -> None:
         self._sets.clear()
+        self._locked = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Cache({self.name}, {self.params.size_bytes}B, "

@@ -11,18 +11,28 @@ Two access paths matter for the paper:
   This is the 4.1×-faster-data-access property from Figure 10.
 
 The hierarchy is inclusive: an LLC eviction back-invalidates private copies.
+
+Public contract: every cache's sets, LRU order, line states and stats,
+the snoop filter and DRAM's counters are a function of the access and
+lock sequence alone.  :meth:`MemoryHierarchy.warm_llc` equals a loop of
+``_install_llc`` over the region's lines in order, in that state, those
+statistics and its back-invalidations; :meth:`~MemoryHierarchy.flush_region`
+equals invalidating each line in every cache and dropping its sharers.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from functools import reduce
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple)
+
+import numpy as np
 
 from ..obs import Observability
 from .cache import Cache, CacheStats
 from .coherence import SnoopFilter
-from .interconnect import Interconnect
+from .interconnect import SWEEP_CHUNK_LINES, Interconnect
 from .memory import AddressAllocator, Dram
 from .tlb import Tlb
 from .params import MachineParams
@@ -32,6 +42,40 @@ ACCESS_LEVELS = ("L1", "L2", "LLC", "PRIV", "DRAM")
 
 #: Extra cycles per retry when a store hits a HALO-locked line (§4.4).
 LOCK_RETRY_CYCLES = 20
+
+
+def _set_major_blocks(first: int, last: int,
+                      num_sets: int) -> Iterator[np.ndarray]:
+    """The lines from ``first`` to ``last`` (inclusive) set by set, as
+    ``uint64`` arrays of about :data:`SWEEP_CHUNK_LINES` lines.
+
+    A block covers a run of set indices (``num_sets`` is a power of two,
+    so line ``l`` is in set ``l & (num_sets - 1)``) and lists each set's
+    lines in line order, one set after the other.  A region spanning more
+    than :data:`SWEEP_CHUNK_LINES` rows of ``num_sets`` lines splits each
+    set over several consecutive blocks, in line order.  An empty range
+    yields nothing.
+    """
+    count = last - first + 1
+    if count < 1:
+        return
+    rows = -(-count // num_sets)
+    columns = min(num_sets, count)
+    width = max(1, SWEEP_CHUNK_LINES // rows)
+    height = min(rows, SWEEP_CHUNK_LINES)
+    stride = np.uint64(num_sets)
+    for column in range(0, columns, width):
+        offsets = np.arange(first + column,
+                            first + min(column + width, columns),
+                            dtype=np.uint64)
+        for row in range(0, rows, height):
+            row_starts = np.arange(row, min(row + height, rows),
+                                   dtype=np.uint64) * stride
+            # Column-major: one set's rows, then the next set's.
+            lines = (offsets + row_starts[:, None]).ravel(order="F")
+            if lines[-1] > last:
+                lines = lines[lines <= last]
+            yield lines
 
 
 class AccessResult(NamedTuple):
@@ -441,21 +485,59 @@ class MemoryHierarchy:
     def _install_llc(self, slice_id: int, line: int) -> None:
         victim = self.llc[slice_id].fill(line)
         if victim is not None:
-            # Inclusive LLC: back-invalidate every private copy.
-            for core in self.snoop_filter.sharers_of(victim):
-                self.l1[core].invalidate(victim)
-                self.l2[core].invalidate(victim)
-                self.snoop_filter.record_eviction(victim, core)
+            self._back_invalidate(victim)
+
+    def _back_invalidate(self, line: int) -> None:
+        """Inclusive LLC: drop every private copy of an evicted line that
+        the snoop filter lists, and its sharers."""
+        snoop = self.snoop_filter
+        for core in snoop.sharers_of(line):
+            self.l1[core].invalidate(line)
+            self.l2[core].invalidate(line)
+            snoop.record_eviction(line, core)
 
     # -- warm-up & utility -----------------------------------------------------
     def warm_llc(self, base: int, size: int) -> int:
-        """Pre-install a region's lines into the LLC; returns line count."""
+        """Pre-install a region's lines into the LLC; returns line count.
+
+        The same as :meth:`_install_llc` of each of the region's lines in
+        line order, in every cache's sets, LRU order, states and stats and
+        in the snoop filter.  The region is installed set by set
+        (:func:`_set_major_blocks`): each block's lines are hashed to
+        slices in one pass and handed to each slice's
+        :meth:`Cache.fill_many`, and every victim the snoop filter lists
+        is back-invalidated.  The order is exact because a line lives in
+        one set of one slice, the region's lines are distinct, and fills
+        into one set never touch another set: each set sees its fills in
+        line order, and back-invalidating a victim touches only that
+        line's entries in L1, L2 and the snoop filter.  Filling set by
+        set also keeps each set's dict hot while its lines go in, which
+        line order does not, and hands ``fill_many`` each set's lines as
+        one run, so a region larger than the LLC installs only the lines
+        that survive it (the skipped ones come back as victims).
+        """
         first = self.line_of(base)
         last = self.line_of(base + size - 1)
-        install = self._install_llc
-        for line, slice_id in enumerate(
-                self.interconnect.slices_of_lines(first, last), first):
-            install(slice_id, line)
+        llc = self.llc
+        stops = len(llc)
+        slice_type = np.min_scalar_type(stops - 1)
+        slices_of = self.interconnect._slices_of
+        sharers = self.snoop_filter._sharers
+        back_invalidate = self._back_invalidate
+        for lines in _set_major_blocks(first, last, llc[0].num_sets):
+            slice_ids = slices_of(lines).astype(slice_type)
+            # Grouped by slice; within a slice, set by set in line order.
+            lines = lines[np.argsort(slice_ids, kind="stable")]
+            end = 0
+            for slice_id, filled in enumerate(
+                    np.bincount(slice_ids, minlength=stops).tolist()):
+                if filled:
+                    start, end = end, end + filled
+                    victims = llc[slice_id].fill_many(lines[start:end])
+                    if sharers:
+                        for victim in victims:
+                            if victim in sharers:
+                                back_invalidate(victim)
         return last - first + 1
 
     def flush_private(self, core_id: int) -> None:

@@ -144,11 +144,15 @@ class Interconnect:
         would only crowd the memo: they bypass it and are hashed
         :data:`SWEEP_CHUNK_LINES` at a time through :func:`mix64_array`.
         """
-        stops = np.uint64(self.stops)
         for start in range(first, last + 1, SWEEP_CHUNK_LINES):
             stop = min(start + SWEEP_CHUNK_LINES, last + 1)
-            lines = np.arange(start, stop, dtype=np.uint64)
-            yield from (mix64_array(lines) % stops).tolist()
+            yield from self._slices_of(
+                np.arange(start, stop, dtype=np.uint64)).tolist()
+
+    def _slices_of(self, lines: np.ndarray) -> np.ndarray:
+        """:meth:`slice_of_line` of every line of a ``uint64`` array, as a
+        ``uint64`` array: the one sweep hashing routine (no memo)."""
+        return mix64_array(lines) % np.uint64(self.stops)
 
     def slice_of_table(self, table_base_addr: int) -> int:
         """HALO query-distributor target for a table address (§4.3).

@@ -97,15 +97,28 @@ def key_stream(flow_set: FlowSet, count: int, zipf_s: float = 0.0,
 
 
 def random_keys(count: int, key_bytes: int = 16, seed: int = 2) -> List[bytes]:
-    """Distinct random byte keys (for raw hash-table experiments)."""
+    """Distinct random byte keys (for raw hash-table experiments).
+
+    One ``(count, key_bytes)`` draw, sliced key by key out of one byte
+    buffer.  A key equal to an earlier one is redrawn, ``key_bytes`` at a
+    time, until it is new; that loop runs only when the draw holds a
+    repeat (vanishingly rare at 16 bytes), and it redraws in key order, so
+    the list is a function of ``(count, key_bytes, seed)`` alone.
+    """
+    if key_bytes < 1:
+        raise ValueError(f"random_keys needs key_bytes >= 1, got {key_bytes}")
     rng = np.random.default_rng(seed)
-    data = rng.integers(0, 256, size=(count, key_bytes), dtype=np.uint8)
-    keys = [bytes(row) for row in data]
-    # Regenerate any collisions (vanishingly rare at 16 bytes).
-    seen = set()
-    for index, key in enumerate(keys):
-        while key in seen:
-            key = bytes(rng.integers(0, 256, size=key_bytes, dtype=np.uint8))
-        seen.add(key)
-        keys[index] = key
+    buffer = rng.integers(0, 256, size=(count, key_bytes),
+                          dtype=np.uint8).tobytes()
+    keys = [buffer[start:start + key_bytes]
+            for start in range(0, len(buffer), key_bytes)]
+    del buffer  # the keys are copies: free it before the repeat check
+    if len(set(keys)) < count:
+        seen = set()
+        for index, key in enumerate(keys):
+            while key in seen:
+                key = bytes(rng.integers(0, 256, size=key_bytes,
+                                         dtype=np.uint8))
+            seen.add(key)
+            keys[index] = key
     return keys

@@ -2,6 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, so a failure they
+# find reproduces instead of reading as a flaky test.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 from repro.core import HaloSystem
 from repro.sim import Engine, MemoryHierarchy, SKYLAKE_SP_16C, TINY_MACHINE, Tracer

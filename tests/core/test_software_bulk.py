@@ -71,7 +71,8 @@ def test_engine_charges_lock_overhead(loaded):
     assert result.breakdown["locking"] == READ_SIDE_CYCLES
     fresh = HaloSystem()
     fresh_table = fresh.create_table(64)
-    result = fresh.software_engine().insert(fresh_table, keys[0], 0)
+    ok, result = fresh.software_engine().insert(fresh_table, keys[0], 0)
+    assert ok
     assert fresh_table.lookup(keys[0]) == 0
     assert (result.breakdown["locking"]
             == fresh_table.lock.write_overhead_cycles())

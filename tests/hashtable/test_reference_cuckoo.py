@@ -130,6 +130,7 @@ class Pair:
                 == dataclasses.astuple(ref.stats))
         assert live.lock.counter == ref.lock.counter
         assert live.lock.stats == ref.lock.stats
+        assert live._mutations == ref._mutations
 
     def insert(self, key, value):
         size, freed = len(self.live), len(self.live._freed_slots)
@@ -319,3 +320,110 @@ def test_hash_bytes_matches_reference_at_every_length():
         for seed in (0, 0x5EED, 2 ** 64 - 1, rng.getrandbits(64)):
             assert hash_many(keys, length, seed).tolist() == [
                 reference.hash_bytes(key, seed) for key in keys]
+
+
+def _table_pair(capacity, monkeypatch=None, limits=None):
+    """A live and a reference table of ``capacity``; with ``limits``,
+    both kick searches run under ``(MAX_BFS_NODES, MAX_KICK_DEPTH)``."""
+    if limits is not None:
+        from repro.hashtable import cuckoo
+
+        for module in (cuckoo, reference):
+            monkeypatch.setattr(module, "MAX_BFS_NODES", limits[0])
+            monkeypatch.setattr(module, "MAX_KICK_DEPTH", limits[1])
+    return (CuckooHashTable(capacity),
+            reference.CuckooHashTable(capacity))
+
+
+def _assert_same_tables(live, ref):
+    assert live._buckets == ref._buckets
+    assert live._kv == ref._kv
+    assert live._next_slot == ref._next_slot
+    assert (dataclasses.astuple(live.stats)
+            == dataclasses.astuple(ref.stats))
+    assert live.lock.counter == ref.lock.counter
+    assert live._mutations == ref._mutations
+
+
+@pytest.mark.parametrize("key_bytes", KEY_SIZES)
+def test_untraced_batches_match_reference(key_bytes):
+    """With the tracer off, a fixed run of ``insert_many`` batches between
+    deletes, so freed slots are waiting, with keys already present in
+    either bucket and repeated keys, matches the reference's loop of
+    ``insert`` state for state, the mutation stamp included."""
+    rng = random.Random(key_bytes + 1)
+    pair = Pair(key_bytes, traced=False)
+    in_secondary = freed_waiting = 0
+    for _ in range(60):
+        indices = [rng.randrange(POOL_SIZE)
+                   for _ in range(rng.randrange(1, 16))]
+        in_secondary += sum(pair.live.probe(pair.keys[index])
+                            .found_in_secondary for index in indices)
+        freed_waiting += bool(pair.live._freed_slots)
+        pair.insert_batch(indices)
+        for _ in range(rng.randrange(5)):
+            key = pair.keys[rng.randrange(POOL_SIZE)]
+            pair.check(lambda table: table.delete(key))
+    assert pair.batch_updates > 0 and pair.batch_failures > 0
+    assert in_secondary > 0 and freed_waiting > 0
+
+
+def test_untraced_bulk_insert_retires_memoised_lookups():
+    """A key placed by an untraced ``insert_many`` bumps the mutation
+    stamp, so a traced lookup memoised as a miss before the batch finds
+    the key after it."""
+    tracer = Tracer()
+    table = CuckooHashTable(CAPACITY, tracer=tracer)
+    key = key_pool(16)[0]
+    for expected in (None, None):
+        tracer.begin()
+        assert table.lookup(key) is expected
+        tracer.take()
+    assert table.insert_many([(key, 7)]) == [True]
+    tracer.begin()
+    assert table.lookup(key) == 7
+    tracer.take()
+
+
+@pytest.mark.parametrize("limits,kicks", [
+    ((6, 2), True), ((2, 100), True), ((40, 1), True), ((1024, 0), False),
+    ((1, 100), False)], ids=["nodes6-depth2", "nodes2-depth100",
+                             "nodes40-depth1", "nodes1024-depth0",
+                             "nodes1-depth100"])
+def test_kick_search_limits_match_reference(limits, kicks, monkeypatch):
+    """Under small BFS node and depth limits, near-full tables fail and
+    kick exactly where the reference does: one key at a time through
+    ``insert``, and in batches through ``insert_many``.  The live search
+    checks a bucket for room when it queues it, so these limits are where
+    it must still stop as the pop-order search does.  With two nodes, a
+    path exists only for a key whose two buckets coincide."""
+    rng = random.Random(limits[0] * 101 + limits[1])
+    keys = [rng.randbytes(16) for _ in range(1200)]
+    live, ref = _table_pair(512, monkeypatch, limits)
+    for index, key in enumerate(keys[:600]):
+        assert live.insert(key, index) == ref.insert(key, index)
+    _assert_same_tables(live, ref)
+    batch = [(key, index) for index, key in enumerate(keys[600:])]
+    assert (live.insert_many(batch)
+            == [ref.insert(key, value) for key, value in batch])
+    _assert_same_tables(live, ref)
+    assert live.stats.insert_failures > 0
+    assert (live.stats.kicks > 0) == kicks
+
+
+def test_large_table_fills_to_first_failure_like_reference():
+    """A 4,096-bucket table filled one key at a time, at the default
+    limits, reaches its first failed insert at the same key as the
+    reference, with the same kicks, buckets and key-value array."""
+    rng = random.Random(4096)
+    live, ref = _table_pair(4096 * 8)
+    assert live.num_buckets == 4096
+    for index in range(live.capacity):
+        key = rng.randbytes(16)
+        ok = live.insert(key, index)
+        assert ok == ref.insert(key, index)
+        if not ok:
+            break
+    assert not ok
+    assert live.load_factor > 0.9
+    _assert_same_tables(live, ref)

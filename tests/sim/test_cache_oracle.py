@@ -4,8 +4,9 @@ The reference below is written from the replacement rules alone (LRU
 order, the HALO lock bit pinning a line, the whole-set-locked fallback to
 true LRU, a dirty victim counting a writeback) and shares no code with
 :class:`repro.sim.cache.Cache`.  Both are driven with the same lookups,
-fills, locks, unlocks and invalidations; every return value and the
-statistics block must agree after every step.
+fills, bulk fills, locks, unlocks, invalidations and flushes; every
+return value and the statistics block must agree after every step, and
+``locked_lines`` must equal a walk over the live cache's lines.
 """
 
 import random
@@ -13,7 +14,7 @@ import random
 from hypothesis import example, given, settings, strategies as st
 
 from repro.sim import Cache, CacheParams
-from repro.sim.cache import CacheStats
+from repro.sim.cache import LOCKED, CacheStats
 
 #: 4 sets x 2 ways; 16 lines put 4 candidates on every set, so evictions,
 #: locked victims and fully locked sets all occur in short sequences.
@@ -79,6 +80,13 @@ class ReferenceCache:
         entries.append([line, dirty, False])
         return victim
 
+    def fill_many(self, lines):
+        victims = [self.fill(line, False) for line in lines]
+        return [victim for victim in victims if victim is not None]
+
+    def flush(self):
+        self.sets = [[] for _ in range(self.num_sets)]
+
     def invalidate(self, line):
         entries, position = self._find(line)
         if position is None:
@@ -122,6 +130,10 @@ def make_pair():
 
 def apply(cache, reference, op):
     kind, line, flag = op
+    if kind == "fill_many":
+        return cache.fill_many(line), reference.fill_many(line)
+    if kind == "flush":
+        return cache.flush(), reference.flush()
     if kind == "lookup":
         return cache.lookup(line, write=flag), reference.lookup(line, flag)
     if kind == "fill":
@@ -140,19 +152,42 @@ def run_differential(ops):
         got, want = apply(cache, reference, op)
         assert got == want, f"step {step} {op}: cache {got!r} != {want!r}"
         assert cache.stats == reference.stats, f"step {step} {op}"
-        _kind, line, _flag = op
-        assert cache.contains(line) == reference.contains(line)
-        assert cache.is_locked(line) == reference.is_locked(line)
+        _kind, lines, _flag = op
+        for line in lines if isinstance(lines, list) else [lines]:
+            assert cache.contains(line) == reference.contains(line)
+            assert cache.is_locked(line) == reference.is_locked(line)
         assert cache.resident_lines == reference.resident_lines
         assert cache.locked_lines == reference.locked_lines
+        assert cache.locked_lines == sum(
+            1 for cache_set in cache._sets.values()
+            for state in cache_set.values() if state & LOCKED)
     return reference
 
 
-op_strategy = st.tuples(
-    st.sampled_from(["lookup", "fill", "fill", "lock", "unlock",
-                     "invalidate"]),
-    st.integers(0, LINES - 1),
-    st.booleans())
+#: Single-line kinds twice over, so they are most of the draws: a flush
+#: comes about once in 14 operations and leaves state to build up.
+KINDS = (["lookup", "fill", "fill", "lock", "unlock", "invalidate"] * 2
+         + ["fill_many", "flush"])
+
+#: A bulk fill: up to three runs of rows of one set each, so runs longer
+#: than the ways (which ``fill_many`` may skip into) come up often.
+batch_strategy = st.lists(
+    st.tuples(st.integers(0, NUM_SETS - 1),
+              st.lists(st.integers(0, LINES // NUM_SETS - 1),
+                       min_size=1, max_size=5)),
+    max_size=3).map(lambda runs: [row * NUM_SETS + index
+                                  for index, rows in runs for row in rows])
+
+
+def _op_of(kind):
+    if kind == "fill_many":
+        return st.tuples(st.just(kind), batch_strategy, st.just(False))
+    if kind == "flush":
+        return st.just((kind, 0, False))
+    return st.tuples(st.just(kind), st.integers(0, LINES - 1), st.booleans())
+
+
+op_strategy = st.sampled_from(KINDS).flatmap(_op_of)
 
 
 @settings(max_examples=300, deadline=None)
@@ -163,19 +198,48 @@ op_strategy = st.tuples(
 # Whole set locked: true LRU (the dirty, locked 0) goes, with a writeback.
 @example([("fill", 0, True), ("fill", 4, False), ("lock", 0, False),
           ("lock", 4, False), ("fill", 8, False), ("invalidate", 4, False)])
+# A bulk fill evicts a locked line from a whole-locked set, repeats a
+# line and refills one it evicted; a flush drops the locks it counted.
+@example([("fill", 0, True), ("fill", 4, False), ("lock", 0, False),
+          ("lock", 4, False), ("fill_many", [8, 12, 8, 0, 1], False),
+          ("lock", 1, False), ("flush", 0, False), ("lock", 1, False)])
+# Bulk-filled runs longer than the ways: set 1's skips its first line
+# after the dirty 1 goes with a writeback; set 2's locked line, set 3's
+# resident run line and set 0's repeated line refuse the skip.
+@example([("fill", 1, True), ("fill", 2, False), ("lock", 2, False),
+          ("fill", 3, False),
+          ("fill_many", [5, 9, 13, 6, 10, 14, 3, 7, 11, 0, 4, 0, 8], False)])
 def test_cache_matches_list_reference(ops):
     run_differential(ops)
 
 
-def test_random_sequences_cover_the_lock_paths():
-    """Seeded long sequences reach every path the oracle exists to check."""
+def _batch(rng):
+    """A seeded bulk fill: up to three runs of rows of one set each."""
+    runs = [(rng.randrange(NUM_SETS), rng.randrange(1, 6))
+            for _ in range(rng.randrange(4))]
+    return [rng.randrange(LINES // NUM_SETS) * NUM_SETS + index
+            for index, length in runs for _ in range(length)]
+
+
+def test_random_sequences_cover_the_lock_paths(monkeypatch):
+    """Seeded long sequences reach every path the oracle exists to check,
+    bulk fills that skip lines included."""
+    installed = []
+    fill_lines = Cache._fill_lines
+    monkeypatch.setattr(Cache, "_fill_lines", lambda cache, lines, victims: (
+        installed.extend(lines), fill_lines(cache, lines, victims))[1])
     rng = random.Random(2019)
-    kinds = ["lookup", "fill", "fill", "fill", "lock", "unlock", "invalidate"]
+    kinds = ["lookup", "fill", "fill", "fill", "lock", "unlock", "invalidate",
+             "fill_many"]
     totals = CacheStats()
-    skips = fallbacks = refused = 0
+    skips = fallbacks = refused = bulk = 0
     for _ in range(20):
-        ops = [(rng.choice(kinds), rng.randrange(LINES), rng.random() < 0.5)
-               for _ in range(400)]
+        ops = [(kind, _batch(rng) if kind == "fill_many"
+                else rng.randrange(LINES),
+                kind != "fill_many" and rng.random() < 0.5)
+               for kind in (rng.choice(kinds) for _ in range(400))]
+        ops.insert(rng.randrange(400), ("flush", 0, False))
+        bulk += sum(len(op[1]) for op in ops if op[0] == "fill_many")
         reference = run_differential(ops)
         totals = totals.merged(reference.stats)
         skips += reference.locked_victim_skips
@@ -183,3 +247,5 @@ def test_random_sequences_cover_the_lock_paths():
         refused += reference.refused_invalidations
     assert skips > 0 and fallbacks > 0 and refused > 0
     assert totals.writebacks > 0 and totals.evictions > totals.writebacks
+    # ``fill_many`` skipped some lines, and installed most.
+    assert bulk // 2 < len(installed) < bulk

@@ -241,3 +241,197 @@ def test_region_sweeps_match_per_line_loop(seed):
                 == per_line.llc_resident_fraction(0, span * 64))
     locked = sum(cache.locked_lines for cache in bulk.llc)
     assert locked > 0
+
+
+def _small_machine(llc_slice=None):
+    """4 cores, 4 LLC slices of 128 sets x 8 ways: a 4,096-line LLC."""
+    from repro.sim import MachineParams
+    from repro.sim.params import KB, CacheParams
+
+    return MachineParams(cores=4, llc_slices=4,
+                         l1d=CacheParams(4 * KB, 4),
+                         l2=CacheParams(16 * KB, 4),
+                         llc_slice=llc_slice or CacheParams(64 * KB, 8))
+
+
+def _warm_per_line(hierarchy, base, size):
+    """``warm_llc``'s reference: ``_install_llc`` of each line in order."""
+    first = hierarchy.line_of(base)
+    last = hierarchy.line_of(base + size - 1)
+    slice_of_line = hierarchy.interconnect.slice_of_line
+    for line in range(first, last + 1):
+        hierarchy._install_llc(slice_of_line(line), line)
+    return last - first + 1
+
+
+def _spy_installs(monkeypatch):
+    """Record every line a ``Cache.fill_many`` call installs, skipped
+    lines left out."""
+    from repro.sim.cache import Cache
+
+    filled = []
+    fill_lines = Cache._fill_lines
+    monkeypatch.setattr(Cache, "_fill_lines", lambda cache, lines, victims: (
+        filled.extend(lines), fill_lines(cache, lines, victims))[1])
+    return filled
+
+
+def _stale_sharer(hierarchy, line, below):
+    """Leave ``line`` listed as core 0's in the snoop filter, held in core
+    0's private caches, but absent from the LLC: core 1's store drops core
+    0's sharer bit without invalidating its copy, fills of lines of its
+    set under ``below`` evict it from its slice, and core 0's store hit
+    then lists it again."""
+    hierarchy.core_access(0, line * 64)
+    hierarchy.core_access(1, line * 64, write=True)
+    slice_id = hierarchy.interconnect.slice_of_line(line)
+    llc = hierarchy.llc[slice_id]
+    candidate = below + (line - below) % llc.num_sets
+    while llc.contains(line):
+        candidate -= llc.num_sets
+        if hierarchy.interconnect.slice_of_line(candidate) == slice_id:
+            hierarchy._install_llc(slice_id, candidate)
+    hierarchy.core_access(0, line * 64, write=True)
+    assert not llc.contains(line)
+    assert hierarchy.snoop_filter.sharers_of(line) == {0}
+
+
+#: Region first line for the warm-up tests, clear of the busy pre-state's
+#: lines (0 to 6,000).
+REGION = 20_000
+#: Region lines the "stale" pre-state leaves with a sharer and no LLC copy.
+STALE_LINES = (REGION, REGION + 129, REGION + 4000, REGION + 9000)
+
+
+def _pre_state(hierarchy, kind, lines):
+    """Set up one pre-state before warming ``lines`` lines from
+    :data:`REGION`; returns the lines whose sets the survivors-only rule
+    must refuse (locked or resident region lines)."""
+    import random
+
+    rng = random.Random(len(kind) + lines)
+    if kind in ("busy", "locked", "resident", "stale"):
+        # Dirty lines, private sharers and a full LLC outside the region.
+        for _ in range(3000):
+            core = rng.randrange(4)
+            addr = rng.randrange(6000) * 64 + rng.randrange(64)
+            hierarchy.core_access(core, addr, write=rng.random() < 0.3)
+        for _ in range(20):
+            hierarchy.lock_line(rng.randrange(6000) * 64)
+    refused = ()
+    if kind == "locked":
+        # Locked lines in sets the region maps to.
+        refused = (REGION - 128, REGION - 7 * 128, REGION + 50_000)
+        for line in refused:
+            hierarchy.core_access(2, line * 64)
+            assert hierarchy.lock_line(line * 64)
+    if kind == "resident":
+        # Region lines already in the LLC (one of them dirty), the last
+        # one the last line of its set.
+        refused = (REGION + 5, REGION + 300, REGION + lines - 1)
+        hierarchy.core_access(3, refused[0] * 64, write=True)
+        for line in refused[1:]:
+            hierarchy.core_access(3, line * 64)
+    if kind == "stale":
+        for line in STALE_LINES:
+            _stale_sharer(hierarchy, line, below=REGION)
+    if kind == "overfull":
+        # A set holding more lines than ways (as the guard's occupancy
+        # test builds one): fills keep it over, so the rule must refuse.
+        cache = hierarchy.llc[hierarchy.interconnect.slice_of_line(REGION)]
+        cache_set = cache._set_for(REGION)
+        for extra in range(cache.assoc + 2):
+            cache_set[REGION - (extra + 1) * cache.num_sets] = 0
+        refused = (REGION,)
+    return refused
+
+
+@pytest.mark.parametrize("kind", ["empty", "busy", "locked", "resident",
+                                  "stale", "overfull"])
+@pytest.mark.parametrize("lines", [1, 64, 4095, 4096, 5000, 12_288])
+def test_warm_llc_matches_per_line_install(kind, lines, monkeypatch):
+    """``warm_llc`` against ``_install_llc`` of each line in order, from 1
+    line to 3x the LLC, after pre-states with dirty, locked, private and
+    stale-sharer lines: the same return value, every cache set in LRU
+    order with its state bits, every cache's stats and locked-line count,
+    and the snoop filter.  The lines ``Cache.fill_many`` installs show
+    where its survivors-only rule fired: a set that held no locked line,
+    none of the region's lines and at most ``assoc`` lines takes only its
+    last ``assoc`` region lines; any other set takes all of them."""
+    from collections import Counter
+
+    from repro.sim.cache import LOCKED
+
+    machine = _small_machine()
+    bulk, per_line = MemoryHierarchy(machine), MemoryHierarchy(machine)
+    for hierarchy in (bulk, per_line):
+        must_refuse = _pre_state(hierarchy, kind, lines)
+    assert _hierarchy_state(bulk) == _hierarchy_state(per_line)
+    first = REGION
+    region = range(first, first + lines)
+    llc = bulk.llc
+    num_sets, assoc = llc[0].num_sets, llc[0].assoc
+    slice_of_line = bulk.interconnect.slice_of_line
+    cells = Counter((slice_of_line(line), line & (num_sets - 1))
+                    for line in region)
+    refused = set()
+    for slice_id, index in cells:
+        cache_set = llc[slice_id]._sets.get(index, {})
+        if len(cache_set) > assoc or any(
+                line in region or state & LOCKED
+                for line, state in cache_set.items()):
+            refused.add((slice_id, index))
+    filled = _spy_installs(monkeypatch)
+
+    base = first * 64 + 17
+    size = lines * 64 - 17
+    assert bulk.warm_llc(base, size) == _warm_per_line(per_line, base, size)
+    assert _hierarchy_state(bulk) == _hierarchy_state(per_line)
+    assert ([cache.locked_lines for cache in bulk.llc]
+            == [cache.locked_lines for cache in per_line.llc])
+    expected = sum(count if cell in refused else min(count, assoc)
+                   for cell, count in cells.items())
+    assert len(filled) == expected
+    if lines == 12_288:
+        # The rule fires, except in the sets it must refuse.
+        assert expected < lines // 2
+        assert bool(refused) == (kind != "empty")
+        assert refused >= {(slice_of_line(line), line & (num_sets - 1))
+                           for line in must_refuse}
+        if kind == "stale":
+            # Some stale-sharer line was skipped, so back-invalidated
+            # without being filled.
+            assert set(STALE_LINES) - set(filled)
+
+
+def test_warm_llc_splits_sets_longer_than_a_block(monkeypatch):
+    """A one-set slice puts every region line in one set, so a region of
+    more than ``SWEEP_CHUNK_LINES`` lines splits each slice's set over
+    several blocks.  They fill in line order and match the per-line loop,
+    and the survivors-only rule fires in every block of a slice with no
+    locked line: each block's own lines are fresh to its set."""
+    from collections import Counter
+
+    from repro.sim.interconnect import SWEEP_CHUNK_LINES
+    from repro.sim.params import CacheParams
+
+    machine = _small_machine(llc_slice=CacheParams(8 * 64, 8))
+    bulk, per_line = MemoryHierarchy(machine), MemoryHierarchy(machine)
+    for hierarchy in (bulk, per_line):
+        hierarchy.core_access(0, 0)
+        hierarchy.core_access(1, 64, write=True)
+        assert hierarchy.lock_line(0)
+    assert bulk.llc[0].num_sets == 1
+    filled = _spy_installs(monkeypatch)
+    first, lines = 10, 10_000
+    assert bulk.warm_llc(first * 64, lines * 64) == _warm_per_line(
+        per_line, first * 64, lines * 64)
+    assert _hierarchy_state(bulk) == _hierarchy_state(per_line)
+    slice_of_line = bulk.interconnect.slice_of_line
+    locked_slice = slice_of_line(0)
+    expected = 0
+    for start in range(first, first + lines, SWEEP_CHUNK_LINES):
+        block = range(start, min(start + SWEEP_CHUNK_LINES, first + lines))
+        for slice_id, count in Counter(map(slice_of_line, block)).items():
+            expected += count if slice_id == locked_slice else min(count, 8)
+    assert len(filled) == expected

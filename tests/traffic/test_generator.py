@@ -82,3 +82,45 @@ def test_random_keys_distinct():
 
 def test_random_keys_deterministic():
     assert random_keys(100, seed=17) == random_keys(100, seed=17)
+
+
+def _random_keys_by_row(count, key_bytes=16, seed=2):
+    """``random_keys`` as first written: one ``bytes`` per row of the
+    draw, then every key checked against the ones before it."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    data = rng.integers(0, 256, size=(count, key_bytes), dtype=np.uint8)
+    keys = [bytes(row) for row in data]
+    seen = set()
+    for index, key in enumerate(keys):
+        while key in seen:
+            key = bytes(rng.integers(0, 256, size=key_bytes, dtype=np.uint8))
+        seen.add(key)
+        keys[index] = key
+    return keys
+
+
+@pytest.mark.parametrize("count,key_bytes,seed,repeats", [
+    (0, 16, 2, False), (1, 16, 2, False), (5000, 16, 5, False),
+    (3000, 8, 11, False), (4000, 4, 1, False), (200, 1, 3, True),
+    (256, 1, 7, True), (30_000, 2, 9, True), (20_000, 3, 6, True)])
+def test_random_keys_matches_row_by_row_draw(count, key_bytes, seed,
+                                             repeats):
+    """The sliced draw returns the row-by-row list for every argument,
+    including 1- to 3-byte keys whose draws repeat and force redraws
+    (``repeats``), which consume the generator in the same order."""
+    import numpy as np
+
+    first_draw = np.random.default_rng(seed).integers(
+        0, 256, size=(count, key_bytes), dtype=np.uint8)
+    assert (len({row.tobytes() for row in first_draw}) < count) == repeats
+    keys = random_keys(count, key_bytes=key_bytes, seed=seed)
+    assert keys == _random_keys_by_row(count, key_bytes, seed)
+    assert len(set(keys)) == count
+    assert all(type(key) is bytes and len(key) == key_bytes for key in keys)
+
+
+def test_random_keys_rejects_empty_keys():
+    with pytest.raises(ValueError, match="key_bytes"):
+        random_keys(3, key_bytes=0)
