@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Enforce public-contract module docstrings on the pinned contract modules.
 
-The supervised pool, the campaign journal, the cache model and the
-memory hierarchy's bulk warm-up, the trace-replay fast path, the
-tracer's recording window, the cuckoo table's placement and traces,
-the virtual switch's fused packets, the cluster layer, the churn
+The supervised pool, the campaign journal, the cache model, the snoop
+filter's sharer map, the memory hierarchy's access walk and bulk
+warm-up, the trace-replay fast path, the tracer's recording window,
+the cuckoo table's placement and traces, the virtual switch's fused
+packets, the cluster layer, the churn
 workload engine, the cache-policy seam, and the trace persistence
 formats are API that external harnesses build against.  Each of those
 modules must open with a module docstring that (a) exists, (b) is
@@ -34,6 +35,7 @@ CONTRACT_MODULES = (
     "repro/runner/pool.py",
     "repro/runner/journal.py",
     "repro/sim/cache.py",
+    "repro/sim/coherence.py",
     "repro/sim/hierarchy.py",
     "repro/sim/replay.py",
     "repro/sim/trace.py",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,6 +92,13 @@ class Cache:
     lines in one loop and skips the lines of a run the batch itself
     would evict again, and a running count of locked lines answers
     :attr:`locked_lines` without walking the sets.
+
+    The memory hierarchy's access walk
+    (:meth:`~repro.sim.hierarchy.MemoryHierarchy.core_accessor`) probes
+    and fills these sets in place by the same rules, handing a pinned LRU
+    line to :meth:`_evict_pinned` and an LLC install to :meth:`_install`,
+    so a change to the set layout or the replacement rule changes it too
+    (``tests/sim/test_reference_hierarchy.py`` holds the two equal).
     """
 
     def __init__(self, name: str, params: CacheParams) -> None:
@@ -153,19 +160,23 @@ class Cache:
             if dirty:
                 cache_set[line] |= DIRTY
             return None
+        return self._install(cache_set, line, DIRTY if dirty else 0)
+
+    def _install(self, cache_set: OrderedDict, line: int,
+                 state: int = 0) -> Optional[int]:
+        """:meth:`fill`'s miss half: put ``line``, absent from its set
+        ``cache_set``, in as the most recently used line with ``state``;
+        returns the evicted line, if any."""
         victim = None
         if len(cache_set) >= self.assoc:
-            victim = next(iter(cache_set))
-            if cache_set[victim] & LOCKED:
-                victim = self._unlocked_victim(cache_set, victim)
-            state = cache_set.pop(victim)
-            if state:
-                if state & DIRTY:
-                    self.stats.writebacks += 1
-                if state & LOCKED:
-                    self._locked -= 1
+            victim, evicted = cache_set.popitem(last=False)
+            if evicted & LOCKED:
+                victim, evicted = self._evict_pinned(cache_set, victim,
+                                                     evicted)
+            if evicted & DIRTY:
+                self.stats.writebacks += 1
             self.stats.evictions += 1
-        cache_set[line] = DIRTY if dirty else 0
+        cache_set[line] = state
         return victim
 
     def fill_many(self, lines: Sequence[int]) -> List[int]:
@@ -239,37 +250,46 @@ class Cache:
                 cache_set.move_to_end(line)
                 continue
             if len(cache_set) >= assoc:
-                victim = next(iter(cache_set))
-                if cache_set[victim] & LOCKED:
-                    victim = self._unlocked_victim(cache_set, victim)
-                state = cache_set.pop(victim)
-                if state:
-                    if state & DIRTY:
-                        writebacks += 1
-                    if state & LOCKED:
-                        self._locked -= 1
+                victim, state = cache_set.popitem(last=False)
+                if state & LOCKED:
+                    victim, state = self._evict_pinned(cache_set, victim,
+                                                       state)
+                if state & DIRTY:
+                    writebacks += 1
                 evict(victim)
                 evictions += 1
             cache_set[line] = 0
         self.stats.evictions += evictions
         self.stats.writebacks += writebacks
 
-    @staticmethod
-    def _unlocked_victim(cache_set: OrderedDict, lru: int) -> int:
-        """The least recently used unlocked line of a full set whose LRU
-        line ``lru`` is locked (HALO's lock bit pins it); with no unlocked
-        line (pathological: whole set locked), ``lru`` goes anyway."""
-        for candidate, state in cache_set.items():
-            if not state & LOCKED:
-                return candidate
-        return lru
+    def _evict_pinned(self, cache_set: OrderedDict, lru: int,
+                      state: int) -> Tuple[int, int]:
+        """Evict from a full set whose popped LRU line ``lru`` is locked.
+
+        HALO's lock bit pins ``lru``: it goes back to the front, and the
+        least recently used unlocked line is popped instead; with no
+        unlocked line (pathological: whole set locked), ``lru`` goes
+        anyway.  Returns the victim and its state, and keeps the locked
+        count.
+        """
+        cache_set[lru] = state
+        cache_set.move_to_end(lru, last=False)
+        victim = lru
+        for candidate, candidate_state in cache_set.items():
+            if not candidate_state & LOCKED:
+                victim = candidate
+                break
+        state = cache_set.pop(victim)
+        if state & LOCKED:
+            self._locked -= 1
+        return victim, state
 
     def contains(self, line: int) -> bool:
-        return line in self._sets.get(self.set_index(line), ())
+        return line in self._sets.get(line & (self.num_sets - 1), ())
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line`` if present; refuses if the HALO lock bit is set."""
-        cache_set = self._sets.get(self.set_index(line))
+        cache_set = self._sets.get(line & (self.num_sets - 1))
         if cache_set is None:
             return False
         state = cache_set.get(line)
@@ -312,27 +332,27 @@ class Cache:
 
     # -- HALO lock bit (reserved cache-line metadata bit, §4.4) --------------
     def lock(self, line: int) -> bool:
-        cache_set = self._sets.get(self.set_index(line))
-        if cache_set is None or line not in cache_set:
+        cache_set = self._sets.get(line & (self.num_sets - 1))
+        state = None if cache_set is None else cache_set.get(line)
+        if state is None:
             return False
-        state = cache_set[line]
         if not state & LOCKED:
             cache_set[line] = state | LOCKED
             self._locked += 1
         return True
 
     def unlock(self, line: int) -> bool:
-        cache_set = self._sets.get(self.set_index(line))
-        if cache_set is None or line not in cache_set:
+        cache_set = self._sets.get(line & (self.num_sets - 1))
+        state = None if cache_set is None else cache_set.get(line)
+        if state is None:
             return False
-        state = cache_set[line]
         if state & LOCKED:
             cache_set[line] = state & ~LOCKED
             self._locked -= 1
         return True
 
     def is_locked(self, line: int) -> bool:
-        cache_set = self._sets.get(self.set_index(line))
+        cache_set = self._sets.get(line & (self.num_sets - 1))
         if cache_set is None:
             return False
         state = cache_set.get(line)

@@ -10,6 +10,15 @@ subset of MESI:
   snoops travel in parallel);
 * an invalidation attempt against a line whose HALO lock bit is set gets a
   "snoop miss" and must retry (paper §4.4), modelled as bounded retries.
+
+Public contract: the sharer map holds a line only while some core is
+listed for it, so a listed line's sharer set is never empty:
+:meth:`SnoopFilter.record_fill` creates a line's set on its first sharer
+and adds to it after, and :meth:`~SnoopFilter.record_eviction` drops a
+line's entry when its last sharer goes.  :meth:`~SnoopFilter.sharers_of`
+and :meth:`~SnoopFilter.other_sharers` return copies, which a caller may
+change freely.  The memory hierarchy's inlined access walk reads and
+updates the sharer and metadata-holder maps directly on these terms.
 """
 
 from __future__ import annotations
@@ -39,7 +48,11 @@ class SnoopFilter:
 
     # -- sharer tracking -------------------------------------------------------
     def record_fill(self, line: int, core_id: int) -> None:
-        self._sharers.setdefault(line, set()).add(core_id)
+        sharers = self._sharers.get(line)
+        if sharers is None:
+            self._sharers[line] = {core_id}
+        else:
+            sharers.add(core_id)
 
     def record_eviction(self, line: int, core_id: int) -> None:
         sharers = self._sharers.get(line)

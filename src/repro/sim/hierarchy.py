@@ -14,7 +14,10 @@ The hierarchy is inclusive: an LLC eviction back-invalidates private copies.
 
 Public contract: every cache's sets, LRU order, line states and stats,
 the snoop filter and DRAM's counters are a function of the access and
-lock sequence alone.  :meth:`MemoryHierarchy.warm_llc` equals a loop of
+lock sequence alone.  ``core_accessor(c)(a, w)`` returns
+``core_access(c, a, w)``'s latency, level and lock retries and leaves
+the same state; only the metric pushes and the home slice are
+``core_access``'s own.  :meth:`MemoryHierarchy.warm_llc` equals a loop of
 ``_install_llc`` over the region's lines in order, in that state, those
 statistics and its back-invalidations; :meth:`~MemoryHierarchy.flush_region`
 equals invalidating each line in every cache and dropping its sharers.
@@ -30,7 +33,7 @@ from typing import (
 import numpy as np
 
 from ..obs import Observability
-from .cache import Cache, CacheStats
+from .cache import DIRTY, LOCKED, Cache, CacheStats
 from .coherence import SnoopFilter
 from .interconnect import SWEEP_CHUNK_LINES, Interconnect
 from .memory import AddressAllocator, Dram
@@ -42,6 +45,10 @@ ACCESS_LEVELS = ("L1", "L2", "LLC", "PRIV", "DRAM")
 
 #: Extra cycles per retry when a store hits a HALO-locked line (§4.4).
 LOCK_RETRY_CYCLES = 20
+
+#: A core's access closure: ``(addr, write) -> (latency, level,
+#: lock_retries)`` (:meth:`MemoryHierarchy.core_accessor`).
+Access = Callable[[int, bool], Tuple[int, str, int]]
 
 
 def _set_major_blocks(first: int, last: int,
@@ -97,7 +104,7 @@ class MemoryHierarchy:
     Private caches, LLC slices, and the snoop filter are indexed by
     *global* core/slice ids; the :class:`~repro.sim.params.Topology`
     decides which socket each id lives on.  Cross-socket transfers pay
-    the inter-socket link penalty (see :meth:`_llc_latency_from` and the
+    the inter-socket link penalty (see :meth:`_nuca_route` and the
     interconnect); with the default single-socket topology no penalty
     term is ever non-zero, so cycle counts are bit-identical to the
     pre-topology model.
@@ -138,6 +145,16 @@ class MemoryHierarchy:
         # ``latency.llc_hit``.  Per socket: the spread is a property of
         # one socket's ring, not of the whole machine.
         self._avg_hops = self._slices_per_socket // 4
+        self._stops = self.machine.llc_slices
+        self._llc_mask = self.llc[0].num_sets - 1
+        #: core id -> its access closure (:meth:`core_accessor`).
+        self._accessors: Dict[int, Access] = {}
+        #: [accelerator slice][home slice] -> (transfer cycles, ring hops,
+        #: link crossings) of a CHA access without a fault hook.
+        route = self.interconnect.route
+        self._cha_routes = [[route(accelerator, home)
+                             for home in range(self._stops)]
+                            for accelerator in range(self._stops)]
         self._register_metrics()
 
     def _register_metrics(self) -> None:
@@ -212,33 +229,45 @@ class MemoryHierarchy:
         local = (core_id % self._cores_per_socket) % self._slices_per_socket
         return socket * self._slices_per_socket + local
 
-    def _llc_latency_from(self, stop: int, slice_id: int) -> int:
-        """NUCA: core->slice latency centred on ``llc_hit``.
+    def _nuca_route(self, stop: int, slice_id: int) -> Tuple[int, int]:
+        """NUCA: core->slice latency centred on ``llc_hit``, and the link
+        crossings it pays for, uncounted.
 
         A remote-socket home additionally pays the link round trip
-        (request over, data back) — the term is zero on one socket.
+        (request over, data back) — the term is zero on one socket, where
+        the crossing count is too.
         """
         interconnect = self.interconnect
         hops = interconnect.hops(stop, slice_id)
         latency = (self.latency.llc_hit
                    + 2 * self.latency.hop * (hops - self._avg_hops))
+        crossings = 0
         if self._link_round_trip:
             crossings = interconnect.link_crossings(stop, slice_id)
-            if crossings:
-                latency += self._link_round_trip * crossings
-                interconnect.stats.link_crossings += crossings
-        return max(latency, self.latency.l2_hit + 2)
+            latency += self._link_round_trip * crossings
+        return max(latency, self.latency.l2_hit + 2), crossings
+
+    def _llc_latency_from(self, stop: int, slice_id: int) -> int:
+        """The NUCA latency one access from ``stop`` to ``slice_id`` pays,
+        counting its link crossings (:meth:`_nuca_route`)."""
+        latency, crossings = self._nuca_route(stop, slice_id)
+        self.interconnect.stats.link_crossings += crossings
+        return latency
 
     # -- conventional core path --------------------------------------------------
     def core_access(self, core_id: int, addr: int,
                     write: bool = False) -> AccessResult:
-        """One load/store issued by ``core_id`` against byte address ``addr``."""
-        result = self._core_access(core_id, addr, write)
-        self._m_core_cycles.observe(result.latency)
-        self._m_core_level[result.level].inc()
-        if result.lock_retries:
-            self._m_lock_retries.inc(result.lock_retries)
-        return result
+        """One load/store issued by ``core_id`` against byte address ``addr``:
+        :meth:`core_accessor`'s walk, its metric pushes and the line's home
+        slice."""
+        latency, level, retries = self.core_accessor(core_id)(addr, write)
+        self._m_core_cycles.observe(latency)
+        self._m_core_level[level].inc()
+        if retries:
+            self._m_lock_retries.inc(retries)
+        return AccessResult(
+            latency, level,
+            self.interconnect.slice_of_line(addr // self.line_bytes), retries)
 
     def observe_core_accesses(self, latency_counts: Dict[int, int],
                               level_counts: Dict[str, int],
@@ -259,125 +288,217 @@ class MemoryHierarchy:
         if lock_retries:
             self._m_lock_retries.inc(lock_retries)
 
-    def core_accessor(self, core_id: int
-                      ) -> Callable[[int, bool], Tuple[int, str, int]]:
-        """A pre-bound access closure for core pricing.
+    def core_accessor(self, core_id: int) -> Access:
+        """The access closure of ``core_id``: the one implementation of a
+        core load or store.
 
-        State transitions are exactly :meth:`_core_access` — the L1 read
-        probe is inlined against the cache internals (the overwhelmingly
-        common case in warm lookup streams) and everything else falls
-        through to the shared slow path — but the closure returns a plain
-        ``(latency, level, lock_retries)`` tuple and skips the per-access
-        metric pushes; callers flush their deferred observations through
-        :meth:`observe_core_accesses`.
+        ``access(addr, write)`` returns ``(latency, level, lock_retries)``
+        and skips the per-access metric pushes: :meth:`core_access` adds
+        them, and core pricing flushes its deferred observations through
+        :meth:`observe_core_accesses`.  Built on first use and kept, so
+        every caller of one core shares one closure.
         """
-        full = self._core_access
-        if self.tlbs is not None:
-            # TLB translation charges per *byte address*, which the
-            # inlined line-granular probe below cannot reproduce — take
-            # the full path.
-            def access(addr: int, write: bool) -> Tuple[int, str, int]:
-                result = full(core_id, addr, write)
-                return result[0], result[1], result[3]
-            return access
-        l1 = self.l1[core_id]
-        sets = l1._sets
-        sets_get = sets.get
-        mask = l1.num_sets - 1
-        stats = l1.stats
-        line_bytes = self.line_bytes
-        l1_hit = self.latency.l1_hit
-        fill = self._core_access_fill
-        ordered_dict = OrderedDict
-        # One shared tuple for every L1 hit — the hot return value is a
-        # constant, so allocating it per access would be pure churn.
-        hit_result = (l1_hit, "L1", 0)
-
-        def access(addr: int, write: bool) -> Tuple[int, str, int]:
-            if write:
-                # Stores need ownership/lock-retry modelling: full path.
-                result = full(core_id, addr, write)
-                return result[0], result[1], result[3]
-            line = addr // line_bytes
-            index = line & mask
-            cache_set = sets_get(index)
-            if cache_set is None:
-                # Same state effect as Cache._set_for on a cold set.
-                sets[index] = ordered_dict()
-            elif cache_set.get(line) is not None:  # 0 is a resident line
-                cache_set.move_to_end(line)
-                stats.hits += 1
-                return hit_result
-            stats.misses += 1
-            result = fill(core_id, line, False, 0, 0)
-            return result[0], result[1], result[3]
+        access = self._accessors.get(core_id)
+        if access is None:
+            access = self._accessors[core_id] = self._walk(core_id)
         return access
 
-    def _core_access(self, core_id: int, addr: int,
-                     write: bool = False) -> AccessResult:
-        line = self.line_of(addr)
-        extra = 0
-        retries = 0
-        if self.tlbs is not None:
-            extra += self.tlbs[core_id].access(addr)
-        if write:
-            ownership, retries = self._gain_ownership(line, core_id)
-            extra += ownership
-        if self.l1[core_id].lookup(line, write=write):
-            return AccessResult(self.latency.l1_hit + extra, "L1",
-                                self.interconnect.slice_of_line(line),
-                                retries)
-        return self._core_access_fill(core_id, line, write, extra, retries)
+    def _walk(self, core_id: int) -> Access:
+        """Build ``core_id``'s access closure.
 
-    def _core_access_fill(self, core_id: int, line: int, write: bool,
-                          extra: int, retries: int) -> AccessResult:
-        """The L1-missed continuation of :meth:`_core_access`: L2 → home
-        LLC slice → peer private caches → DRAM, filling private caches on
-        the way back.  Split out so :meth:`core_accessor` can inline the
-        L1 probe and share everything below it unchanged."""
-        l1 = self.l1[core_id]
-        l2 = self.l2[core_id]
+        One access charges the TLB (when the machine has one); a store
+        then gains ownership: a HALO-locked home copy costs a snoop miss
+        and one retry (the lock holder, an accelerator query, releases
+        before the retry in the synchronous replay model), other sharers
+        lose their snoop-filter bits for one invalidation round trip (a
+        link round trip more when one sits on another socket), and a
+        metadata-cache copy is snooped out.  The walk then probes L1D, L2
+        and the home LLC slice; below the LLC it checks the peers'
+        private caches (dirty sharing) and goes to DRAM, installing the
+        line into the LLC, whose victim is back-invalidated from every
+        private cache the snoop filter lists, before filling L2 (its
+        victim leaves this core's L1D and sharer bit), the snoop filter
+        and L1D.  The caches' sets, the snoop filter's maps, and the NUCA
+        latency and link crossings from this core's stop to every slice
+        are bound once, here.
+        """
+        l1, l2 = self.l1[core_id], self.l2[core_id]
+        l1_sets, l1_stats = l1._sets, l1.stats
+        l1_mask, l1_assoc = l1.num_sets - 1, l1.assoc
+        l2_sets, l2_stats = l2._sets, l2.stats
+        l2_mask, l2_assoc = l2.num_sets - 1, l2.assoc
+        llc = self.llc
+        llc_sets = [cache._sets for cache in llc]
+        llc_stats = [cache.stats for cache in llc]
+        llc_mask = llc[0].num_sets - 1
+        snoop = self.snoop_filter
+        sharers = snoop._sharers
+        metadata_holders = snoop._metadata_holder
+        coherence = snoop.stats
+        link_stats = self.interconnect.stats
         slice_of_line = self.interconnect.slice_of_line
-        if l2.lookup(line, write=write):
-            self._fill_private(l1, line, core_id, dirty=write)
-            return AccessResult(self.latency.l2_hit + extra, "L2",
-                                slice_of_line(line), retries)
-
-        slice_id = slice_of_line(line)
-        llc = self.llc[slice_id]
+        dram_access = self.dram.access_latency
+        private_holder = self._private_holder
+        back_invalidate = self._back_invalidate
+        tlb_access = (self.tlbs[core_id].access
+                      if self.tlbs is not None else None)
         stop = self.core_stop(core_id)
-        if llc.lookup(line, write=write):
-            latency = self._llc_latency_from(stop, slice_id) + extra
-            self._fill_private(l2, line, core_id, dirty=False)
-            self._fill_private(l1, line, core_id, dirty=write)
-            self.snoop_filter.record_fill(line, core_id)
-            return AccessResult(latency, "LLC", slice_id, retries)
+        routes = [self._nuca_route(stop, slice_id)
+                  for slice_id in range(len(llc))]
+        nuca = [latency for latency, _ in routes]
+        crossings = [crossed for _, crossed in routes]
+        link_round_trip = self._link_round_trip
+        many_sockets = self._sockets > 1
+        socket_of_core = self.topology.socket_of_core
+        writer_socket = socket_of_core(core_id)
+        latency = self.latency
+        l1_hit, l2_hit = latency.l1_hit, latency.l2_hit
+        snoop_invalidate = latency.snoop_invalidate
+        line_bytes = self.line_bytes
+        new_set = OrderedDict
+        # One shared tuple for every plain L1 hit — the hot return value
+        # is a constant, so allocating it per access would be pure churn.
+        l1_result = (l1_hit, "L1", 0)
 
-        # Check other cores' private caches (dirty sharing): costlier than LLC.
-        holder = self._private_holder(line, exclude=core_id)
-        if holder is not None:
-            latency = (self._llc_latency_from(stop, slice_id)
-                       + self.latency.snoop_invalidate + extra)
-            self._install_llc(slice_id, line)
-            self._fill_private(l2, line, core_id, dirty=False)
-            self._fill_private(l1, line, core_id, dirty=write)
-            self.snoop_filter.record_fill(line, core_id)
-            return AccessResult(latency, "PRIV", slice_id, retries)
+        def access(addr: int, write: bool) -> Tuple[int, str, int]:
+            line = addr // line_bytes
+            extra = 0 if tlb_access is None else tlb_access(addr)
+            retries = 0
+            if write:
+                home = slice_of_line(line)
+                home_set = llc_sets[home].get(line & llc_mask)
+                if home_set is not None and home_set.get(line, 0) & LOCKED:
+                    retries = 1
+                    extra += LOCK_RETRY_CYCLES
+                    coherence.snoop_misses += 1
+                holders = sharers.get(line)
+                if holders is None:
+                    sharers[line] = {core_id}
+                elif len(holders) > 1 or core_id not in holders:
+                    others = len(holders) - (core_id in holders)
+                    coherence.invalidation_rounds += 1
+                    coherence.lines_invalidated += others
+                    extra += snoop_invalidate
+                    if many_sockets and any(
+                            socket_of_core(sharer) != writer_socket
+                            for sharer in holders if sharer != core_id):
+                        extra += link_round_trip
+                        link_stats.link_crossings += 1
+                    sharers[line] = {core_id}
+                if line in metadata_holders:
+                    # Read-for-ownership also invalidates the metadata-
+                    # cache copy.
+                    coherence.metadata_snoops += 1
+                    del metadata_holders[line]
 
-        # DRAM.  The memory controller sits behind the line's *home* slice,
-        # so a remote-socket home pays the link round trip on top of the
-        # DRAM latency (zero on one socket).
-        latency = self.dram.access_latency(write=write) + extra
-        if self._link_round_trip:
-            crossings = self.interconnect.link_crossings(stop, slice_id)
-            if crossings:
-                latency += self._link_round_trip * crossings
-                self.interconnect.stats.link_crossings += crossings
-        self._install_llc(slice_id, line)
-        self._fill_private(l2, line, core_id, dirty=False)
-        self._fill_private(l1, line, core_id, dirty=write)
-        self.snoop_filter.record_fill(line, core_id)
-        return AccessResult(latency, "DRAM", slice_id, retries)
+            index = line & l1_mask
+            l1_set = l1_sets.get(index)
+            if l1_set is None:
+                l1_set = l1_sets[index] = new_set()
+            else:
+                state = l1_set.get(line)
+                if state is not None:  # 0 is a resident clean line
+                    l1_set.move_to_end(line)
+                    if write:
+                        l1_set[line] = state | DIRTY
+                    l1_stats.hits += 1
+                    if extra or retries:
+                        return l1_hit + extra, "L1", retries
+                    return l1_result
+            l1_stats.misses += 1
+
+            index = line & l2_mask
+            l2_set = l2_sets.get(index)
+            if l2_set is None:
+                l2_set = l2_sets[index] = new_set()
+                state = None
+            else:
+                state = l2_set.get(line)
+            if state is not None:
+                l2_set.move_to_end(line)
+                if write:
+                    l2_set[line] = state | DIRTY
+                l2_stats.hits += 1
+                result = (l2_hit + extra, "L2", retries)
+            else:
+                l2_stats.misses += 1
+                if not write:
+                    home = slice_of_line(line)
+                home_sets = llc_sets[home]
+                index = line & llc_mask
+                home_set = home_sets.get(index)
+                if home_set is None:
+                    home_set = home_sets[index] = new_set()
+                    state = None
+                else:
+                    state = home_set.get(line)
+                crossed = crossings[home]
+                if crossed:
+                    link_stats.link_crossings += crossed
+                if state is not None:
+                    home_set.move_to_end(line)
+                    if write:
+                        home_set[line] = state | DIRTY
+                    llc_stats[home].hits += 1
+                    result = (nuca[home] + extra, "LLC", retries)
+                else:
+                    llc_stats[home].misses += 1
+                    if private_holder(line, core_id) is not None:
+                        result = (nuca[home] + snoop_invalidate + extra,
+                                  "PRIV", retries)
+                    else:
+                        # The memory controller sits behind the line's
+                        # home slice: a remote home pays the link round
+                        # trip on top of DRAM (zero on one socket).
+                        result = (dram_access(write)
+                                  + link_round_trip * crossed + extra,
+                                  "DRAM", retries)
+                    victim = llc[home]._install(home_set, line)
+                    if victim is not None and victim in sharers:
+                        back_invalidate(victim)
+
+                # L2 fill, clean, after the LLC install's back-invalidation.
+                if len(l2_set) >= l2_assoc:
+                    victim, state = l2_set.popitem(last=False)
+                    if state & LOCKED:
+                        victim, state = l2._evict_pinned(l2_set, victim,
+                                                         state)
+                    if state & DIRTY:
+                        l2_stats.writebacks += 1
+                    l2_stats.evictions += 1
+                    # The victim leaves L1D too (keeping presence
+                    # consistent), and with it this core's sharer bit.
+                    victim_set = l1_sets.get(victim & l1_mask)
+                    state = (None if victim_set is None
+                             else victim_set.get(victim))
+                    if state is not None and not state & LOCKED:
+                        del victim_set[victim]
+                        l1_stats.invalidations += 1
+                        state = None
+                    if state is None:
+                        holders = sharers.get(victim)
+                        if holders is not None:
+                            holders.discard(core_id)
+                            if not holders:
+                                del sharers[victim]
+                l2_set[line] = 0
+                holders = sharers.get(line)
+                if holders is None:
+                    sharers[line] = {core_id}
+                else:
+                    holders.add(core_id)
+
+            # L1D fill.
+            if len(l1_set) >= l1_assoc:
+                victim, state = l1_set.popitem(last=False)
+                if state & LOCKED:
+                    victim, state = l1._evict_pinned(l1_set, victim, state)
+                if state & DIRTY:
+                    l1_stats.writebacks += 1
+                l1_stats.evictions += 1
+            l1_set[line] = DIRTY if write else 0
+            return result
+        return access
 
     # -- HALO near-cache path ------------------------------------------------------
     def cha_access(self, accelerator_slice: int, addr: int,
@@ -394,24 +515,49 @@ class MemoryHierarchy:
 
     def _cha_access(self, accelerator_slice: int, addr: int,
                     write: bool = False) -> AccessResult:
-        line = self.line_of(addr)
-        home = self.slice_of(addr)
-        transfer = self.interconnect.transfer_latency(accelerator_slice, home)
+        line = addr // self.line_bytes
+        interconnect = self.interconnect
+        home = interconnect.slice_of_line(line)
+        if interconnect.fault_hook is None:
+            transfer, hops, crossings = self._cha_routes[
+                accelerator_slice % self._stops][home]
+            stats = interconnect.stats
+            stats.messages += 1
+            stats.total_hops += hops
+            if crossings:
+                stats.link_crossings += crossings
+        else:
+            transfer = interconnect.transfer_latency(accelerator_slice, home)
         llc = self.llc[home]
-        if llc.lookup(line, write=write):
+        sets = llc._sets
+        index = line & self._llc_mask
+        cache_set = sets.get(index)
+        if cache_set is None:
+            cache_set = sets[index] = OrderedDict()
+            state = None
+        else:
+            state = cache_set.get(line)
+        if state is not None:
+            cache_set.move_to_end(line)
+            if write:
+                cache_set[line] = state | DIRTY
+            llc.stats.hits += 1
             return AccessResult(self.latency.cha_llc_hit + transfer,
                                 "LLC", home)
-        holder = self._private_holder(line)
-        if holder is not None:
+        llc.stats.misses += 1
+        if self._private_holder(line) is not None:
             # Pull the line from a private cache back into LLC.
-            latency = (self.latency.cha_llc_hit + transfer
-                       + self.latency.snoop_invalidate // 2)
-            self._install_llc(home, line)
-            return AccessResult(latency, "PRIV", home)
-        latency = min(self.dram.access_latency(write=write),
-                      self.latency.cha_dram) + transfer
-        self._install_llc(home, line)
-        return AccessResult(latency, "DRAM", home)
+            result = AccessResult(
+                self.latency.cha_llc_hit + transfer
+                + self.latency.snoop_invalidate // 2, "PRIV", home)
+        else:
+            result = AccessResult(
+                min(self.dram.access_latency(write=write),
+                    self.latency.cha_dram) + transfer, "DRAM", home)
+        victim = llc._install(cache_set, line)
+        if victim is not None and victim in self.snoop_filter._sharers:
+            self._back_invalidate(victim)
+        return result
 
     # -- HALO lock bits (delegate to the home slice) -------------------------------
     def lock_line(self, addr: int) -> bool:
@@ -420,67 +566,31 @@ class MemoryHierarchy:
         Absent lines cannot be locked — the accelerator locks them after
         its (charged) data fetch brings them in.
         """
-        line = self.line_of(addr)
-        return self.llc[self.slice_of(addr)].lock(line)
+        line = addr // self.line_bytes
+        return self.llc[self.interconnect.slice_of_line(line)].lock(line)
 
     def unlock_line(self, addr: int) -> bool:
-        line = self.line_of(addr)
-        return self.llc[self.slice_of(addr)].unlock(line)
+        line = addr // self.line_bytes
+        return self.llc[self.interconnect.slice_of_line(line)].unlock(line)
 
     def line_locked(self, addr: int) -> bool:
-        line = self.line_of(addr)
-        return self.llc[self.slice_of(addr)].is_locked(line)
+        line = addr // self.line_bytes
+        return self.llc[self.interconnect.slice_of_line(line)].is_locked(line)
 
     # -- internals -------------------------------------------------------------
-    def _gain_ownership(self, line: int, core_id: int) -> tuple:
-        """Cost of acquiring exclusive ownership for a store."""
-        extra = 0
-        retries = 0
-        home = self.interconnect.slice_of_line(line)
-        if self.llc[home].is_locked(line):
-            # The lock holder (an accelerator query) completes quickly; in
-            # the synchronous replay model the other agent releases the
-            # lock before the retry, so the store pays one retry and goes
-            # ahead, which models forward progress.
-            retries = 1
-            extra += LOCK_RETRY_CYCLES
-            self.snoop_filter.invalidate_for_store(line, core_id, locked=True)
-        remote_sharer = False
-        if self._sockets > 1:
-            # Snoops travel in parallel (one round trip), but if any
-            # sharer sits on another socket the round trip spans the
-            # link.  Checked before the invalidation consumes the set.
-            writer_socket = self.socket_of_core(core_id)
-            remote_sharer = any(
-                self.socket_of_core(sharer) != writer_socket
-                for sharer in self.snoop_filter.other_sharers(line, core_id))
-        outcome = self.snoop_filter.invalidate_for_store(line, core_id)
-        if outcome["sharers"]:
-            extra += self.latency.snoop_invalidate
-            if remote_sharer:
-                extra += self._link_round_trip
-                self.interconnect.stats.link_crossings += 1
-        return extra, retries
-
     def _private_holder(self, line: int,
                         exclude: Optional[int] = None) -> Optional[int]:
-        for core in self.snoop_filter.sharers_of(line):
-            if core == exclude:
-                continue
-            if self.l1[core].contains(line) or self.l2[core].contains(line):
-                return core
+        """A core other than ``exclude`` that the snoop filter lists for
+        ``line`` and whose L1D or L2 still holds it, or None.  Reads the
+        live sharer set: the scan changes nothing."""
+        holders = self.snoop_filter._sharers.get(line)
+        if holders is not None:
+            l1, l2 = self.l1, self.l2
+            for core in holders:
+                if core != exclude and (l1[core].contains(line)
+                                        or l2[core].contains(line)):
+                    return core
         return None
-
-    def _fill_private(self, cache: Cache, line: int, core_id: int,
-                      dirty: bool) -> None:
-        victim = cache.fill(line, dirty=dirty)
-        if victim is not None and cache.name.startswith("L2"):
-            # L2 eviction: the victim may also leave L1 (non-inclusive L1/L2
-            # on Skylake, but keeping presence consistent is enough here).
-            self.l1[core_id].invalidate(victim)
-            if (not self.l1[core_id].contains(victim)
-                    and not self.l2[core_id].contains(victim)):
-                self.snoop_filter.record_eviction(victim, core_id)
 
     def _install_llc(self, slice_id: int, line: int) -> None:
         victim = self.llc[slice_id].fill(line)
@@ -489,12 +599,12 @@ class MemoryHierarchy:
 
     def _back_invalidate(self, line: int) -> None:
         """Inclusive LLC: drop every private copy of an evicted line that
-        the snoop filter lists, and its sharers."""
-        snoop = self.snoop_filter
-        for core in snoop.sharers_of(line):
-            self.l1[core].invalidate(line)
-            self.l2[core].invalidate(line)
-            snoop.record_eviction(line, core)
+        the snoop filter lists, and its sharers (the entry goes at once)."""
+        holders = self.snoop_filter._sharers.pop(line, None)
+        if holders is not None:
+            for core in holders:
+                self.l1[core].invalidate(line)
+                self.l2[core].invalidate(line)
 
     # -- warm-up & utility -----------------------------------------------------
     def warm_llc(self, base: int, size: int) -> int:

@@ -21,7 +21,7 @@ controller.  Two responsibilities:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -202,16 +202,22 @@ class Interconnect:
         return (0 if self.socket_of_stop(src_stop)
                 == self.socket_of_stop(dst_stop) else 1)
 
-    def transfer_latency(self, src_stop: int, dst_stop: int) -> int:
-        """Cycles to move one message between two stops."""
+    def route(self, src_stop: int, dst_stop: int) -> Tuple[int, int, int]:
+        """``(cycles, ring hops, link crossings)`` of one message between
+        two stops, uncounted and without the fault hook."""
         hops = self.hops(src_stop, dst_stop)
         crossings = self.link_crossings(src_stop, dst_stop)
+        return (hops * self.latency.hop + crossings * self.link_latency,
+                hops, crossings)
+
+    def transfer_latency(self, src_stop: int, dst_stop: int) -> int:
+        """Cycles to move one message between two stops (:meth:`route`,
+        counted, plus the fault hook's extra cycles)."""
+        latency, hops, crossings = self.route(src_stop, dst_stop)
         self.stats.messages += 1
         self.stats.total_hops += hops
-        latency = hops * self.latency.hop
         if crossings:
             self.stats.link_crossings += crossings
-            latency += crossings * self.link_latency
         if self.fault_hook is not None:
             latency += self.fault_hook(src_stop, dst_stop, hops)
         return latency

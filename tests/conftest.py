@@ -5,8 +5,13 @@ import pytest
 from hypothesis import settings
 
 # Property tests draw the same examples on every run, so a failure they
-# find reproduces instead of reading as a flaky test.
+# find reproduces instead of reading as a flaky test.  The deep profile
+# draws ten times the default examples, for a suite run on its own
+# (``--hypothesis-profile derandomized-deep``): a branch only a long
+# sequence reaches still fails on every run.
 settings.register_profile("derandomized", derandomize=True)
+settings.register_profile("derandomized-deep", derandomize=True,
+                          max_examples=10 * settings.default.max_examples)
 settings.load_profile("derandomized")
 
 from repro.core import HaloSystem
